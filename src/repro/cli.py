@@ -228,6 +228,13 @@ def cmd_sweep(args) -> int:
         f"{info['memo_hits']} memo hits, "
         f"{info['failures']} failed"
     )
+    if session.cache is not None:
+        # scripts grep " 0 recorded" on warm reruns
+        _log.info(
+            f"# traces: {info['traces_recorded']} recorded, "
+            f"{info['traces_loaded']} loaded, "
+            f"{info['traces_quarantined']} quarantined"
+        )
     _sweep_digest(session)
     # recorded failures are tolerated (the sweep completed) but the
     # exit code must not pretend the matrix converged
@@ -506,23 +513,31 @@ def cmd_cache(args) -> int:
     cache = ResultCache(args.cache_dir)
     if args.action == "verify":
         report = cache.verify()
+        # the trace part says "in quarantine", so scripts grepping
+        # "<n> quarantined" keep reading the result store's count
         print(
             f"{report['ok']} ok, {report['stale']} stale, "
             f"{report['corrupt']} corrupt, "
             f"{report['quarantine']} quarantined, "
             f"{report['tmp_files']} tmp file(s), "
-            f"{report['shadowed']} shadowed shard path(s)"
+            f"{report['shadowed']} shadowed shard path(s); traces: "
+            f"{report['traces_ok']} ok, {report['traces_corrupt']} corrupt, "
+            f"{report['trace_quarantine']} in quarantine"
         )
         for key in report["corrupt_entries"]:
             _log.error(f"# corrupt: {key}")
-        return 1 if report["corrupt"] else 0
+        for key in report["corrupt_traces"]:
+            _log.error(f"# corrupt trace bundle: {key}")
+        return 1 if report["corrupt"] or report["traces_corrupt"] else 0
     if args.action == "repair":
         report = cache.repair()
         print(
-            f"kept {report['ok']}, quarantined {report['corrupt']} "
-            f"(now {report['quarantine']} in quarantine), dropped "
-            f"{report['removed_stale']} stale, swept "
-            f"{report['swept_tmp']} tmp file(s)"
+            f"kept {report['ok']} + {report['traces_ok']} trace(s), "
+            f"quarantined {report['corrupt']} + "
+            f"{report['traces_corrupt']} trace(s) (now "
+            f"{report['quarantine']} + {report['trace_quarantine']} in "
+            f"quarantine), dropped {report['removed_stale']} stale, "
+            f"swept {report['swept_tmp']} tmp file(s)"
         )
         return 0
     if args.action == "gc":
@@ -530,16 +545,18 @@ def cmd_cache(args) -> int:
         journal = SweepJournal.for_cache_dir(args.cache_dir)
         journal.compact()
         print(
-            f"kept {report['ok']}, dropped {report['removed_stale']} "
-            f"stale + {report['dropped_quarantine']} quarantined, "
+            f"kept {report['ok']} + {report['traces_ok']} trace(s), "
+            f"dropped {report['removed_stale']} stale + "
+            f"{report['dropped_quarantine']} + "
+            f"{report['dropped_trace_quarantine']} trace(s) quarantined, "
             f"swept {report['swept_tmp']} tmp file(s); journal "
             "compacted"
         )
         return 0
     # clear
-    n = len(cache)
+    n, t = len(cache), cache.trace_count()
     cache.clear()
-    print(f"cleared {n} entr{'y' if n == 1 else 'ies'}")
+    print(f"cleared {n} entr{'y' if n == 1 else 'ies'} + {t} trace(s)")
     return 0
 
 

@@ -33,6 +33,17 @@ fails stats reconstruction is **quarantined** — moved aside into
 disk or torn write stays diagnosable while the sweep re-simulates and
 heals the store.  ``repro cache verify|repair|gc`` expose
 :meth:`ResultCache.verify` / :meth:`repair` / :meth:`gc` from the CLI.
+
+The same root holds the **trace store**: one ``.npz`` per
+:class:`~repro.pipeline.trace.TraceBundle` under
+``<root>/traces/<key[:2]>/<key[2:]>.npz`` (``idx``, ``taken``,
+``addrs`` and the bundle fingerprint), keyed by
+:func:`trace_key` over the compiled program, the machine shape and the
+instruction cap.  A process with a store loads a bundle instead of
+re-running the functional VM.  A loaded bundle is rebuilt from its
+arrays and the caller's compiled program, which recomputes its
+fingerprint; it is served only if that equals the stored one, so a
+result key never hashes an unchecked stored string.
 """
 
 from __future__ import annotations
@@ -43,14 +54,21 @@ import json
 import logging
 import os
 import re
+import zipfile
+from collections.abc import Callable
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import IO, Any, Iterator
+
+import numpy as np
+import numpy.typing as npt
 
 from ..arch.config import MachineConfig
 from ..arch.scenarios import machine_fingerprint
+from ..isa.program import Program
 from ..pipeline.processor import SimParams
 from ..pipeline.stats import SimStats
+from ..pipeline.trace import TraceBundle
 from . import faults
 
 try:  # advisory cross-process locking; absent on some platforms
@@ -83,6 +101,24 @@ _SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
 #: Subdirectory corrupt entries are moved into (never globbed as a
 #: shard: "qu" would match the hex pattern, "quarantine" does not).
 QUARANTINE_DIR = "quarantine"
+
+#: Subdirectory holding the trace store's own hex shards (not a shard
+#: name itself, so result scans and ``len()`` never descend into it).
+TRACE_DIR = "traces"
+
+#: Bump when the trace-bundle file layout or the functional VM's
+#: semantics change: a bundle is keyed on the program it traces, not
+#: on the VM that traced it.
+TRACE_STORE_VERSION = 1
+
+#: What reading a torn or garbled ``.npz`` raises (numpy and zipfile
+#: errors, missing members, arrays that disagree in shape).
+_TORN_BUNDLE = (
+    ValueError, KeyError, IndexError, TypeError, EOFError,
+    zipfile.BadZipFile,
+)
+
+_Array = npt.NDArray[Any]
 
 
 def cache_key(
@@ -117,6 +153,53 @@ def payload_checksum(stats_dict: dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def trace_key(
+    program: Program, cfg: MachineConfig, max_instructions: int
+) -> str:
+    """Deterministic content hash of one trace bundle: everything the
+    functional VM and the static tables see — every operation, the
+    initial data image, the cluster count and name of the compiled
+    program, the machine shape, and the instruction cap.  ``cfg``
+    should carry the flat memory block: neither the compiler nor the
+    VM sees the memory hierarchy."""
+    ops = tuple(
+        tuple(
+            (int(op.opcode), op.cluster, op.dst, op.srcs, op.imm,
+             op.target, op.use_imm, op.xfer_id, op.cmp_kind)
+            for op in ins.ops
+        )
+        for ins in program.instructions
+    )
+    data = program.data
+    blob = repr((
+        TRACE_STORE_VERSION,
+        program.name,
+        program.n_clusters,
+        ops,
+        sorted(data.words.items()),
+        data.size,
+        machine_fingerprint(cfg),
+        max_instructions,
+    ))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _read_bundle(path: Path) -> tuple[str, _Array, _Array, _Array]:
+    """``(fingerprint, idx, taken, addrs)`` of one stored bundle;
+    raises one of :data:`_TORN_BUNDLE` when it is torn."""
+    with np.load(path, allow_pickle=False) as npz:
+        fingerprint = str(npz["fingerprint"])
+        idx: _Array = npz["idx"]
+        taken: _Array = npz["taken"]
+        addrs: _Array = npz["addrs"]
+    if (
+        idx.ndim != 1 or taken.shape != idx.shape
+        or addrs.ndim != 2 or len(addrs) != len(idx)
+    ):
+        raise ValueError("trace arrays disagree in shape")
+    return fingerprint, idx, taken, addrs
+
+
 class ResultCache:
     """Disk-backed :class:`SimStats` store keyed by :func:`cache_key`."""
 
@@ -139,28 +222,46 @@ class ResultCache:
         #: corrupt entries moved aside by this process (see
         #: :meth:`quarantine_count` for what is on disk in total)
         self.quarantined = 0
+        #: trace bundles served by :meth:`get_trace`, not found there
+        #: (the caller records each of those), and quarantined by this
+        #: process
+        self.trace_hits = 0
+        self.trace_misses = 0
+        self.trace_quarantined = 0
 
     # ------------------------------------------------------------ paths
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key[2:]}.json"
 
-    def _shard_dirs(self) -> list[Path]:
+    def _trace_path(self, key: str) -> Path:
+        return self.root / TRACE_DIR / key[:2] / f"{key[2:]}.npz"
+
+    def _shard_dirs(self, parent: Path | None = None) -> list[Path]:
+        """Hex shard directories of the result store (or, given
+        ``parent``, of the trace store under it)."""
         try:
             return sorted(
-                p for p in self.root.iterdir()
+                p for p in (parent or self.root).iterdir()
                 if p.is_dir() and _SHARD_RE.match(p.name)
             )
         except OSError:
             return []
 
+    def _all_shard_dirs(self) -> list[Path]:
+        return self._shard_dirs() + self._shard_dirs(self.root / TRACE_DIR)
+
     def _entries(self) -> Iterator[Path]:
         for shard in self._shard_dirs():
             yield from sorted(shard.glob("*.json"))
 
+    def _trace_entries(self) -> Iterator[Path]:
+        for shard in self._shard_dirs(self.root / TRACE_DIR):
+            yield from sorted(shard.glob("*.npz"))
+
     def _tmp_files(self) -> list[Path]:
         """Leftover ``*.tmp`` files from interrupted writers."""
         out: list[Path] = []
-        for shard in self._shard_dirs():
+        for shard in self._all_shard_dirs():
             out.extend(sorted(shard.glob("*.tmp")))
         return out
 
@@ -212,7 +313,7 @@ class ResultCache:
             return None
         except json.JSONDecodeError:
             # torn or garbled bytes: crash-mid-write, bad disk
-            self._quarantine(path, "unparsable JSON")
+            self.quarantined += self._quarantine(path, "unparsable JSON")
             self.misses += 1
             return None
         except OSError:
@@ -231,7 +332,7 @@ class ResultCache:
             stats = SimStats.from_dict(stats_dict)
         except (KeyError, TypeError, ValueError, AttributeError) as e:
             # structurally damaged despite a current version stamp
-            self._quarantine(path, str(e))
+            self.quarantined += self._quarantine(path, str(e))
             self.misses += 1
             return None
         self.hits += 1
@@ -250,16 +351,30 @@ class ResultCache:
             "checksum": payload_checksum(stats_dict),
             "stats": stats_dict,
         }
-        path = self._path(key)
+        blob = json.dumps(doc).encode()
+        if self._write(self._path(key), lambda f: f.write(blob), key):
+            self.stores += 1
+
+    def _write(
+        self,
+        path: Path,
+        write: Callable[[IO[bytes]], object],
+        key: str,
+        fault_id: str | None = None,
+    ) -> bool:
+        """Best-effort atomic write of one store file: a temp file,
+        then ``os.replace`` under the store lock.  A failure is counted
+        in :attr:`put_errors` and logged, never raised.  ``fault_id``
+        names the write for ``enospc``/``corrupt`` fault injection
+        (default: the cell currently executing)."""
         tmp = path.with_name(path.name + f".{os.getpid()}.tmp")
         try:
-            faults.maybe_fail_store_write()
+            faults.maybe_fail_store_write(fault_id)
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "w") as f:
-                json.dump(doc, f)
+            with open(tmp, "wb") as f:
+                write(f)
             with self._locked():
                 os.replace(tmp, path)
-            self.stores += 1
         except OSError as e:
             self.put_errors += 1
             log.warning("cache: failed to persist %s…: %s", key[:12], e)
@@ -267,24 +382,77 @@ class ResultCache:
                 tmp.unlink(missing_ok=True)
             except OSError:
                 pass
-            return
+            return False
         # fault injection: simulate the machine dying inside the write
         # (torn bytes) *after* the happy path completed
-        faults.maybe_tear_entry(path)
+        faults.maybe_tear_entry(path, fault_id)
+        return True
+
+    # ----------------------------------------------------------- traces
+    def get_trace(
+        self, key: str, program: Program, cfg: MachineConfig
+    ) -> TraceBundle | None:
+        """Load the bundle stored under :func:`trace_key` ``key`` for
+        the compiled ``program`` on ``cfg``; ``None`` (a miss, which
+        the caller answers by recording the trace) when absent.
+
+        The bundle is rebuilt from the stored arrays, which recomputes
+        its fingerprint from content, and served only if that equals
+        the stored fingerprint.  A torn file or a mismatch is
+        quarantined and reads as a miss."""
+        path = self._trace_path(key)
+        try:
+            stored, idx, taken, addrs = _read_bundle(path)
+            if addrs.shape[1] != cfg.n_clusters:
+                raise ValueError("cluster count differs from the machine")
+            bundle = TraceBundle(
+                program.name, program, cfg, idx, taken, addrs
+            )
+            if bundle.fingerprint() != stored:
+                raise ValueError("fingerprint mismatch")
+        except FileNotFoundError:
+            self.trace_misses += 1
+            return None
+        except _TORN_BUNDLE as e:
+            self.trace_quarantined += self._quarantine(
+                path, f"trace bundle: {e}"
+            )
+            self.trace_misses += 1
+            return None
+        except OSError:
+            # unreadable, or a shard path shadowed by a stray file
+            self.trace_misses += 1
+            return None
+        self.trace_hits += 1
+        return bundle
+
+    def put_trace(self, key: str, bundle: TraceBundle) -> None:
+        """Best-effort write of one freshly recorded bundle, atomic like
+        :meth:`put`; fault-injectable as ``trace/<bench>``."""
+        idx, taken, addrs = bundle.arrays()
+
+        def write(f: IO[bytes]) -> None:
+            np.savez(
+                f,
+                fingerprint=np.array(bundle.fingerprint()),
+                idx=idx,
+                taken=taken,
+                addrs=addrs,
+            )
+
+        self._write(
+            self._trace_path(key), write, key, f"trace/{bundle.name}"
+        )
 
     # ------------------------------------------------------- quarantine
-    def _quarantine(self, path: Path, reason: str) -> None:
-        """Move a corrupt entry aside (shard prefix folded back into
-        the filename so the original key stays reconstructable)."""
+    def _quarantine(self, path: Path, reason: str) -> bool:
+        """Move a corrupt entry or bundle aside (shard prefix folded
+        back into the filename so the original key stays
+        reconstructable); True if it was moved."""
         qdir = self.root / QUARANTINE_DIR
         try:
             qdir.mkdir(parents=True, exist_ok=True)
             os.replace(path, qdir / f"{path.parent.name}{path.name}")
-            self.quarantined += 1
-            log.warning(
-                "cache: quarantined corrupt entry %s/%s (%s)",
-                path.parent.name, path.name, reason,
-            )
         except OSError:
             # cannot move it (read-only store?): leave it; reads keep
             # missing on it, verify/repair keep reporting it
@@ -292,51 +460,78 @@ class ResultCache:
                 "cache: corrupt entry %s/%s (%s) could not be "
                 "quarantined", path.parent.name, path.name, reason,
             )
+            return False
+        log.warning(
+            "cache: quarantined corrupt entry %s/%s (%s)",
+            path.parent.name, path.name, reason,
+        )
+        return True
+
+    def _quarantined(self, pattern: str) -> list[Path]:
+        qdir = self.root / QUARANTINE_DIR
+        return sorted(qdir.glob(pattern)) if qdir.is_dir() else []
 
     def quarantine_count(self) -> int:
         """Corrupt entries currently held in ``<root>/quarantine/``."""
-        return sum(
-            1 for _ in (self.root / QUARANTINE_DIR).glob("*.json")
-        ) if (self.root / QUARANTINE_DIR).is_dir() else 0
+        return len(self._quarantined("*.json"))
+
+    def trace_quarantine_count(self) -> int:
+        """Corrupt trace bundles currently held in the quarantine."""
+        return len(self._quarantined("*.npz"))
 
     # ------------------------------------------------------ maintenance
     def __len__(self) -> int:
         """Live entries (quarantined entries are counted separately by
-        :meth:`quarantine_count`, never here)."""
+        :meth:`quarantine_count`, and trace bundles by
+        :meth:`trace_count`, never here)."""
         return sum(1 for _ in self._entries())
 
+    def trace_count(self) -> int:
+        """Live trace bundles."""
+        return sum(1 for _ in self._trace_entries())
+
     def clear(self) -> int:
-        """Delete every live entry, sweep leftover ``*.tmp`` files from
-        interrupted writers, and prune emptied shard directories;
-        returns the number of entries removed.  Quarantined entries are
-        kept (they are evidence; ``gc()`` drops them)."""
+        """Delete every live entry and trace bundle, sweep leftover
+        ``*.tmp`` files from interrupted writers, and prune emptied
+        shard directories; returns the number of result entries
+        removed.  Quarantined files are kept (they are evidence;
+        ``gc()`` drops them)."""
         n = 0
         with self._locked():
             for p in self._entries():
                 p.unlink()
                 n += 1
-            for p in self._tmp_files():
+            for p in [*self._trace_entries(), *self._tmp_files()]:
                 p.unlink(missing_ok=True)
             self._prune_empty_shards()
         return n
 
     def _prune_empty_shards(self) -> int:
         n = 0
-        for shard in self._shard_dirs():
+        for shard in self._all_shard_dirs():
             try:
                 shard.rmdir()  # fails (caught) unless empty
                 n += 1
             except OSError:
                 pass
+        try:
+            (self.root / TRACE_DIR).rmdir()
+        except OSError:
+            pass
         return n
 
-    def _scan(self, *, quarantine: bool) -> dict[str, Any]:
-        """Walk every entry; classify (and optionally quarantine) it."""
+    def _scan(self, *, repair: bool) -> dict[str, Any]:
+        """Walk every entry and trace bundle and classify it; when
+        repairing, also quarantine the corrupt ones and delete stale
+        entries."""
         report: dict[str, Any] = {
             "entries": 0, "ok": 0, "corrupt": 0, "stale": 0,
             "shadowed": 0, "tmp_files": len(self._tmp_files()),
             "quarantine": self.quarantine_count(),
             "corrupt_entries": [],
+            "traces_ok": 0, "traces_corrupt": 0,
+            "trace_quarantine": self.trace_quarantine_count(),
+            "corrupt_traces": [],
         }
         try:
             report["shadowed"] = sum(
@@ -353,6 +548,8 @@ class ResultCache:
                     doc = json.load(f)
                 if doc.get("version") != CACHE_VERSION:
                     report["stale"] += 1
+                    if repair:
+                        path.unlink(missing_ok=True)
                     continue
                 stats_dict = doc["stats"]
                 if doc.get("checksum") != payload_checksum(stats_dict):
@@ -371,60 +568,75 @@ class ResultCache:
                 report["corrupt_entries"].append(
                     f"{path.parent.name}{path.stem}"
                 )
-                if quarantine:
-                    self._quarantine(path, reason)
+                if repair:
+                    self.quarantined += self._quarantine(path, reason)
+        # a bundle's fingerprint can only be recomputed against its
+        # compiled program, which a scan does not have; the scan checks
+        # the container (zip CRCs, members, shapes) and the next load
+        # checks the fingerprint
+        for path in list(self._trace_entries()):
+            try:
+                _read_bundle(path)
+            except _TORN_BUNDLE as e:
+                report["traces_corrupt"] += 1
+                report["corrupt_traces"].append(
+                    f"{path.parent.name}{path.stem}"
+                )
+                if repair:
+                    self.trace_quarantined += self._quarantine(
+                        path, f"trace bundle: {e}"
+                    )
+            except OSError:
+                pass  # unreadable right now; not provably corrupt
+            else:
+                report["traces_ok"] += 1
         return report
 
     def verify(self) -> dict[str, Any]:
-        """Read-only integrity scan of every entry: counts of ok /
-        corrupt (checksum, parse, payload) / stale-version entries,
-        leftover tmp files, shadowed shard paths, and the current
-        quarantine population.  Touches nothing."""
-        return self._scan(quarantine=False)
+        """Read-only integrity scan of every entry and trace bundle:
+        counts of ok / corrupt (checksum, parse, payload; a torn
+        bundle) / stale-version entries, leftover tmp files, shadowed
+        shard paths, and the current quarantine population.  Touches
+        nothing."""
+        return self._scan(repair=False)
 
     def repair(self) -> dict[str, Any]:
-        """Make the store clean: quarantine corrupt entries, delete
-        stale-version entries, sweep leftover tmp files, prune emptied
-        shard directories.  Returns the scan report plus what was
-        removed."""
+        """Make the store clean: quarantine corrupt entries and
+        bundles, delete stale-version entries, sweep leftover tmp
+        files, prune emptied shard directories.  Returns the scan
+        report plus what was removed."""
         with self._locked():
-            report = self._scan(quarantine=True)
-            removed_stale = 0
-            for path in list(self._entries()):
-                try:
-                    with open(path) as f:
-                        doc = json.load(f)
-                except (OSError, json.JSONDecodeError):
-                    continue  # fresh corruption since the scan: next run
-                if doc.get("version") != CACHE_VERSION:
-                    path.unlink(missing_ok=True)
-                    removed_stale += 1
+            report = self._scan(repair=True)
             swept = 0
             for p in self._tmp_files():
                 p.unlink(missing_ok=True)
                 swept += 1
             report.update(
-                removed_stale=removed_stale,
+                removed_stale=report["stale"],
                 swept_tmp=swept,
                 pruned_dirs=self._prune_empty_shards(),
                 quarantine=self.quarantine_count(),
+                trace_quarantine=self.trace_quarantine_count(),
             )
         return report
 
     def gc(self) -> dict[str, Any]:
         """:meth:`repair`, then drop the quarantine (the point of the
         quarantine is diagnosis; gc is the explicit "I am done looking"
-        step) and report reclaimed entries."""
+        step) and report reclaimed entries and bundles."""
         report = self.repair()
-        dropped = 0
-        qdir = self.root / QUARANTINE_DIR
-        if qdir.is_dir():
-            for p in qdir.glob("*.json"):
-                p.unlink(missing_ok=True)
-                dropped += 1
-            try:
-                qdir.rmdir()
-            except OSError:
-                pass
-        report.update(dropped_quarantine=dropped, quarantine=0)
+        entries = self._quarantined("*.json")
+        bundles = self._quarantined("*.npz")
+        for p in entries + bundles:
+            p.unlink(missing_ok=True)
+        try:
+            (self.root / QUARANTINE_DIR).rmdir()
+        except OSError:
+            pass
+        report.update(
+            dropped_quarantine=len(entries),
+            dropped_trace_quarantine=len(bundles),
+            quarantine=0,
+            trace_quarantine=0,
+        )
         return report

@@ -21,7 +21,9 @@ A plan is a ``;``-separated list of fault specs::
   died inside the write).
 * ``cell-pattern`` — matched with :func:`fnmatch.fnmatch` against the
   cell's id ``policy/workload/nT[/memory][/machine]`` (e.g.
-  ``CSMT/llll/2`` or ``*/hhhh/*``).
+  ``CSMT/llll/2`` or ``*/hhhh/*``).  ``enospc``/``corrupt`` also match
+  trace-bundle writes under the id ``trace/<bench>`` (e.g.
+  ``corrupt@trace/mcf``), which count as attempt 1.
 * ``attempts`` — comma-separated attempt numbers the fault fires on
   (1-based); default ``1`` (fail the first try, let retries succeed).
   ``*`` fires on every attempt (a persistent fault that must exhaust
@@ -218,21 +220,34 @@ def maybe_crash_or_hang(cell_id: str, attempt: int) -> None:
         )))
 
 
-def maybe_fail_store_write() -> None:
+def _store_fault(kind: str, item: str | None) -> bool:
+    """True if a ``kind`` store fault fires for this write.  ``item``
+    names a write that is not a cell's result (``trace/<bench>`` for a
+    trace bundle, always attempt 1); ``None`` means the cell currently
+    executing."""
+    plan = _state.plan
+    if not plan:
+        return False
+    if item is None:
+        item, attempt = _state.cell_id, _state.attempt
+    else:
+        attempt = 1
+    return bool(item and plan.matching(kind, item, attempt))
+
+
+def maybe_fail_store_write(item: str | None = None) -> None:
     """Raise ``OSError(ENOSPC)`` if an ``enospc`` fault matches the
-    cell currently executing (best-effort store writes must swallow it
-    and count it, not die)."""
-    plan, cell = _state.plan, _state.cell_id
-    if plan and cell and plan.matching("enospc", cell, _state.attempt):
+    write (best-effort store writes must swallow it and count it, not
+    die)."""
+    if _store_fault("enospc", item):
         raise OSError(errno.ENOSPC, "injected: no space left on device")
 
 
-def maybe_tear_entry(path) -> bool:
+def maybe_tear_entry(path, item: str | None = None) -> bool:
     """After a successful store write, tear the entry's bytes if a
-    ``corrupt`` fault matches the executing cell — the on-disk result
-    of a machine dying mid-write.  Returns True if torn."""
-    plan, cell = _state.plan, _state.cell_id
-    if not (plan and cell and plan.matching("corrupt", cell, _state.attempt)):
+    ``corrupt`` fault matches the write — the on-disk result of a
+    machine dying mid-write.  Returns True if torn."""
+    if not _store_fault("corrupt", item):
         return False
     try:
         data = path.read_bytes()

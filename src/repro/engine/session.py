@@ -263,7 +263,7 @@ class SimulationSession:
         # invisible to both.
         cfg = self.machine_cfg(machine)
         return [
-            get_trace(name, self.scale.kernel_scale, cfg)
+            get_trace(name, self.scale.kernel_scale, cfg, store=self.cache)
             for name in members
         ]
 
@@ -601,7 +601,9 @@ class SimulationSession:
             self.memo_hits += 1
             return stats
         t0 = time.perf_counter()
-        bundle = get_trace(bench, self.scale.kernel_scale, self.cfg)
+        bundle = get_trace(
+            bench, self.scale.kernel_scale, self.cfg, store=self.cache
+        )
         # Matches the legacy ``run_single_thread`` helper exactly
         # (including its 50 M-cycle safety limit, not the matrix
         # scale's), so Fig. 13a numbers are unchanged by the engine.
@@ -761,14 +763,22 @@ class SimulationSession:
         return sum(vals) / len(vals)
 
     def cache_stats(self) -> dict[str, int]:
+        """Memo, store and simulation counters.  The ``traces_*``
+        counters are the trace store's (0 without a cache dir): bundles
+        the functional VM recorded because the store had none, bundles
+        loaded, and torn or mismatched bundles quarantined."""
+        c = self.cache
         return {
             "memo_entries": len(self._memo),
             "memo_hits": self.memo_hits,
-            "disk_hits": self.cache.hits if self.cache else 0,
-            "disk_misses": self.cache.misses if self.cache else 0,
-            "disk_stores": self.cache.stores if self.cache else 0,
-            "disk_put_errors": self.cache.put_errors if self.cache else 0,
-            "quarantined": self.cache.quarantined if self.cache else 0,
+            "disk_hits": c.hits if c else 0,
+            "disk_misses": c.misses if c else 0,
+            "disk_stores": c.stores if c else 0,
+            "disk_put_errors": c.put_errors if c else 0,
+            "quarantined": c.quarantined if c else 0,
+            "traces_recorded": c.trace_misses if c else 0,
+            "traces_loaded": c.trace_hits if c else 0,
+            "traces_quarantined": c.trace_quarantined if c else 0,
             "simulations": self.simulations,
             "failures": len(self.failures),
         }

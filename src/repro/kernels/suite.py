@@ -2,15 +2,17 @@
 
 ``SUITE`` maps benchmark name -> (:class:`KernelMeta`, build function).
 :func:`get_trace` compiles and functionally executes a kernel once per
-(process, scale, machine) and memoises the resulting
+(process, scale, machine, instruction cap) and memoises the resulting
 :class:`~repro.pipeline.trace.TraceBundle`, so the 150-run experiment
-matrix reuses twelve functional runs.
+matrix reuses twelve functional runs.  Given a result store, it loads
+bundles an earlier process recorded instead of re-running the VM.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from ..arch.config import MachineConfig, MemoryConfig, PAPER_MACHINE
 from ..compiler.builder import KernelBuilder
@@ -29,6 +31,9 @@ from . import (
     x264,
 )
 from .common import KernelMeta
+
+if TYPE_CHECKING:
+    from ..engine.cache import ResultCache
 
 SUITE: dict[str, tuple[KernelMeta, Callable[[float], KernelBuilder]]] = {
     "mcf": (mcf.META, mcf.build),
@@ -52,7 +57,7 @@ BY_CLASS: dict[str, list[str]] = {"l": [], "m": [], "h": []}
 for _name, (_meta, _) in SUITE.items():
     BY_CLASS[_meta.ilp_class].append(_name)
 
-_trace_cache: dict[tuple[str, float, MachineConfig], TraceBundle] = {}
+_trace_cache: dict[tuple[str, float, MachineConfig, int], TraceBundle] = {}
 
 #: canonical memory block for trace-memo keys: compilation and the
 #: functional VM never see the memory hierarchy, so configs differing
@@ -75,6 +80,7 @@ def get_trace(
     scale: float = 1.0,
     cfg: MachineConfig = PAPER_MACHINE,
     max_instructions: int = 5_000_000,
+    store: ResultCache | None = None,
 ) -> TraceBundle:
     """Compile + functionally execute + memoise one benchmark trace.
 
@@ -85,16 +91,31 @@ def get_trace(
     receive a fresh config object per cell but still compile each
     (benchmark, machine shape) once per process, whatever memory
     presets ride on it.
+
+    With a ``store`` (a :class:`~repro.engine.cache.ResultCache`), a
+    memo miss still compiles, then loads the bundle from the store's
+    trace directory and only runs the functional VM (and persists its
+    trace) when the store has no valid bundle for this program.
     """
     key_cfg = (
         cfg if cfg.memory == _FLAT_MEMORY
         else replace(cfg, memory=_FLAT_MEMORY)
     )
-    key = (name, scale, key_cfg)
+    key = (name, scale, key_cfg, max_instructions)
     bundle = _trace_cache.get(key)
     if bundle is None:
-        result = build_program(name, scale, cfg)
-        bundle = record_trace(result.program, cfg, max_instructions)
+        program = build_program(name, scale, cfg).program
+        if store is None:
+            bundle = record_trace(program, cfg, max_instructions)
+        else:
+            # deferred: repro.engine imports this module
+            from ..engine.cache import trace_key
+
+            store_key = trace_key(program, key_cfg, max_instructions)
+            bundle = store.get_trace(store_key, program, cfg)
+            if bundle is None:
+                bundle = record_trace(program, cfg, max_instructions)
+                store.put_trace(store_key, bundle)
         _trace_cache[key] = bundle
     return bundle
 

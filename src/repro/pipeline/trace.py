@@ -142,6 +142,13 @@ def _rot_static(st: StaticTable, r: int) -> StaticTable:
     )
 
 
+def _rows(addrs: np.ndarray) -> list[tuple[int, ...]]:
+    """Rows of a 2-D array as tuples of Python ints; zipping the
+    columns builds them in C, several times faster than a tuple() per
+    row on traces of 10^5 instructions."""
+    return list(zip(*addrs.T.tolist()))
+
+
 class TraceBundle:
     """Everything the timing model needs about one benchmark."""
 
@@ -161,7 +168,7 @@ class TraceBundle:
         # hot-loop friendly copies
         self.idx = idx.tolist()
         self.taken = taken.tolist()
-        self.addr_rows = [tuple(row) for row in addrs.tolist()]
+        self.addr_rows = _rows(addrs)
         self.length = len(self.idx)
         self.total_ops = sum(self.static.nops[i] for i in self.idx)
         self._rot_cache: dict[int, tuple[StaticTable, list]] = {
@@ -179,8 +186,17 @@ class TraceBundle:
         if r not in self._rot_cache:
             st = _rot_static(self.static, r)
             rolled = np.roll(self._addrs_np, r, axis=1)
-            self._rot_cache[r] = (st, [tuple(x) for x in rolled.tolist()])
+            self._rot_cache[r] = (st, _rows(rolled))
         return self._rot_cache[r]
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The dynamic trace as ``(idx, taken, addrs)`` arrays, with
+        the dtypes :meth:`TraceRecorder.arrays` records."""
+        return (
+            np.asarray(self.idx, dtype=np.int32),
+            np.asarray(self.taken, dtype=bool),
+            self._addrs_np,
+        )
 
     @property
     def avg_ops_per_instr(self) -> float:
