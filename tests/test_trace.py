@@ -1,10 +1,17 @@
 """Static/dynamic trace tables and cluster-renaming rotation."""
 
+import json
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.config import PAPER_MACHINE
 from repro.arch.resources import unpack_usage
+from repro.arch.scenarios import get_scenario
+from repro.engine import QUICK_SCALE
+from repro.kernels.suite import BENCH_ORDER, get_trace
 from repro.pipeline.trace import build_static_table, record_trace
 
 from _kernels import make_axpy, make_wide
@@ -111,3 +118,23 @@ def test_icc_flag_rotation_invariant(wide_trace):
     st0, _ = wide_trace.rotated(0)
     st3, _ = wide_trace.rotated(3)
     assert st0.icc == st3.icc
+
+
+# ----------------------------------------------------- golden fingerprints
+_GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_trace_fingerprints.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "machine,name",
+    [(m, n) for m in sorted(_GOLDEN["fingerprints"]) for n in BENCH_ORDER],
+)
+def test_trace_fingerprint_golden(machine, name):
+    """The functional VM's traces are pinned: trace-store keys and
+    result keys derive from these fingerprints, so drift would also
+    orphan every store filled earlier."""
+    assert QUICK_SCALE.kernel_scale == _GOLDEN["kernel_scale"]
+    cfg = get_scenario(machine).machine
+    bundle = get_trace(name, QUICK_SCALE.kernel_scale, cfg)
+    assert bundle.fingerprint() == _GOLDEN["fingerprints"][machine][name]

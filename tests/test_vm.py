@@ -1,5 +1,6 @@
 """Functional VM semantics (repro.vm.machine)."""
 
+import numpy as np
 import pytest
 
 from repro.arch.config import PAPER_MACHINE
@@ -253,3 +254,220 @@ def test_trace_recorder_shapes(axpy_program):
     assert len(idx) == len(taken) == len(addrs) == n
     assert addrs.shape[1] == 4
     assert idx.max() < len(axpy_program)
+
+
+# -- read-old-state and commit-order edge cases ----------------------------
+def test_alu_swap_reads_old_values():
+    """r3, r5 = r3 + r5, r3 - r5 in one instruction: both read the
+    pre-instruction values (10, 3), not each other's results."""
+    p = prog([
+        VLIWInstruction([movi(0, 3, 10), movi(0, 5, 3)]),
+        VLIWInstruction([
+            Operation(Opcode.ADD, cluster=0, dst=3, srcs=(3, 5)),
+            Operation(Opcode.SUB, cluster=0, dst=5, srcs=(3, 5)),
+        ]),
+        halt(),
+    ])
+    vm = VM(p)
+    vm.run()
+    assert (vm.regs[0][3], vm.regs[0][5]) == (13, 7)
+
+
+def test_load_sees_old_memory_under_same_instruction_store():
+    data = DataSegment()
+    data.set_word(0x40, 0x11111111)
+    p = prog([
+        VLIWInstruction(
+            [movi(0, 1, 0x40), movi(0, 2, 0x22), movi(1, 1, 0x40)]
+        ),
+        VLIWInstruction([
+            Operation(Opcode.STW, cluster=0, srcs=(2, 1)),
+            Operation(Opcode.LDW, cluster=1, dst=3, srcs=(1,)),
+        ]),
+        VLIWInstruction([Operation(Opcode.LDW, cluster=1, dst=4, srcs=(1,))]),
+        halt(),
+    ], data)
+    vm = VM(p)
+    rec = TraceRecorder(4)
+    vm.run(recorder=rec)
+    assert vm.regs[1][3] == 0x11111111  # old value, same instruction
+    assert vm.regs[1][4] == 0x22  # the store committed afterwards
+    assert rec.arrays()[2][1].tolist() == [0x40, 0x40, -1, -1]
+
+
+def test_branch_reads_old_branch_register():
+    """A BR sees b0 as it was before its own instruction's CMPBR."""
+    cmp_b0 = Operation(Opcode.CMPBR, cluster=0, dst=0, srcs=(0,), imm=0,
+                       use_imm=True, cmp_kind=int(Opcode.CMPEQ))  # 1
+    p = prog([
+        VLIWInstruction(
+            [cmp_b0, Operation(Opcode.BR, cluster=0, imm=0, target=3)]
+        ),
+        VLIWInstruction([Operation(Opcode.BR, cluster=0, imm=0, target=3)]),
+        VLIWInstruction([movi(0, 2, 1)]),  # skipped by the second BR
+        halt(),
+    ])
+    vm = VM(p)
+    rec = TraceRecorder(4)
+    vm.run(recorder=rec)
+    assert rec.indices == [0, 1, 3]
+    assert rec.taken == [False, True, False]
+    assert vm.bregs[0] == 1 and vm.regs[0][2] == 0
+
+
+def test_negative_immediate_logic_commits_masked():
+    p = prog([
+        VLIWInstruction([movi(0, 1, -1), movi(0, 4, 5)]),
+        VLIWInstruction([
+            Operation(Opcode.AND, cluster=0, dst=2, srcs=(1,), imm=-16,
+                      use_imm=True),
+            Operation(Opcode.OR, cluster=0, dst=3, srcs=(4,), imm=-16,
+                      use_imm=True),
+        ]),
+        halt(),
+    ])
+    vm = VM(p)
+    vm.run()
+    assert vm.regs[0][1] == 0xFFFFFFFF
+    assert vm.regs[0][2] == 0xFFFFFFF0
+    assert vm.regs[0][3] == 0xFFFFFFF5
+
+
+def test_out_of_range_store_raises_with_instruction_index():
+    """Stores commit after the instruction's register writes, so the
+    failing store's instruction has already written r5."""
+    p = prog([
+        VLIWInstruction([movi(0, 1, 0x7FFFFFFF)]),
+        VLIWInstruction([
+            Operation(Opcode.STW, cluster=0, srcs=(1, 1)),
+            movi(0, 5, 9),
+        ]),
+        halt(),
+    ])
+    vm = VM(p)
+    with pytest.raises(
+        VMError, match="store out of range 0x7fffffff at pc instr 1"
+    ):
+        vm.run()
+    assert (vm.pc, vm.instr_count, vm.op_count) == (1, 1, 1)
+    assert vm.regs[0][5] == 9
+
+
+def test_fall_through_past_last_instruction_raises():
+    p = prog([
+        VLIWInstruction([movi(0, 1, 1)]),
+        VLIWInstruction([movi(0, 2, 2)]),
+    ])
+    vm = VM(p)
+    with pytest.raises(VMError, match="fell off program end"):
+        vm.run()
+    # the last instruction completed before the check fired
+    assert (vm.pc, vm.instr_count, vm.regs[0][2]) == (2, 2, 2)
+
+
+def test_op_count_after_run():
+    p = prog([
+        VLIWInstruction([movi(0, 1, 5), movi(1, 2, 7), movi(2, 3, 9)]),
+        VLIWInstruction([]),
+        VLIWInstruction(
+            [Operation(Opcode.ADD, cluster=0, dst=3, srcs=(1, 1))]
+        ),
+        halt(),
+    ])
+    vm = VM(p)
+    assert vm.run() == 4
+    assert vm.op_count == 3 + 0 + 1 + 1
+
+
+def test_reset_then_run_reproduces_trace(axpy_program):
+    vm = VM(axpy_program)
+    first, second = TraceRecorder(4), TraceRecorder(4)
+    vm.run(recorder=first)
+    vm.reset()
+    vm.run(recorder=second)
+    for a, b in zip(first.arrays(), second.arrays()):
+        assert a.dtype == b.dtype and a.tolist() == b.tolist()
+
+
+def test_step_matches_run(axpy_program):
+    ran, stepped = TraceRecorder(4), TraceRecorder(4)
+    VM(axpy_program).run(recorder=ran)
+    vm = VM(axpy_program)
+    while vm.step(stepped):
+        pass
+    assert stepped.indices == ran.indices
+    assert stepped.taken == ran.taken and stepped.addrs == ran.addrs
+    assert vm.step() is False  # a halted VM stays halted
+
+
+def test_cap_counts_the_halting_instruction():
+    """A run that halts on exactly its max_instructions-th instruction
+    completes; one instruction fewer is a runaway."""
+    p = prog([VLIWInstruction([movi(0, 1, 1)]), VLIWInstruction([]), halt()])
+    assert VM(p).run(max_instructions=3) == 3
+    with pytest.raises(VMError, match="exceeded 2 instructions"):
+        VM(p).run(max_instructions=2)
+
+
+def test_trace_recorder_addresses_are_flat(axpy_program):
+    vm = VM(axpy_program)
+    rec = TraceRecorder(4)
+    n = vm.run(recorder=rec)
+    assert len(rec.addrs) == 4 * n and all(type(a) is int for a in rec.addrs)
+    idx, taken, addrs = rec.arrays()
+    assert (idx.dtype, taken.dtype, addrs.dtype) == (
+        np.int32, np.bool_, np.int32
+    )
+    assert addrs.shape == (n, 4)
+
+
+# -- memory bounds are checked by access width -----------------------------
+@pytest.mark.parametrize(
+    "opc,width", [(Opcode.LDB, 1), (Opcode.LDBU, 1), (Opcode.LDH, 2),
+                  (Opcode.LDHU, 2), (Opcode.LDW, 4)]
+)
+def test_load_bounds_by_access_width(opc, width):
+    data = DataSegment(size=16)
+    data.set_word(12, 0x7F7F7F7F)
+
+    def load_at(addr):
+        return prog([
+            VLIWInstruction([movi(0, 1, addr)]),
+            VLIWInstruction([Operation(opc, cluster=0, dst=2, srcs=(1,))]),
+            halt(),
+        ], data)
+
+    vm = VM(load_at(16 - width))  # the segment's last `width` bytes
+    vm.run()
+    assert vm.regs[0][2] == 0x7F7F7F7F & ((1 << 8 * width) - 1)
+    with pytest.raises(VMError, match="load out of range 0x%x at pc instr 1"
+                       % (17 - width)):
+        VM(load_at(17 - width)).run()
+    op = Operation(opc, cluster=0, dst=2, srcs=(1,))
+    assert VM(load_at(0)).load(op, 16 - width) == vm.regs[0][2]
+    with pytest.raises(VMError):
+        VM(load_at(0)).load(op, 17 - width)
+
+
+@pytest.mark.parametrize(
+    "opc,width", [(Opcode.STB, 1), (Opcode.STH, 2), (Opcode.STW, 4)]
+)
+def test_store_bounds_by_access_width(opc, width):
+    def store_at(addr):
+        return prog([
+            VLIWInstruction([movi(0, 1, addr), movi(0, 2, -1)]),
+            VLIWInstruction([Operation(opc, cluster=0, srcs=(2, 1))]),
+            halt(),
+        ], DataSegment(size=16))
+
+    vm = VM(store_at(16 - width))
+    vm.run()
+    assert bytes(vm.mem) == bytes(16 - width) + b"\xff" * width
+    with pytest.raises(VMError, match="store out of range"):
+        VM(store_at(17 - width)).run()
+    op = Operation(opc, cluster=0, srcs=(2, 1))
+    vm = VM(store_at(0))
+    vm.store(op, 16 - width, 0xFFFFFFFF)
+    assert bytes(vm.mem) == bytes(16 - width) + b"\xff" * width
+    with pytest.raises(VMError):
+        vm.store(op, 17 - width, 0)
