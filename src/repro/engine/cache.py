@@ -44,6 +44,17 @@ re-running the functional VM.  A loaded bundle is rebuilt from its
 arrays and the caller's compiled program, which recomputes its
 fingerprint; it is served only if that equals the stored one, so a
 result key never hashes an unchecked stored string.
+
+Result keys need only each bundle's fingerprint (and, for single-thread
+baselines, its length), so the trace store also keeps a **fingerprint
+index**: ``<root>/traces/index/<key[:2]>/<key[2:]>.json`` maps
+:func:`index_key` — the kernel name and scale, the machine shape, the
+instruction cap and the :func:`source_identity` of the running code —
+to ``{"source", "fingerprint", "length", "checksum"}``.  A warm command
+derives every result key from the index without compiling a kernel or
+opening a bundle.  Any source edit changes the identity, so the index
+misses and the caller falls back to compiling and loading (or
+recording) the bundle, which rewrites the entry.
 """
 
 from __future__ import annotations
@@ -54,14 +65,13 @@ import json
 import logging
 import os
 import re
+import sys
 import zipfile
 from collections.abc import Callable
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
-from typing import IO, Any, Iterator
-
-import numpy as np
-import numpy.typing as npt
+from typing import IO, TYPE_CHECKING, Any, Iterator, NamedTuple
 
 from ..arch.config import MachineConfig
 from ..arch.scenarios import machine_fingerprint
@@ -70,6 +80,13 @@ from ..pipeline.processor import SimParams
 from ..pipeline.stats import SimStats
 from ..pipeline.trace import TraceBundle
 from . import faults
+
+if TYPE_CHECKING:
+    # numpy is imported where bundles are read or written: a command
+    # served from the fingerprint index never imports it
+    import numpy.typing as npt
+
+    _Array = npt.NDArray[Any]
 
 try:  # advisory cross-process locking; absent on some platforms
     import fcntl
@@ -111,6 +128,16 @@ TRACE_DIR = "traces"
 #: on the VM that traced it.
 TRACE_STORE_VERSION = 1
 
+#: Subdirectory of :data:`TRACE_DIR` holding the fingerprint index
+#: (not a hex shard name, so bundle scans never descend into it).
+INDEX_DIR = "index"
+
+#: Filename prefix of quarantined index entries, which keeps them apart
+#: from quarantined result entries (both are ``.json``).
+_INDEX_QUARANTINE_PREFIX = "index-"
+
+_HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
+
 #: What reading a torn or garbled ``.npz`` raises (numpy and zipfile
 #: errors, missing members, arrays that disagree in shape).
 _TORN_BUNDLE = (
@@ -118,7 +145,12 @@ _TORN_BUNDLE = (
     zipfile.BadZipFile,
 )
 
-_Array = npt.NDArray[Any]
+
+class TraceIdentity(NamedTuple):
+    """What a result key needs of one trace bundle."""
+
+    fingerprint: str
+    length: int
 
 
 def cache_key(
@@ -184,9 +216,95 @@ def trace_key(
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _source_digest(package: Path) -> str | None:
+    """SHA-256 over the Python minor version and every ``*.py`` file
+    under ``package`` (sorted relative POSIX path plus bytes); ``None``
+    when there is none."""
+    files = sorted(
+        (p.relative_to(package).as_posix(), p)
+        for p in package.rglob("*.py")
+    )
+    if not files:
+        return None
+    h = hashlib.sha256(repr(sys.version_info[:2]).encode())
+    for rel, path in files:
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+@cache
+def source_identity() -> str | None:
+    """:func:`_source_digest` of the ``repro`` package, once per
+    process; ``None`` when it has no ``.py`` files (e.g. a
+    bytecode-only install), which turns the fingerprint index off.
+
+    A trace fingerprint is a pure function of this identity and the
+    inputs :func:`index_key` hashes, so an index entry can never map
+    edited code to an old fingerprint."""
+    return _source_digest(Path(__file__).resolve().parent.parent)
+
+
+def index_key(
+    name: str, scale: float, cfg: MachineConfig, max_instructions: int
+) -> str | None:
+    """Key of one fingerprint-index entry (``None`` when the source
+    identity is unknown).  ``cfg`` should carry the flat memory block,
+    as for :func:`trace_key`."""
+    source = source_identity()
+    if source is None:
+        return None
+    blob = repr((
+        TRACE_STORE_VERSION,
+        name,
+        repr(scale),
+        machine_fingerprint(cfg),
+        max_instructions,
+        source,
+    ))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _index_payload(source: str, ident: TraceIdentity) -> dict[str, Any]:
+    return {
+        "source": source,
+        "fingerprint": ident.fingerprint,
+        "length": ident.length,
+    }
+
+
+def _read_index_entry(path: Path) -> tuple[str, TraceIdentity]:
+    """``(source, identity)`` of one index entry; raises ``ValueError``
+    (or ``OSError``) unless it parses, its checksum matches and its
+    fields are well formed."""
+    with open(path, "rb") as f:
+        doc = json.loads(f.read())
+    if not isinstance(doc, dict):
+        raise ValueError("index entry is not an object")
+    source = doc.get("source")
+    fingerprint = doc.get("fingerprint")
+    length = doc.get("length")
+    if (
+        not isinstance(source, str)
+        or not isinstance(fingerprint, str)
+        or not _HEX64_RE.match(fingerprint)
+        or type(length) is not int or length < 0
+    ):
+        raise ValueError("malformed index entry")
+    ident = TraceIdentity(fingerprint, length)
+    if doc.get("checksum") != payload_checksum(
+        _index_payload(source, ident)
+    ):
+        raise ValueError("checksum mismatch")
+    return source, ident
+
+
 def _read_bundle(path: Path) -> tuple[str, _Array, _Array, _Array]:
     """``(fingerprint, idx, taken, addrs)`` of one stored bundle;
     raises one of :data:`_TORN_BUNDLE` when it is torn."""
+    import numpy as np
+
     with np.load(path, allow_pickle=False) as npz:
         fingerprint = str(npz["fingerprint"])
         idx: _Array = npz["idx"]
@@ -228,6 +346,8 @@ class ResultCache:
         self.trace_hits = 0
         self.trace_misses = 0
         self.trace_quarantined = 0
+        #: trace identities served by the fingerprint index
+        self.index_hits = 0
 
     # ------------------------------------------------------------ paths
     def _path(self, key: str) -> Path:
@@ -236,9 +356,12 @@ class ResultCache:
     def _trace_path(self, key: str) -> Path:
         return self.root / TRACE_DIR / key[:2] / f"{key[2:]}.npz"
 
+    def _index_path(self, key: str) -> Path:
+        return self.root / TRACE_DIR / INDEX_DIR / key[:2] / f"{key[2:]}.json"
+
     def _shard_dirs(self, parent: Path | None = None) -> list[Path]:
         """Hex shard directories of the result store (or, given
-        ``parent``, of the trace store under it)."""
+        ``parent``, of the trace store or the index under it)."""
         try:
             return sorted(
                 p for p in (parent or self.root).iterdir()
@@ -248,7 +371,11 @@ class ResultCache:
             return []
 
     def _all_shard_dirs(self) -> list[Path]:
-        return self._shard_dirs() + self._shard_dirs(self.root / TRACE_DIR)
+        traces = self.root / TRACE_DIR
+        return (
+            self._shard_dirs() + self._shard_dirs(traces)
+            + self._shard_dirs(traces / INDEX_DIR)
+        )
 
     def _entries(self) -> Iterator[Path]:
         for shard in self._shard_dirs():
@@ -257,6 +384,10 @@ class ResultCache:
     def _trace_entries(self) -> Iterator[Path]:
         for shard in self._shard_dirs(self.root / TRACE_DIR):
             yield from sorted(shard.glob("*.npz"))
+
+    def _index_entries(self) -> Iterator[Path]:
+        for shard in self._shard_dirs(self.root / TRACE_DIR / INDEX_DIR):
+            yield from sorted(shard.glob("*.json"))
 
     def _tmp_files(self) -> list[Path]:
         """Leftover ``*.tmp`` files from interrupted writers."""
@@ -429,6 +560,8 @@ class ResultCache:
     def put_trace(self, key: str, bundle: TraceBundle) -> None:
         """Best-effort write of one freshly recorded bundle, atomic like
         :meth:`put`; fault-injectable as ``trace/<bench>``."""
+        import numpy as np
+
         idx, taken, addrs = bundle.arrays()
 
         def write(f: IO[bytes]) -> None:
@@ -444,15 +577,53 @@ class ResultCache:
             self._trace_path(key), write, key, f"trace/{bundle.name}"
         )
 
+    def get_identity(self, key: str | None) -> TraceIdentity | None:
+        """The trace identity the fingerprint index holds under
+        :func:`index_key` ``key``, or ``None`` (a miss: the caller
+        builds the bundle and rewrites the entry).  An entry is served
+        only if it parses, its checksum matches, it was written by
+        code with this process's :func:`source_identity`, and its
+        fingerprint is 64 hex digits; anything else reads as a miss."""
+        if key is None:
+            return None
+        try:
+            source, ident = _read_index_entry(self._index_path(key))
+        except (OSError, ValueError):
+            return None
+        if source != source_identity():
+            return None
+        self.index_hits += 1
+        return ident
+
+    def put_identity(
+        self, key: str | None, name: str, ident: TraceIdentity
+    ) -> None:
+        """Best-effort atomic write of one index entry (nothing when
+        the source identity is unknown); fault-injectable as
+        ``index/<bench>``."""
+        source = source_identity()
+        if key is None or source is None:
+            return
+        payload = _index_payload(source, ident)
+        blob = json.dumps(
+            {**payload, "checksum": payload_checksum(payload)}
+        ).encode()
+        self._write(
+            self._index_path(key), lambda f: f.write(blob), key,
+            f"index/{name}",
+        )
+
     # ------------------------------------------------------- quarantine
-    def _quarantine(self, path: Path, reason: str) -> bool:
-        """Move a corrupt entry or bundle aside (shard prefix folded
-        back into the filename so the original key stays
-        reconstructable); True if it was moved."""
+    def _quarantine(self, path: Path, reason: str, prefix: str = "") -> bool:
+        """Move a corrupt entry, bundle or index entry aside (shard
+        prefix folded back into the filename so the original key stays
+        reconstructable, behind ``prefix``); True if it was moved."""
         qdir = self.root / QUARANTINE_DIR
         try:
             qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / f"{path.parent.name}{path.name}")
+            os.replace(
+                path, qdir / f"{prefix}{path.parent.name}{path.name}"
+            )
         except OSError:
             # cannot move it (read-only store?): leave it; reads keep
             # missing on it, verify/repair keep reporting it
@@ -473,11 +644,15 @@ class ResultCache:
 
     def quarantine_count(self) -> int:
         """Corrupt entries currently held in ``<root>/quarantine/``."""
-        return len(self._quarantined("*.json"))
+        return len(self._quarantined("[0-9a-f][0-9a-f]*.json"))
 
     def trace_quarantine_count(self) -> int:
         """Corrupt trace bundles currently held in the quarantine."""
         return len(self._quarantined("*.npz"))
+
+    def index_quarantine_count(self) -> int:
+        """Corrupt fingerprint-index entries held in the quarantine."""
+        return len(self._quarantined(f"{_INDEX_QUARANTINE_PREFIX}*.json"))
 
     # ------------------------------------------------------ maintenance
     def __len__(self) -> int:
@@ -490,10 +665,14 @@ class ResultCache:
         """Live trace bundles."""
         return sum(1 for _ in self._trace_entries())
 
+    def index_count(self) -> int:
+        """Live fingerprint-index entries."""
+        return sum(1 for _ in self._index_entries())
+
     def clear(self) -> int:
-        """Delete every live entry and trace bundle, sweep leftover
-        ``*.tmp`` files from interrupted writers, and prune emptied
-        shard directories; returns the number of result entries
+        """Delete every live entry, trace bundle and index entry, sweep
+        leftover ``*.tmp`` files from interrupted writers, and prune
+        emptied shard directories; returns the number of result entries
         removed.  Quarantined files are kept (they are evidence;
         ``gc()`` drops them)."""
         n = 0
@@ -501,7 +680,10 @@ class ResultCache:
             for p in self._entries():
                 p.unlink()
                 n += 1
-            for p in [*self._trace_entries(), *self._tmp_files()]:
+            for p in [
+                *self._trace_entries(), *self._index_entries(),
+                *self._tmp_files(),
+            ]:
                 p.unlink(missing_ok=True)
             self._prune_empty_shards()
         return n
@@ -514,16 +696,17 @@ class ResultCache:
                 n += 1
             except OSError:
                 pass
-        try:
-            (self.root / TRACE_DIR).rmdir()
-        except OSError:
-            pass
+        for d in (self.root / TRACE_DIR / INDEX_DIR, self.root / TRACE_DIR):
+            try:
+                d.rmdir()
+            except OSError:
+                pass
         return n
 
     def _scan(self, *, repair: bool) -> dict[str, Any]:
-        """Walk every entry and trace bundle and classify it; when
-        repairing, also quarantine the corrupt ones and delete stale
-        entries."""
+        """Walk every entry, trace bundle and index entry and classify
+        it; when repairing, also quarantine the corrupt ones and delete
+        stale result entries."""
         report: dict[str, Any] = {
             "entries": 0, "ok": 0, "corrupt": 0, "stale": 0,
             "shadowed": 0, "tmp_files": len(self._tmp_files()),
@@ -532,6 +715,9 @@ class ResultCache:
             "traces_ok": 0, "traces_corrupt": 0,
             "trace_quarantine": self.trace_quarantine_count(),
             "corrupt_traces": [],
+            "index_ok": 0, "index_corrupt": 0, "index_stale": 0,
+            "index_quarantine": self.index_quarantine_count(),
+            "corrupt_index": [], "stale_index": [],
         }
         try:
             report["shadowed"] = sum(
@@ -590,21 +776,47 @@ class ResultCache:
                 pass  # unreadable right now; not provably corrupt
             else:
                 report["traces_ok"] += 1
+        # an index entry written by other code (stale source) is intact,
+        # just never served; gc() drops it
+        source = source_identity()
+        for path in list(self._index_entries()):
+            try:
+                stored, _ = _read_index_entry(path)
+            except ValueError as e:
+                report["index_corrupt"] += 1
+                report["corrupt_index"].append(
+                    f"{path.parent.name}{path.stem}"
+                )
+                if repair:
+                    self._quarantine(
+                        path, f"index entry: {e}", _INDEX_QUARANTINE_PREFIX
+                    )
+            except OSError:
+                pass  # unreadable right now; not provably corrupt
+            else:
+                if stored == source:
+                    report["index_ok"] += 1
+                else:
+                    report["stale_index"].append(
+                        f"{path.parent.name}{path.stem}"
+                    )
+        report["index_stale"] = len(report["stale_index"])
         return report
 
     def verify(self) -> dict[str, Any]:
-        """Read-only integrity scan of every entry and trace bundle:
-        counts of ok / corrupt (checksum, parse, payload; a torn
-        bundle) / stale-version entries, leftover tmp files, shadowed
-        shard paths, and the current quarantine population.  Touches
-        nothing."""
+        """Read-only integrity scan of every entry, trace bundle and
+        index entry: counts of ok / corrupt (checksum, parse, payload;
+        a torn bundle; a torn, mismatched or malformed index entry) /
+        stale (old schema; index entries of other code) entries,
+        leftover tmp files, shadowed shard paths, and the current
+        quarantine population.  Touches nothing."""
         return self._scan(repair=False)
 
     def repair(self) -> dict[str, Any]:
-        """Make the store clean: quarantine corrupt entries and
-        bundles, delete stale-version entries, sweep leftover tmp
-        files, prune emptied shard directories.  Returns the scan
-        report plus what was removed."""
+        """Make the store clean: quarantine corrupt entries, bundles
+        and index entries, delete stale-version result entries, sweep
+        leftover tmp files, prune emptied shard directories.  Returns
+        the scan report plus what was removed."""
         with self._locked():
             report = self._scan(repair=True)
             swept = 0
@@ -617,26 +829,35 @@ class ResultCache:
                 pruned_dirs=self._prune_empty_shards(),
                 quarantine=self.quarantine_count(),
                 trace_quarantine=self.trace_quarantine_count(),
+                index_quarantine=self.index_quarantine_count(),
             )
         return report
 
     def gc(self) -> dict[str, Any]:
         """:meth:`repair`, then drop the quarantine (the point of the
         quarantine is diagnosis; gc is the explicit "I am done looking"
-        step) and report reclaimed entries and bundles."""
+        step) and the index entries of other code versions, and report
+        what was reclaimed."""
         report = self.repair()
-        entries = self._quarantined("*.json")
-        bundles = self._quarantined("*.npz")
-        for p in entries + bundles:
-            p.unlink(missing_ok=True)
-        try:
-            (self.root / QUARANTINE_DIR).rmdir()
-        except OSError:
-            pass
+        with self._locked():
+            entries = self._quarantined("[0-9a-f][0-9a-f]*.json")
+            bundles = self._quarantined("*.npz")
+            index = self._quarantined(f"{_INDEX_QUARANTINE_PREFIX}*.json")
+            stale = [self._index_path(k) for k in report["stale_index"]]
+            for p in entries + bundles + index + stale:
+                p.unlink(missing_ok=True)
+            try:
+                (self.root / QUARANTINE_DIR).rmdir()
+            except OSError:
+                pass
+            self._prune_empty_shards()
         report.update(
             dropped_quarantine=len(entries),
             dropped_trace_quarantine=len(bundles),
+            dropped_index_quarantine=len(index),
+            dropped_stale_index=len(stale),
             quarantine=0,
             trace_quarantine=0,
+            index_quarantine=0,
         )
         return report

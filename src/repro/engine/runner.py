@@ -446,6 +446,18 @@ def _spec_coords(spec: tuple) -> tuple:
     )
 
 
+def _materialise_bundles(session, specs: list[tuple]) -> None:
+    """Build the trace bundles of cells about to simulate in this
+    process's memo, loading them from the store (or recording them).
+    Result keys come from the fingerprint index without bundles, and
+    pool workers have no store: they inherit the memo when the pool
+    forks, so a bundle left to a worker would re-run the functional VM
+    there."""
+    for spec in specs:
+        _, machine = _spec_coords(spec)
+        session._bundles(session.workload_members(spec[1]), machine)
+
+
 def _batch_groups(
     run: _MatrixRun, specs: list[tuple]
 ) -> tuple[list[list[tuple]], list[tuple]]:
@@ -558,6 +570,7 @@ def _run_batch_serial(run: _MatrixRun, groups: list[list[tuple]]) -> None:
             continue
         t0 = time.perf_counter()
         try:
+            _materialise_bundles(session, pending)
             payload = _batch_payload(session, pending)
             from ..core.policies import get_policy
             from ..kernels.suite import get_trace
@@ -950,6 +963,7 @@ def run_matrix(
                     run.results[spec] = stats
                 else:
                     pending.append(spec)
+            _materialise_bundles(session, pending)
             if use_batch and pending:
                 groups, pending = _batch_groups(run, pending)
                 if groups:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from ..arch.config import MachineConfig, PAPER_MACHINE, get_memory_config
 from ..arch.scenarios import get_scenario
 from ..core.policies import ALL_POLICIES, Policy, get_policy
-from ..kernels.suite import get_trace
+from ..kernels.suite import get_fingerprint, get_trace, trace_identity
 from ..obs.telemetry import TelemetryLedger
 from ..pipeline.processor import Processor, RUN_LOOPS, SimParams
 from ..pipeline.stats import SimStats
@@ -260,7 +260,8 @@ class SimulationSession:
         # and functional VM see cluster count and issue shape): every
         # memory preset riding on one machine shares one compile +
         # trace per benchmark, because the memory hierarchy is
-        # invisible to both.
+        # invisible to both.  Only a simulating cell needs them;
+        # result keys come from get_fingerprint.
         cfg = self.machine_cfg(machine)
         return [
             get_trace(name, self.scale.kernel_scale, cfg, store=self.cache)
@@ -278,8 +279,12 @@ class SimulationSession:
     ) -> str | None:
         if self.cache is None:
             return None
+        base = self.machine_cfg(machine)
         prints = tuple(
-            b.fingerprint() for b in self._bundles(members, machine)
+            get_fingerprint(
+                name, self.scale.kernel_scale, base, store=self.cache
+            )
+            for name in members
         )
         return cache_key(
             self.cfg if cfg is None else cfg,
@@ -591,6 +596,29 @@ class SimulationSession:
                 },
             )
 
+    def _single_cell(
+        self, bench: str, perfect_memory: bool
+    ) -> tuple[SimParams, str | None]:
+        """Sim params and disk key of one single-thread baseline run."""
+        ident = trace_identity(
+            bench, self.scale.kernel_scale, self.cfg, store=self.cache
+        )
+        # Matches the legacy ``run_single_thread`` helper exactly
+        # (including its 50 M-cycle safety limit, not the matrix
+        # scale's), so Fig. 13a numbers are unchanged by the engine.
+        params = SimParams(
+            target_instructions=ident.length,
+            timeslice=0,
+            perfect_memory=perfect_memory,
+            renaming=False,
+            seed=self.scale.seed,
+        )
+        if self.cache is None:
+            return params, None
+        return params, cache_key(
+            self.cfg, params, _ST_POLICY, (bench,), (ident.fingerprint,), 1
+        )
+
     def run_single(self, bench: str, perfect_memory: bool = False) -> SimStats:
         """Single-thread baseline run of one benchmark (Fig. 13a's
         IPCr/IPCp columns): no multitasking, no renaming, run to the
@@ -601,35 +629,20 @@ class SimulationSession:
             self.memo_hits += 1
             return stats
         t0 = time.perf_counter()
-        bundle = get_trace(
-            bench, self.scale.kernel_scale, self.cfg, store=self.cache
-        )
-        # Matches the legacy ``run_single_thread`` helper exactly
-        # (including its 50 M-cycle safety limit, not the matrix
-        # scale's), so Fig. 13a numbers are unchanged by the engine.
-        params = SimParams(
-            target_instructions=bundle.length,
-            timeslice=0,
-            perfect_memory=perfect_memory,
-            renaming=False,
-            seed=self.scale.seed,
-        )
-        disk_key = None
-        if self.cache is not None:
-            disk_key = cache_key(
-                self.cfg,
-                params,
-                _ST_POLICY,
-                (bench,),
-                (bundle.fingerprint(),),
-                1,
-            )
-            if not self.hooks:  # see lookup(): no disk reads when hooked
-                stats = self.cache.get(disk_key)
+        params, disk_key = self._single_cell(bench, perfect_memory)
+        if disk_key is not None and not self.hooks:
+            # see lookup(): no disk reads when hooked
+            stats = self.cache.get(disk_key)
         source, loop_used, spec_s = "disk", None, 0.0
         if stats is None:
             from ..core.policies import SMT
 
+            bundle = get_trace(
+                bench, self.scale.kernel_scale, self.cfg, store=self.cache
+            )
+            # re-derived from the built bundle, which replaced whatever
+            # the fingerprint index served
+            params, disk_key = self._single_cell(bench, perfect_memory)
             proc = Processor(
                 SMT, [bundle], 1, self.cfg, params, hooks=self.hooks,
                 force_reference=self.reference, run_loop=self.run_loop,
@@ -766,7 +779,8 @@ class SimulationSession:
         """Memo, store and simulation counters.  The ``traces_*``
         counters are the trace store's (0 without a cache dir): bundles
         the functional VM recorded because the store had none, bundles
-        loaded, and torn or mismatched bundles quarantined."""
+        loaded, trace identities the fingerprint index served, and torn
+        or mismatched bundles quarantined."""
         c = self.cache
         return {
             "memo_entries": len(self._memo),
@@ -778,6 +792,7 @@ class SimulationSession:
             "quarantined": c.quarantined if c else 0,
             "traces_recorded": c.trace_misses if c else 0,
             "traces_loaded": c.trace_hits if c else 0,
+            "traces_indexed": c.index_hits if c else 0,
             "traces_quarantined": c.trace_quarantined if c else 0,
             "simulations": self.simulations,
             "failures": len(self.failures),

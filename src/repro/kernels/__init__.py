@@ -7,8 +7,10 @@ from .suite import (
     SUITE,
     build_program,
     clear_trace_cache,
+    get_fingerprint,
     get_meta,
     get_trace,
+    trace_identity,
 )
 
 __all__ = [
@@ -19,6 +21,8 @@ __all__ = [
     "SUITE",
     "build_program",
     "clear_trace_cache",
+    "get_fingerprint",
     "get_meta",
     "get_trace",
+    "trace_identity",
 ]

@@ -6,6 +6,11 @@
 :class:`~repro.pipeline.trace.TraceBundle`, so the 150-run experiment
 matrix reuses twelve functional runs.  Given a result store, it loads
 bundles an earlier process recorded instead of re-running the VM.
+
+Result keys need only a bundle's fingerprint and length:
+:func:`get_fingerprint` / :func:`trace_identity` serve those from the
+store's fingerprint index, so a warm command compiles nothing and
+builds a bundle only for a cell it actually simulates.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from . import (
 from .common import KernelMeta
 
 if TYPE_CHECKING:
-    from ..engine.cache import ResultCache
+    from ..engine.cache import ResultCache, TraceIdentity
 
 SUITE: dict[str, tuple[KernelMeta, Callable[[float], KernelBuilder]]] = {
     "mcf": (mcf.META, mcf.build),
@@ -57,7 +62,13 @@ BY_CLASS: dict[str, list[str]] = {"l": [], "m": [], "h": []}
 for _name, (_meta, _) in SUITE.items():
     BY_CLASS[_meta.ilp_class].append(_name)
 
-_trace_cache: dict[tuple[str, float, MachineConfig, int], TraceBundle] = {}
+_MemoKey = tuple[str, float, MachineConfig, int]
+
+_trace_cache: dict[_MemoKey, TraceBundle] = {}
+
+#: identities of the bundles this process built or its store's
+#: fingerprint index served (same keys as ``_trace_cache``)
+_identity_cache: dict[_MemoKey, TraceIdentity] = {}
 
 #: canonical memory block for trace-memo keys: compilation and the
 #: functional VM never see the memory hierarchy, so configs differing
@@ -73,6 +84,16 @@ def build_program(name: str, scale: float = 1.0, cfg: MachineConfig = PAPER_MACH
     """Compile one benchmark; returns its CompileResult."""
     meta, build = SUITE[name]
     return compile_kernel(build(scale), cfg)
+
+
+def _memo_key(
+    name: str, scale: float, cfg: MachineConfig, max_instructions: int
+) -> _MemoKey:
+    key_cfg = (
+        cfg if cfg.memory == _FLAT_MEMORY
+        else replace(cfg, memory=_FLAT_MEMORY)
+    )
+    return (name, scale, key_cfg, max_instructions)
 
 
 def get_trace(
@@ -95,13 +116,11 @@ def get_trace(
     With a ``store`` (a :class:`~repro.engine.cache.ResultCache`), a
     memo miss still compiles, then loads the bundle from the store's
     trace directory and only runs the functional VM (and persists its
-    trace) when the store has no valid bundle for this program.
+    trace) when the store has no valid bundle for this program.  The
+    built bundle's identity replaces whatever the fingerprint index
+    served for it, and rewrites the index entry if they differ.
     """
-    key_cfg = (
-        cfg if cfg.memory == _FLAT_MEMORY
-        else replace(cfg, memory=_FLAT_MEMORY)
-    )
-    key = (name, scale, key_cfg, max_instructions)
+    key = _memo_key(name, scale, cfg, max_instructions)
     bundle = _trace_cache.get(key)
     if bundle is None:
         program = build_program(name, scale, cfg).program
@@ -111,14 +130,73 @@ def get_trace(
             # deferred: repro.engine imports this module
             from ..engine.cache import trace_key
 
-            store_key = trace_key(program, key_cfg, max_instructions)
+            store_key = trace_key(program, key[2], max_instructions)
             bundle = store.get_trace(store_key, program, cfg)
             if bundle is None:
                 bundle = record_trace(program, cfg, max_instructions)
                 store.put_trace(store_key, bundle)
+            _note_identity(key, bundle, store)
         _trace_cache[key] = bundle
     return bundle
 
 
+def _note_identity(
+    key: _MemoKey, bundle: TraceBundle, store: ResultCache | None
+) -> TraceIdentity:
+    """Memoise the identity of a built bundle; with a store, rewrite
+    its index entry when the memo held another (none yet, or a bad
+    entry the index served)."""
+    from ..engine.cache import TraceIdentity, index_key
+
+    ident = TraceIdentity(bundle.fingerprint(), bundle.length)
+    if _identity_cache.get(key) != ident:
+        _identity_cache[key] = ident
+        if store is not None:
+            store.put_identity(index_key(*key), key[0], ident)
+    return ident
+
+
+def trace_identity(
+    name: str,
+    scale: float = 1.0,
+    cfg: MachineConfig = PAPER_MACHINE,
+    max_instructions: int = 5_000_000,
+    store: ResultCache | None = None,
+) -> TraceIdentity:
+    """Fingerprint and length of one benchmark trace, without building
+    the bundle when the store's fingerprint index has them.
+
+    Looked up in the process memo, then in the index, then through
+    :func:`get_trace` (compile, then load and verify or record), which
+    writes the index entry."""
+    key = _memo_key(name, scale, cfg, max_instructions)
+    ident = _identity_cache.get(key)
+    if ident is not None:
+        return ident
+    if store is not None:
+        from ..engine.cache import index_key
+
+        ident = store.get_identity(index_key(*key))
+        if ident is not None:
+            _identity_cache[key] = ident
+            return ident
+    return _note_identity(
+        key, get_trace(name, scale, cfg, max_instructions, store), store
+    )
+
+
+def get_fingerprint(
+    name: str,
+    scale: float = 1.0,
+    cfg: MachineConfig = PAPER_MACHINE,
+    max_instructions: int = 5_000_000,
+    store: ResultCache | None = None,
+) -> str:
+    """:meth:`TraceBundle.fingerprint` of one benchmark trace, served
+    like :func:`trace_identity`."""
+    return trace_identity(name, scale, cfg, max_instructions, store).fingerprint
+
+
 def clear_trace_cache() -> None:
     _trace_cache.clear()
+    _identity_cache.clear()

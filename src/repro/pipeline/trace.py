@@ -27,14 +27,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..arch.config import MachineConfig
 from ..arch.resources import pack_usage, usage_of_ops
 from ..isa.opcodes import FUClass, Opcode
 from ..isa.program import Program
 from ..vm.machine import VM, TraceRecorder
+
+if TYPE_CHECKING:
+    # imported where arrays are built or read, so a command whose
+    # result keys come from the fingerprint index never imports numpy
+    import numpy as np
 
 
 @dataclass
@@ -184,6 +188,8 @@ class TraceBundle:
         """Static table and address rows under cluster renaming ``r``."""
         r %= self.cfg.n_clusters
         if r not in self._rot_cache:
+            import numpy as np
+
             st = _rot_static(self.static, r)
             rolled = np.roll(self._addrs_np, r, axis=1)
             self._rot_cache[r] = (st, _rows(rolled))
@@ -192,6 +198,8 @@ class TraceBundle:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The dynamic trace as ``(idx, taken, addrs)`` arrays, with
         the dtypes :meth:`TraceRecorder.arrays` records."""
+        import numpy as np
+
         return (
             np.asarray(self.idx, dtype=np.int32),
             np.asarray(self.taken, dtype=bool),
@@ -205,6 +213,8 @@ class TraceBundle:
     def _compute_fingerprint(
         self, idx: np.ndarray, taken: np.ndarray, addrs: np.ndarray
     ) -> str:
+        import numpy as np
+
         h = hashlib.sha256()
         h.update(self.name.encode())
         h.update(np.ascontiguousarray(idx, np.int64).tobytes())

@@ -30,12 +30,14 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..isa.opcodes import COMPARES, LOADS, STORES, Opcode
 from ..isa.operation import Operation
 from ..isa.program import Program
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MASK32 = 0xFFFFFFFF
 
@@ -165,6 +167,8 @@ class TraceRecorder:
         self.addrs.extend(addr_row)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        import numpy as np
+
         return (
             np.asarray(self.indices, dtype=np.int32),
             np.asarray(self.taken, dtype=bool),

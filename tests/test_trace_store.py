@@ -1,10 +1,18 @@
 """Content-addressed trace store (repro.engine.cache trace bundles +
-repro.kernels.suite.get_trace): a process with a store loads trace
-bundles instead of re-running the functional VM, result keys stay
-byte-identical, and torn bundles are quarantined and re-recorded."""
+repro.kernels.suite.get_trace) and its fingerprint index
+(repro.kernels.suite.get_fingerprint): a warm process derives result
+keys from the index without compiling or loading anything, a process
+that simulates loads bundles instead of re-running the functional VM,
+result keys stay byte-identical, and torn bundles or bad index entries
+are never served."""
 
+import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +20,14 @@ import pytest
 from repro.arch.config import PAPER_MACHINE, get_memory_config
 from repro.arch.scenarios import get_scenario
 from repro.engine import ExperimentScale, ResultCache, SimulationSession
-from repro.engine.cache import TRACE_DIR, cache_key, trace_key
+from repro.engine import cache as cache_mod
+from repro.engine.cache import (
+    INDEX_DIR,
+    TRACE_DIR,
+    cache_key,
+    index_key,
+    trace_key,
+)
 from repro.harness.claims import evaluate_claims
 from repro.kernels import suite
 from repro.pipeline.trace import record_trace
@@ -42,9 +57,10 @@ def members():
 
 @pytest.fixture(autouse=True)
 def fresh_memo(monkeypatch):
-    """Every test starts like a new process: an empty trace memo (the
-    suite-wide memo is restored afterwards)."""
+    """Every test starts like a new process: empty trace and
+    fingerprint memos (the suite-wide memos are restored afterwards)."""
     monkeypatch.setattr(suite, "_trace_cache", {})
+    monkeypatch.setattr(suite, "_identity_cache", {})
 
 
 @pytest.fixture
@@ -61,26 +77,58 @@ def recordings(monkeypatch):
     return names
 
 
+@pytest.fixture
+def compiles(monkeypatch):
+    """Names of the kernels compiled from now on."""
+    names: list[str] = []
+    real = suite.build_program
+
+    def counting(name, *args, **kwargs):
+        names.append(name)
+        return real(name, *args, **kwargs)
+
+    monkeypatch.setattr(suite, "build_program", counting)
+    return names
+
+
 @pytest.fixture(scope="module")
 def filled(tmp_path_factory):
     """A store a cold ``claims`` filled: every cell of the matrix and
     all twelve trace bundles, plus the claims it produced."""
-    saved = suite._trace_cache
-    suite._trace_cache = {}
+    saved = suite._trace_cache, suite._identity_cache
+    suite._trace_cache, suite._identity_cache = {}, {}
     try:
         root = tmp_path_factory.mktemp("filled")
         session = SimulationSession(TINY, cache_dir=str(root))
         claims = evaluate_claims(session)
         assert session.cache_stats()["traces_recorded"] == 12
     finally:
-        suite._trace_cache = saved
+        suite._trace_cache, suite._identity_cache = saved
     return root, claims
 
 
-def copy_store(filled, tmp_path):
-    dst = tmp_path / "store"
+def copy_store(filled, tmp_path, name="store"):
+    dst = tmp_path / name
     shutil.copytree(filled[0], dst)
     return str(dst)
+
+
+def results(sweep):
+    return {k: s.to_dict() for k, s in sweep.items()}
+
+
+def index_path(root, name="mcf"):
+    """Where the fingerprint index keeps ``name``'s identity."""
+    key = index_key(name, TINY.kernel_scale, PAPER_MACHINE, 5_000_000)
+    return ResultCache(root)._index_path(key)
+
+
+def write_entry(path, source, fingerprint, length):
+    """A well-formed index entry (valid checksum) with these fields."""
+    payload = {"source": source, "fingerprint": fingerprint, "length": length}
+    path.write_text(json.dumps(
+        {**payload, "checksum": cache_mod.payload_checksum(payload)}
+    ))
 
 
 # ------------------------------------------------------------ bundles
@@ -156,7 +204,7 @@ def test_memory_presets_share_one_entry(tmp_path, recordings):
     store = ResultCache(tmp_path / "c")
     l2 = replace(PAPER_MACHINE, memory=get_memory_config("l2"))
     suite.get_trace("mcf", TINY.kernel_scale, PAPER_MACHINE, store=store)
-    suite._trace_cache.clear()
+    suite.clear_trace_cache()
     suite.get_trace("mcf", TINY.kernel_scale, l2, store=store)
     assert recordings == ["mcf"]
     assert store.trace_count() == 1 and store.trace_hits == 1
@@ -172,9 +220,10 @@ def test_memory_presets_share_one_entry(tmp_path, recordings):
 def test_result_keys_identical_with_and_without_store(filled, tmp_path):
     session = SimulationSession(TINY, cache_dir=copy_store(filled, tmp_path))
     spec = ("CCSI AS", "llhh", 2)
-    loaded_key = session.journal_key(spec)
-    assert session.cache_stats()["traces_loaded"] == 4
-    suite._trace_cache.clear()
+    indexed_key = session.journal_key(spec)
+    info = session.cache_stats()
+    assert (info["traces_indexed"], info["traces_loaded"]) == (4, 0)
+    suite.clear_trace_cache()
     wl = session.workload_members("llhh")
     prints = tuple(
         suite.get_trace(n, TINY.kernel_scale).fingerprint() for n in wl
@@ -182,29 +231,73 @@ def test_result_keys_identical_with_and_without_store(filled, tmp_path):
     recorded_key = cache_key(
         session.cfg, session.params(), "CCSI AS", wl, prints, 2
     )
-    assert loaded_key == recorded_key
+    assert indexed_key == recorded_key
 
 
 def test_store_without_traces_still_hits(filled, tmp_path, recordings):
-    """A store filled before it held trace bundles: every result entry
-    is still a hit, and the traces are recorded into it once."""
+    """A store filled before it held trace bundles (or their index):
+    every result entry is still a hit, and the traces are recorded and
+    indexed into it once."""
     root = copy_store(filled, tmp_path)
     shutil.rmtree(f"{root}/{TRACE_DIR}")
     session = SimulationSession(TINY, cache_dir=root)
     assert evaluate_claims(session) == filled[1]
     info = session.cache_stats()
     assert info["simulations"] == 0 and info["disk_hits"] == 144
+    assert (info["traces_loaded"], info["traces_indexed"]) == (0, 0)
     assert sorted(recordings) == sorted(suite.BENCH_ORDER)
-    assert ResultCache(root).trace_count() == 12
+    store = ResultCache(root)
+    assert store.trace_count() == 12 and store.index_count() == 12
 
 
-def test_warm_claims_records_nothing(filled, tmp_path, recordings):
+def test_store_without_index_loads_once(
+    filled, tmp_path, recordings, compiles
+):
+    """A store filled before the fingerprint index existed: the first
+    warm run loads every bundle (keys are byte-identical, so every
+    result hits) and writes the index; the next one loads nothing."""
+    root = copy_store(filled, tmp_path)
+    shutil.rmtree(f"{root}/{TRACE_DIR}/{INDEX_DIR}")
+    session = SimulationSession(TINY, cache_dir=root)
+    assert evaluate_claims(session) == filled[1]
+    info = session.cache_stats()
+    assert info["simulations"] == 0 and info["disk_hits"] == 144
+    assert (info["traces_loaded"], info["traces_indexed"]) == (12, 0)
+    assert ResultCache(root).index_count() == 12
+    suite.clear_trace_cache()
+    compiles.clear()
+    session = SimulationSession(TINY, cache_dir=root)
+    assert evaluate_claims(session) == filled[1]
+    info = session.cache_stats()
+    assert (info["traces_loaded"], info["traces_indexed"]) == (0, 12)
+    assert info["simulations"] == 0
+    assert recordings == [] and compiles == []
+
+
+def test_warm_claims_records_nothing(
+    filled, tmp_path, recordings, compiles
+):
+    """A warm run takes every trace identity from the index: nothing is
+    recorded, compiled or loaded."""
     session = SimulationSession(TINY, cache_dir=copy_store(filled, tmp_path))
     assert evaluate_claims(session) == filled[1]
     info = session.cache_stats()
-    assert recordings == []
-    assert info["traces_loaded"] == 12 and info["traces_recorded"] == 0
+    assert recordings == [] and compiles == []
+    assert info["traces_indexed"] == 12
+    assert info["traces_loaded"] == 0 and info["traces_recorded"] == 0
     assert info["simulations"] == 0
+
+
+def test_index_hit_never_opens_a_bundle(filled, tmp_path, monkeypatch):
+    def no_bundle_reads(path):
+        raise AssertionError(f"bundle opened: {path}")
+
+    monkeypatch.setattr(cache_mod, "_read_bundle", no_bundle_reads)
+    session = SimulationSession(TINY, cache_dir=copy_store(filled, tmp_path))
+    small_sweep(session)
+    info = session.cache_stats()
+    assert info["simulations"] == 0
+    assert info["traces_indexed"] == len(members())
 
 
 def test_warm_sweep_records_nothing(filled, tmp_path, recordings):
@@ -243,18 +336,28 @@ def test_torn_bundle_is_quarantined_and_rerecorded(
     torn = small_sweep(SimulationSession(TINY, cache_dir=root))
     monkeypatch.delenv("REPRO_FAULTS")
     assert sorted(recordings) == members()
-    suite._trace_cache.clear()
+    suite.clear_trace_cache()
     recordings.clear()
     session = SimulationSession(TINY, cache_dir=root)
-    healed = small_sweep(session)
+    warm = small_sweep(session)
+    # result keys come from the index: the torn bundle is not opened
+    info = session.cache_stats()
+    assert recordings == [] and info["simulations"] == 0
+    assert info["traces_quarantined"] == 0
+    assert {k: s.to_dict() for k, s in warm.items()} == {
+        k: s.to_dict() for k, s in torn.items()
+    }
+    # a cell that simulates needs mcf's bundle: quarantined, re-recorded
+    healed = session.run("CSMT", "llll", 2)
     info = session.cache_stats()
     assert recordings == ["mcf"]
     assert info["traces_quarantined"] == 1
-    assert info["traces_recorded"] == 1
-    assert info["simulations"] == 0
-    assert {k: s.to_dict() for k, s in healed.items()} == {
-        k: s.to_dict() for k, s in torn.items()
-    }
+    assert info["traces_recorded"] == 1 and info["traces_loaded"] == 3
+    assert info["simulations"] == 1
+    suite.clear_trace_cache()
+    assert healed.to_dict() == SimulationSession(TINY).run(
+        "CSMT", "llll", 2
+    ).to_dict()
     store = ResultCache(root)
     assert store.trace_quarantine_count() == 1
     assert store.verify()["traces_corrupt"] == 0
@@ -301,9 +404,247 @@ def test_cli_sweep_reports_trace_counters(tmp_path, capsys):
     argv = ["--quick", "--cache-dir", str(tmp_path / "c"), "sweep",
             "--policies", "SMT", "--workloads", "llll", "--threads", "2"]
     assert main(argv) == 0
-    assert "# traces: 4 recorded, 0 loaded" in capsys.readouterr().err
-    suite._trace_cache.clear()
+    err = capsys.readouterr().err
+    assert "# traces: 4 recorded, 0 loaded, 0 indexed, 0 quarantined" in err
+    suite.clear_trace_cache()
     assert main(argv) == 0
     err = capsys.readouterr().err
     assert " 0 simulated" in err
-    assert "# traces: 0 recorded, 4 loaded" in err
+    assert "# traces: 0 recorded, 0 loaded, 4 indexed, 0 quarantined" in err
+
+
+# -------------------------------------------------- fingerprint index
+@pytest.mark.parametrize("fault", ["torn", "checksum", "foreign", "wrong"])
+def test_bad_index_entry_never_serves_a_result(
+    filled, tmp_path, recordings, fault
+):
+    """A torn entry, a checksum mismatch or an entry of other code reads
+    as an index miss (the bundle is loaded instead); a well-formed entry
+    with a wrong fingerprint reads as a result-store miss, and the cells
+    that simulate store their results under the keys of the loaded,
+    verified bundle.  Every fault is healed."""
+    expected = results(small_sweep(SimulationSession(
+        TINY, cache_dir=copy_store(filled, tmp_path, "pristine")
+    )))
+    suite.clear_trace_cache()
+    root = copy_store(filled, tmp_path)
+    path = index_path(root)
+    good = json.loads(path.read_text())
+    if fault == "torn":
+        path.write_bytes(path.read_bytes()[:40])
+    elif fault == "checksum":
+        path.write_text(json.dumps({**good, "length": good["length"] + 1}))
+    elif fault == "foreign":
+        write_entry(path, "0" * 64, good["fingerprint"], good["length"])
+    else:
+        idct = json.loads(index_path(root, "idct").read_text())
+        write_entry(path, good["source"], idct["fingerprint"], good["length"])
+    n_results = len(ResultCache(root))
+
+    session = SimulationSession(TINY, cache_dir=root)
+    assert results(small_sweep(session)) == expected
+    info = session.cache_stats()
+    assert recordings == []
+    if fault == "wrong":
+        # the first cell (SMT/llll runs mcf) misses and simulates; the
+        # bundles it loads replace the bad identity, so the rest hit
+        assert info["traces_indexed"] == len(members())
+        assert info["simulations"] == 1 and info["traces_loaded"] == 4
+    else:
+        assert info["traces_indexed"] == len(members()) - 1
+        assert info["simulations"] == 0 and info["traces_loaded"] == 1
+    # healed: the entry is the bundle's again, and no result was stored
+    # under a key derived from the bad entry
+    assert json.loads(path.read_text()) == good
+    store = ResultCache(root)
+    assert len(store) == n_results
+    report = store.verify()
+    assert (report["index_corrupt"], report["index_stale"]) == (0, 0)
+    suite.clear_trace_cache()
+    session = SimulationSession(TINY, cache_dir=root)
+    assert results(small_sweep(session)) == expected
+    info = session.cache_stats()
+    assert info["simulations"] == 0 and info["traces_loaded"] == 0
+
+
+def test_wrong_index_entry_single_thread_run_keys_by_the_bundle(
+    filled, tmp_path
+):
+    """Fig. 13a's single-thread runs key on the trace length too: a bad
+    entry makes them simulate, and the result lands under the key the
+    loaded bundle gives."""
+    expected = SimulationSession(TINY).run_single("mcf").to_dict()
+    suite.clear_trace_cache()
+    root = copy_store(filled, tmp_path)
+    path = index_path(root)
+    good = json.loads(path.read_text())
+    write_entry(path, good["source"], good["fingerprint"], good["length"] + 7)
+    session = SimulationSession(TINY, cache_dir=root)
+    assert session.run_single("mcf").to_dict() == expected
+    assert session.simulations == 1
+    assert json.loads(path.read_text()) == good
+    suite.clear_trace_cache()
+    session = SimulationSession(TINY, cache_dir=root)
+    assert session.run_single("mcf").to_dict() == expected
+    assert session.simulations == 0
+
+
+def test_source_edit_misses_the_index(filled, tmp_path, monkeypatch):
+    """Other code (any edit to the package) never reads this code's
+    entries: it loads the bundles, hits every result (keys are the
+    same) and writes entries of its own."""
+    root = copy_store(filled, tmp_path)
+    monkeypatch.setattr(cache_mod, "source_identity", lambda: "f" * 64)
+    session = SimulationSession(TINY, cache_dir=root)
+    small_sweep(session)
+    info = session.cache_stats()
+    assert info["traces_indexed"] == 0
+    assert info["traces_loaded"] == len(members())
+    assert info["simulations"] == 0
+    assert ResultCache(root).verify()["index_stale"] == 12
+
+
+def test_no_source_files_turns_the_index_off(filled, tmp_path, monkeypatch):
+    root = copy_store(filled, tmp_path)
+    shutil.rmtree(f"{root}/{TRACE_DIR}/{INDEX_DIR}")
+    monkeypatch.setattr(cache_mod, "source_identity", lambda: None)
+    for _ in range(2):
+        suite.clear_trace_cache()
+        session = SimulationSession(TINY, cache_dir=root)
+        small_sweep(session)
+        info = session.cache_stats()
+        assert info["traces_indexed"] == 0 and info["simulations"] == 0
+        assert info["traces_loaded"] == len(members())
+    assert ResultCache(root).index_count() == 0
+
+
+def test_source_digest(tmp_path):
+    pkg = tmp_path / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    assert cache_mod._source_digest(pkg) is None
+    (pkg / "a.py").write_text("A = 1\n")
+    (pkg / "sub" / "b.py").write_text("B = 2\n")
+    first = cache_mod._source_digest(pkg)
+    assert first is not None and len(first) == 64
+    (pkg / "notes.txt").write_text("not source")
+    assert cache_mod._source_digest(pkg) == first
+    (pkg / "sub" / "b.py").write_text("B = 3\n")
+    edited = cache_mod._source_digest(pkg)
+    assert edited != first
+    (pkg / "sub" / "b.py").rename(pkg / "sub" / "c.py")
+    assert cache_mod._source_digest(pkg) not in (first, edited)
+    assert len(cache_mod.source_identity()) == 64
+
+
+def test_maintenance_covers_index(tmp_path, capsys):
+    from repro.cli import main
+
+    store = ResultCache(tmp_path / "c")
+    SimulationSession(TINY, cache_dir=str(store.root)).run(
+        "SMT", "llll", 2
+    )
+    entries = sorted((store.root / TRACE_DIR / INDEX_DIR).glob("*/*.json"))
+    assert len(entries) == 4 and store.index_count() == 4
+    entries[0].write_bytes(entries[0].read_bytes()[:30])  # torn
+    stale = json.loads(entries[1].read_text())
+    write_entry(entries[1], "0" * 64, stale["fingerprint"], stale["length"])
+    leftover = entries[2].with_name(entries[2].name + ".99.tmp")
+    leftover.write_text("{")
+    report = store.verify()
+    assert (report["index_ok"], report["index_corrupt"]) == (2, 1)
+    assert report["index_stale"] == 1 and report["tmp_files"] == 1
+    assert report["ok"] == 1 and report["traces_ok"] == 4
+    assert store.index_count() == 4  # verify is read-only
+    argv = ["cache", "verify", "--cache-dir", str(store.root)]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert "index: 2 ok, 1 corrupt, 1 stale, 0 in quarantine" in out
+    report = store.repair()
+    assert report["index_quarantine"] == 1 and report["swept_tmp"] == 1
+    assert store.index_count() == 3 and not leftover.exists()
+    # quarantined index entries are not result entries
+    assert store.quarantine_count() == 0
+    assert store.index_quarantine_count() == 1
+    report = store.gc()
+    assert report["dropped_index_quarantine"] == 1
+    assert report["dropped_stale_index"] == 1
+    assert store.index_count() == 2 and store.index_quarantine_count() == 0
+    assert main(argv) == 0
+    assert "index: 2 ok, 0 corrupt, 0 stale" in capsys.readouterr().out
+    store.clear()
+    assert store.index_count() == 0 and store.trace_count() == 0
+    assert not (store.root / TRACE_DIR).exists()
+
+
+def test_pooled_sweep_over_partly_warm_store_records_nothing(
+    filled, tmp_path, monkeypatch
+):
+    """A --jobs 2 sweep whose result keys come from the index: the
+    parent loads the pending cells' bundles before the pool forks, so no
+    worker re-runs the functional VM."""
+    expected = results(small_sweep(SimulationSession(
+        TINY, cache_dir=copy_store(filled, tmp_path, "pristine")
+    )))
+    root = copy_store(filled, tmp_path)
+    pending = [("CCSI AS", "llll", 2), ("SMT", "llhh", 2)]
+    session = SimulationSession(TINY, cache_dir=root)
+    for spec in pending:
+        os.unlink(session.cache._path(session.journal_key(spec)))
+    suite.clear_trace_cache()
+
+    log = tmp_path / "recorded.txt"
+    real = suite.record_trace
+
+    def logging_record(program, cfg, max_instructions=5_000_000):
+        with open(log, "a") as f:
+            f.write(program.name + "\n")
+        return real(program, cfg, max_instructions)
+
+    monkeypatch.setattr(suite, "record_trace", logging_record)
+    session = SimulationSession(TINY, cache_dir=root, jobs=2)
+    memo_at_fork: list[set] = []
+    real_pool = session._ensure_pool
+
+    def ensure_pool(jobs):
+        memo_at_fork.append(set(suite._trace_cache))
+        return real_pool(jobs)
+
+    monkeypatch.setattr(session, "_ensure_pool", ensure_pool)
+    try:
+        assert results(small_sweep(session)) == expected
+    finally:
+        session.close()
+    info = session.cache_stats()
+    assert info["traces_recorded"] == 0 and not log.exists()
+    assert info["simulations"] == len(pending)
+    assert info["traces_loaded"] == len(members())
+    needed = {
+        suite._memo_key(n, TINY.kernel_scale, session.cfg, 5_000_000)
+        for spec in pending for n in session.workload_members(spec[1])
+    }
+    assert memo_at_fork and needed <= memo_at_fork[0]
+
+
+def test_warm_cli_claims_never_imports_numpy(tmp_path):
+    """A warm ``claims`` served from the index imports no numpy."""
+    import repro
+
+    store = str(tmp_path / "store")
+    env = {
+        **{k: v for k, v in os.environ.items() if not k.startswith("REPRO_")},
+        "PYTHONPATH": str(Path(repro.__file__).resolve().parent.parent),
+    }
+    fill = [sys.executable, "-m", "repro", "--quick", "--jobs", "2",
+            "--cache-dir", store, "sweep"]
+    subprocess.run(fill, env=env, check=True, capture_output=True)
+    probe = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "rc = main(['--quick', '--cache-dir', sys.argv[1], 'claims'])\n"
+        "print('numpy' in sys.modules, rc)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, store], env=env, check=True,
+        capture_output=True, text=True,
+    )
+    assert out.stdout.splitlines()[-1] in ("False 0", "False 1")
