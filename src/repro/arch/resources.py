@@ -46,6 +46,27 @@ _CLUSTER_GUARDS = (
 )
 
 
+#: Packed one-operation usage per FU class within a cluster's lane:
+#: every op takes an issue slot; ALU/MUL/MEM additionally take their
+#: FU; BRANCH (3) and COPY (4) take the slot only.  Indexed by
+#: ``int(FUClass)``.
+OP_LANE = (
+    (1 << OFF_SLOTS) | (1 << OFF_ALU),  # 0: ALU
+    (1 << OFF_SLOTS) | (1 << OFF_MUL),  # 1: MUL
+    (1 << OFF_SLOTS) | (1 << OFF_MEM),  # 2: MEM
+    1 << OFF_SLOTS,                     # 3: BRANCH
+    1 << OFF_SLOTS,                     # 4: COPY
+)
+
+
+def op_usage_table(n_clusters: int) -> list[list[int]]:
+    """Packed usage of one operation, indexed ``[cluster][fu]``."""
+    return [
+        [lane << (c * CLUSTER_BITS) for lane in OP_LANE]
+        for c in range(n_clusters)
+    ]
+
+
 def guards_mask(n_clusters: int) -> int:
     """Guard-bit mask covering ``n_clusters`` clusters."""
     m = 0

@@ -37,28 +37,8 @@ only resource state, so partial issues never need a re-sync pass.
 from __future__ import annotations
 
 from ..arch.config import MachineConfig
-from ..arch.resources import (
-    CLUSTER_BITS,
-    OFF_ALU,
-    OFF_MEM,
-    OFF_MUL,
-    OFF_SLOTS,
-    capacity_packed,
-    guards_mask,
-)
+from ..arch.resources import capacity_packed, guards_mask, op_usage_table
 from .splitstate import PendingInstruction
-
-#: Packed one-operation usage per FU class (within a cluster's lane):
-#: every op takes an issue slot; ALU/MUL/MEM additionally take their
-#: FU; BRANCH (3) and COPY (4) take the slot only.  Indexed by the
-#: ``fu`` field of ``StaticTable.ops_desc`` descriptors.
-_OP_LANE = (
-    (1 << OFF_SLOTS) | (1 << OFF_ALU),  # 0: ALU
-    (1 << OFF_SLOTS) | (1 << OFF_MUL),  # 1: MUL
-    (1 << OFF_SLOTS) | (1 << OFF_MEM),  # 2: MEM
-    1 << OFF_SLOTS,                     # 3: BRANCH
-    1 << OFF_SLOTS,                     # 4: COPY
-)
 
 
 class MergeEngine:
@@ -89,10 +69,7 @@ class MergeEngine:
         self.n_clusters = cfg.n_clusters
         # packed usage of one operation, indexed [cluster][fu] — the
         # op-level greedy fill's whole resource model
-        self._op_usage = [
-            [lane << (CLUSTER_BITS * c) for lane in _OP_LANE]
-            for c in range(cfg.n_clusters)
-        ]
+        self._op_usage = op_usage_table(cfg.n_clusters)
         self.begin_cycle()
 
     def begin_cycle(self) -> None:

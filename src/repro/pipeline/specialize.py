@@ -14,7 +14,7 @@ packed capacities, the instruction target).  This module generates the
   literals;
 * structurally-dead branches are deleted at generation time — a
   single-benchmark run carries no scheduler block, a flat-memory run
-  calls ``l1.access`` directly instead of the hierarchy walker, an AS
+  probes the L1 sets directly instead of the hierarchy walker, an AS
   policy carries no ICC-atomicity branch, a no-split policy carries no
   buffered-store/commit machinery at all;
 * the per-thread priority rotation is precomputed into tuples of
@@ -22,9 +22,31 @@ packed capacities, the instruction target).  This module generates the
 * the :class:`~repro.core.splitstate.PendingInstruction` state machine
   is flattened into a plain list (``[i, ops_remaining, was_split,
   buffered_store_mask, extra]`` — ``extra`` is the pending cluster
-  mask under cluster split and the pending-ops list under op split; a
-  bare static index suffices for no-split policies), eliminating one
-  object construction per fetched instruction.
+  mask under cluster split and the pending ``StaticTable.ops_use``
+  pairs under op split; a bare static index suffices for no-split
+  policies), eliminating one object construction per fetched
+  instruction.
+
+Three fast paths exist only here, not in ``_run_fast``:
+
+* **whole issue at fetch** — a split policy first tests whether the
+  whole fetched instruction fits the packet (``cmask & e_used`` under
+  cluster merge, one SWAR test against ``bundle_sum``/``packed``
+  under op merge) and, if so, accounts, probes and retires it in place
+  without creating a pending list;
+* **unrolled per-cluster scans** — bundle merge and op counting test
+  literal cluster bits (``if pm & 4:`` … ``b_packed[2]``) instead of a
+  ``while m:`` bit scan;
+* **inlined L1 hit path** — for flat, non-perfect memory the I- and
+  D-cache probes pop and reinsert the line in its set directly and
+  count hits in locals (flushed into ``l1i.hits``/``l1d.hits`` before
+  ``stats_dict()``); ``Cache.access`` runs only on a miss.
+
+They, like the rest of the loop, are gated by the bit-identity tests,
+not by a line-for-line correspondence with ``_run_fast``:
+``tests/test_specialize.py`` checks every generated loop against
+``_run_reference`` over the full policy × machine × memory × thread
+matrix, and the L1 set contents it leaves against ``_run_fast``'s.
 
 The generated function is statically verified
 (:mod:`repro.analysis.loopcheck`: closed free-name set, provable loop
@@ -42,11 +64,6 @@ Process-pool sweeps cannot pickle code objects, so workers ship
 *source*: the parent pre-warms :func:`source_for` per distinct cell
 and the worker installs the text with :func:`adopt_source` before its
 first ``run()`` (see ``repro.engine.runner``).
-
-Bit-identity with ``_run_reference`` across the full policy × machine
-× memory × thread matrix is enforced by ``tests/test_specialize.py``;
-the semantics replicated here are exactly those of ``_run_fast``
-(itself gated against the reference loop), fragment by fragment.
 """
 
 from __future__ import annotations
@@ -256,6 +273,8 @@ def generate_loop_source(
     comm_split = policy.comm_split
     perfect = bool(params.perfect_memory)
     flat = perfect or cfg.memory.is_flat
+    inline_l1 = flat and not perfect
+    cluster_bits = [(c, 1 << c) for c in range(cfg.n_clusters)]
     nonblocking = cfg.memory.mshr > 0 and not perfect
     timeslice = params.timeslice
     multi = n_benches > 1 and timeslice > 0
@@ -292,7 +311,23 @@ def generate_loop_source(
     retire_full = "bstats = bench.stats\n" + retire_tail
     commit_retire = "th.pend = None\n" + retire_tail
 
-    if flat:
+    if inline_l1:
+        # the L1 hit path is inlined (about 97% of probes hit): pop the
+        # line from its set and reinsert it as MRU, exactly as
+        # ``Cache.access`` does; only a miss calls ``access``, which
+        # then finds the line absent and fills/evicts as usual
+        ifetch = f"""
+            ways = l1i_sets[line & {cfg.icache.n_sets - 1}]
+            d = ways.pop(line, None)
+            if d is None:
+                l1i_access(pc)
+                icache_misses += 1
+                th.fetch_at = cycle + {cfg.icache.miss_penalty}
+                continue
+            ways[line] = d
+            l1i_hits += 1
+        """
+    elif flat:
         ifetch = f"""
             if not l1i_access(pc):
                 icache_misses += 1
@@ -313,10 +348,23 @@ def generate_loop_source(
     # per cluster) disappears.  ``Cache.access`` only ever uses
     # ``is_write`` for truthiness, so the flat path passes the raw mask
     # bit and skips the ``bool()`` call.
+    dline_shift = cfg.dcache.line_bytes.bit_length() - 1
     probe_blocks = []
-    for c in range(cfg.n_clusters):
-        bit = 1 << c
-        if flat:
+    for c, bit in cluster_bits:
+        if inline_l1:
+            miss = f"""
+            dline = addr >> {dline_shift}
+            ways = l1d_sets[dline & {cfg.dcache.n_sets - 1}]
+            d = ways.pop(dline, None)
+            if d is None:
+                l1d_access(addr, store_mask & {bit})
+                dcache_misses += 1
+                penalty += {cfg.dcache.miss_penalty}
+            else:
+                ways[dline] = d or store_mask & {bit}
+                l1d_hits += 1
+            """
+        elif flat:
             miss = f"""
             if not l1d_access(addr, store_mask & {bit}):
                 dcache_misses += 1
@@ -442,27 +490,44 @@ def generate_loop_source(
     else:
         # split policies share one pending-list layout:
         #   [static_index, ops_remaining, was_split, buffered_stores,
-        #    extra]   (extra: pending cluster mask | pending-ops list)
+        #    extra]   (extra: pending cluster mask | pending-ops tuple
+        #    or list of (usage, mem bit) pairs)
+        whole_usage = "table.packed[i]"
+
+        def swar_take(usage: str, then: str) -> str:
+            """Charge ``usage`` against ``e_remaining`` if it fits."""
+            return _dd(f"""
+            left = (e_remaining | {guards}) - {usage}
+            if left & {guards} == {guards}:
+                e_remaining = left ^ {guards}
+{_block(then, 16)}
+            """)
+
         if split == "cluster":
             make_pend = "pend = th.pend = [i, n, False, 0, table.cmask[i]]"
             if op_merge:
+                # every bundle fits iff their sum does (the SWAR test
+                # is field-wise and the lanes cannot overflow)
+                whole_usage = (
+                    "table.bundle_sum[i]"
+                    if comm_split
+                    else "(table.packed[i] if table.icc[i]"
+                    " else table.bundle_sum[i])"
+                )
+                arms = []
+                for c, bit in cluster_bits:
+                    take = swar_take(
+                        f"b_packed[{c}]", f"avail |= {bit}\nn += b_nops[{c}]"
+                    )
+                    arms.append(f"if pm & {bit}:\n{_block(take, 4)}")
+                scan = "\n".join(arms)
                 merge_part = f"""
                 pm = pend[4]
                 b_packed = table.bundle_packed[i]
                 b_nops = table.bundle_nops[i]
                 avail = 0
                 n = 0
-                m = pm
-                c = 0
-                while m:
-                    if m & 1:
-                        left = (e_remaining | {guards}) - b_packed[c]
-                        if left & {guards} == {guards}:
-                            e_remaining = left ^ {guards}
-                            avail |= 1 << c
-                            n += b_nops[c]
-                    m >>= 1
-                    c += 1
+{_block(scan, 16)}
                 if not avail:
                     continue
                 mem = table.mem_cmask[i] & avail
@@ -475,48 +540,47 @@ def generate_loop_source(
                     pend[2] = True
                 """
             else:
-                merge_part = """
-                avail = pend[4] & ~e_used
+                # a part that takes every pending cluster retires the
+                # instruction: its op count is the remaining count
+                scan = "\n".join(
+                    f"if avail & {bit}:\n    n += b_nops[{c}]"
+                    for c, bit in cluster_bits
+                )
+                merge_part = f"""
+                pm = pend[4]
+                avail = pm & ~e_used
                 if not avail:
                     continue
-                b_nops = table.bundle_nops[i]
-                n = 0
-                m = avail
-                c = 0
-                while m:
-                    if m & 1:
-                        n += b_nops[c]
-                    m >>= 1
-                    c += 1
                 e_used |= avail
                 mem = table.mem_cmask[i] & avail
                 e_mem_used |= mem
-                rem = pend[1] - n
-                pend[1] = rem
-                pm = pend[4] & ~avail
-                pend[4] = pm
-                if pm:
+                if avail == pm:
+                    n = pend[1]
+                    rem = 0
+                else:
+                    b_nops = table.bundle_nops[i]
+                    n = 0
+{_block(scan, 20)}
+                    rem = pend[1] - n
+                    pend[1] = rem
+                    pend[4] = pm & ~avail
                     pend[2] = True
                 """
         else:  # op-level split (always op-level merge)
-            make_pend = (
-                "pend = th.pend = [i, n, False, 0, list(table.ops_desc[i])]"
-            )
+            make_pend = "pend = th.pend = [i, n, False, 0, table.ops_use[i]]"
             merge_part = f"""
             rem0 = pend[1]
             still = []
             n = 0
             mem = 0
-            for desc in pend[4]:
-                c, fu, is_mem = desc
-                left = (e_remaining | {guards}) - op_usage[c][fu]
+            for use in pend[4]:
+                left = (e_remaining | {guards}) - use[0]
                 if left & {guards} == {guards}:
                     e_remaining = left ^ {guards}
-                    if is_mem:
-                        mem |= 1 << c
+                    mem |= use[1]
                     n += 1
                 else:
-                    still.append(desc)
+                    still.append(use)
             pend[4] = still
             if not n:
                 continue
@@ -558,6 +622,38 @@ def generate_loop_source(
 {_block(merge_part, 16)}
             """
 
+        # Whole issue at fetch: when the entire instruction fits this
+        # cycle it is accounted, probed and retired in place — no
+        # pending list, nothing buffered, no commit stall.  This is
+        # exactly what the pending path below would do for it.
+        # Operation-level split marks any multi-op instruction split
+        # once its first op issues, even when all of them issue
+        # together (ROADMAP item 5), so the whole path counts it too.
+        whole_tail = _dd(f"""
+        ops_this_cycle += n
+        threads_contributing += 1
+        bstats = bench.stats
+        bstats.operations += n
+        mem = table.mem_cmask[i]
+        if mem:
+            e_mem_used |= mem
+{_block(dprobe, 12)}
+        """) + "\n" + retire_tail + "\ncontinue"
+        if split == "op":
+            counted = "n > 1" if comm_split else "n > 1 and not table.icc[i]"
+            whole_tail = (
+                f"if {counted}:\n    split_instructions += 1\n" + whole_tail
+            )
+        if op_merge:
+            whole_issue = swar_take(whole_usage, whole_tail)
+        else:
+            whole_issue = _dd(f"""
+            cm = table.cmask[i]
+            if not cm & e_used:
+                e_used |= cm
+{_block(whole_tail, 16)}
+            """)
+
         thread_body = f"""
         bench = th.bench
         if bench is None or cycle < th.stall_until:
@@ -578,6 +674,7 @@ def generate_loop_source(
             if not n:
 {_block(retire_full, 16)}
                 continue
+{_block(whole_issue, 12)}
             {make_pend}
         else:
             i = pend[0]
@@ -625,15 +722,24 @@ def generate_loop_source(
         "pt_get = packet_threads.get",
         "fast_forward = proc._fast_forward",
     ]
-    if flat:
+    if inline_l1:
+        setup += [
+            "l1i = mem_sys.l1i",
+            "l1d = mem_sys.l1d",
+            "l1i_sets = l1i.sets",
+            "l1d_sets = l1d.sets",
+            "l1i_access = l1i.access",
+            "l1d_access = l1d.access",
+            "l1i_hits = 0",
+            "l1d_hits = 0",
+        ]
+    elif flat:
         setup += [
             "l1i_access = mem_sys.l1i.access",
             "l1d_access = mem_sys.l1d.access",
         ]
     else:
         setup += ["iaccess = mem_sys.iaccess", "daccess = mem_sys.daccess"]
-    if split == "op":
-        setup.append("op_usage = proc.engine._op_usage")
     if len(orders) == 1:
         objs = ", ".join(f"threads[{t}]" for t in orders[0])
         setup.append(f"thread_order = ({objs},)")
@@ -695,6 +801,8 @@ def generate_loop_source(
             "stats.stall_cycles += stall_cycles",
             "stats.split_instructions += split_instructions",
         ]
+    if inline_l1:
+        flush += ["l1i.hits += l1i_hits", "l1d.hits += l1d_hits"]
     flush += [
         "proc._target_hit = target_hit",
         "stats.cycles = cycle",

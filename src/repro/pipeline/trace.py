@@ -11,10 +11,15 @@ hoist work out of hot loops):
 * ``cmask``         — bitmask of clusters used;
 * ``bundle_packed`` — per-cluster packed usage (cluster-level split);
 * ``bundle_nops``   — per-cluster operation counts (IPC accounting);
+* ``bundle_sum``    — ``sum(bundle_packed[i])``: the usage the
+  cluster-level split test charges when every bundle issues at once;
 * ``mem_cmask``/``store_cmask`` — clusters with memory ops / stores;
 * ``icc``           — instruction contains SEND/RECV (NS atomicity);
 * ``ops_desc``      — per-op (cluster, fu, is_mem) for operation-level
   split (OOSI);
+* ``ops_use``       — the same ops as ``(packed usage, mem cluster
+  bit)`` pairs, the form the generated op-split loop consumes; only
+  n_clusters x FU-class distinct pairs exist, so they are interned;
 * ``pc``            — byte address for the ICache model.
 
 **Cluster renaming** (paper §IV, from the CSMT paper) statically rotates
@@ -25,12 +30,13 @@ per-cycle cost.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..arch.config import MachineConfig
-from ..arch.resources import pack_usage, usage_of_ops
+from ..arch.resources import op_usage_table, usage_of_ops
 from ..isa.opcodes import FUClass, Opcode
 from ..isa.program import Program
 from ..vm.machine import VM, TraceRecorder
@@ -50,12 +56,35 @@ class StaticTable:
     cmask: list[int]
     bundle_packed: list[list[int]]
     bundle_nops: list[list[int]]
+    bundle_sum: list[int]
     mem_cmask: list[int]
     store_cmask: list[int]
     icc: list[bool]
     nops: list[int]
     ops_desc: list[tuple[tuple[int, int, bool], ...]]
+    ops_use: list[tuple[tuple[int, int], ...]]
     pc: list[int]
+
+
+@functools.lru_cache(maxsize=None)
+def _use_pairs(n_clusters: int) -> dict[tuple[int, int, bool], tuple]:
+    """Descriptor -> ``(op_usage[c][fu], mem bit)``, one shared tuple
+    per distinct pair."""
+    shared: dict[tuple[int, int], tuple[int, int]] = {}
+    pairs = {}
+    for c, lanes in enumerate(op_usage_table(n_clusters)):
+        for fu, u in enumerate(lanes):
+            for m in (False, True):
+                pair = (u, (1 << c) if m else 0)
+                pairs[c, fu, m] = shared.setdefault(pair, pair)
+    return pairs
+
+
+def _ops_use(
+    ops_desc: list[tuple[tuple[int, int, bool], ...]], n_clusters: int
+) -> list[tuple[tuple[int, int], ...]]:
+    pairs = _use_pairs(n_clusters)
+    return [tuple(pairs[d] for d in desc) for desc in ops_desc]
 
 
 def build_static_table(program: Program, cfg: MachineConfig) -> StaticTable:
@@ -98,11 +127,13 @@ def build_static_table(program: Program, cfg: MachineConfig) -> StaticTable:
         cmask=cmask,
         bundle_packed=b_packed,
         bundle_nops=b_nops,
+        bundle_sum=[sum(b) for b in b_packed],
         mem_cmask=mem_cm,
         store_cmask=store_cm,
         icc=icc,
         nops=nops,
         ops_desc=ops_desc,
+        ops_use=_ops_use(ops_desc, n_cl),
         pc=pcs,
     )
 
@@ -128,20 +159,26 @@ def _rot_static(st: StaticTable, r: int) -> StaticTable:
     def roll(row: list) -> list:
         return [row[(c - r) % n] for c in range(n)]
 
+    ops_desc = [
+        tuple(((c + r) % n, fu, m) for (c, fu, m) in desc)
+        for desc in st.ops_desc
+    ]
+
     return StaticTable(
         n_clusters=n,
         packed=[rot_packed(p) for p in st.packed],
         cmask=[_rot_mask(m, r, n) for m in st.cmask],
         bundle_packed=[roll(b) for b in st.bundle_packed],
         bundle_nops=[roll(b) for b in st.bundle_nops],
+        # rolling reorders the bundles but does not lane-shift their
+        # usage, so the sum is the unrotated one (ROADMAP item 5)
+        bundle_sum=st.bundle_sum,
         mem_cmask=[_rot_mask(m, r, n) for m in st.mem_cmask],
         store_cmask=[_rot_mask(m, r, n) for m in st.store_cmask],
         icc=st.icc,
         nops=st.nops,
-        ops_desc=[
-            tuple(((c + r) % n, fu, m) for (c, fu, m) in desc)
-            for desc in st.ops_desc
-        ],
+        ops_desc=ops_desc,
+        ops_use=_ops_use(ops_desc, n),
         pc=st.pc,
     )
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 
 import pytest
 
@@ -246,6 +247,45 @@ def test_loopcheck_flags_wrong_timeslice():
     )
     assert tampered != src
     hits = check_source(policy, cfg, params, nt, nb, tampered)
+    assert rules_of(hits) == ["loopcheck-literal"]
+
+
+# every constant the inlined L1 probe and the unrolled per-cluster
+# scans bake in, one site per case; each is mutated by -1 and +1
+INLINED_SITES = [
+    ("COSI AS", "line & 511"),      # L1I set mask
+    ("COSI AS", "dline & 511"),     # L1D set mask
+    ("COSI AS", "addr >> 5"),       # data line shift
+    ("COSI AS", "pm & 1"),          # unrolled bundle-merge arm bit
+    ("COSI AS", "pm & 4"),
+    ("COSI AS", "avail |= 2"),      # issued-cluster bit of an arm
+    ("COSI AS", "b_packed[2]"),     # arm's bundle usage index
+    ("COSI AS", "b_nops[3]"),       # arm's bundle op-count index
+    ("CCSI NS", "avail & 1"),       # unrolled op-count arm bit
+    ("CCSI NS", "avail & 8"),
+    ("CCSI NS", "b_nops[0]"),
+    ("OOSI AS", "row[1]"),          # data-probe address column
+    ("SMT", "store_mask & 2"),      # data-probe store bit
+]
+
+
+@pytest.mark.parametrize("delta", (-1, 1))
+@pytest.mark.parametrize(
+    "policy,needle", INLINED_SITES, ids=lambda v: v.replace(" ", "-")
+)
+def test_loopcheck_flags_inlined_constant_off_by_one(policy, needle, delta):
+    """Each new inlined constant is re-derived from the config: the L1
+    set masks and data line shift from the cache geometry, every
+    unrolled arm's bit and row index from the cluster its own mask
+    test selects (so even 1 -> 2, a valid bit, is caught)."""
+    pol, cfg, params, nt, nb = _cell(policy)
+    src = specialize.generate_loop_source(pol, cfg, params, nt, nb)
+    assert needle in src
+    head, value, tail = re.fullmatch(r"(.*?)(\d+)(\]?)", needle).groups()
+    tampered = src.replace(
+        needle, f"{head}{int(value) + delta}{tail}", 1
+    )
+    hits = check_source(pol, cfg, params, nt, nb, tampered)
     assert rules_of(hits) == ["loopcheck-literal"]
 
 

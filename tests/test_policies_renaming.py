@@ -14,6 +14,7 @@ from repro.core.policies import (
     Policy,
     get_policy,
 )
+from repro.core.merging import MergeEngine
 from repro.core.priority import FixedPriority, RoundRobinPriority, make_priority
 from repro.core.renaming import renaming_value, renaming_vector
 from repro.core.splitstate import PendingInstruction
@@ -170,3 +171,17 @@ def test_buffer_stores():
     p = PendingInstruction(t, 0, "cluster", True)
     p.buffer_stores(0b100)
     assert p.buffered_store_mask == 0b100
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect, ROADMAP item 5 (b): note_op_issued marks the "
+    "instruction split after its first op even when every op issues in "
+    "the same cycle; fixing it moves the pinned result digests",
+)
+def test_op_split_whole_issue_in_one_cycle_is_not_split():
+    t = _table()
+    p = PendingInstruction(t, 0, "op", True)
+    n, _cmask, _mem = MergeEngine(PAPER_MACHINE, "op").try_ops(p)
+    assert n == 3 and p.done
+    assert not p.was_split

@@ -258,3 +258,103 @@ def test_session_prewarm_payload_roundtrip(fresh_cache):
     assert SimulationSession(
         QUICK_SCALE, reference=True
     ).prewarm_specialization("CCSI AS", ("mcf",), 2) is None
+
+
+# ------------------------------------------------- inlined L1 hit path
+def _cache_state(cache):
+    """Every set's lines in LRU order with their dirty truthiness, plus
+    the counters ``stats_dict`` reports."""
+    sets = [[(line, bool(d)) for line, d in s.items()] for s in cache.sets]
+    return sets, cache.hits, cache.misses, cache.writebacks
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` with a call counter; returns the counter."""
+    calls = [0]
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def quick_session():
+    return SimulationSession(QUICK_SCALE)
+
+
+def _quick_cells():
+    from repro.harness.workloads import WORKLOADS
+
+    return [
+        (p.name, w, nt)
+        for p in ALL_POLICIES
+        for w in sorted(WORKLOADS)
+        for nt in (2, 4)
+    ]
+
+
+def _quick_processor(session, policy, workload, nt, **kw):
+    members = session.workload_members(workload)
+    bundles = session._bundles(members)
+    return Processor(
+        BY_NAME[policy], bundles, nt, session.resolve_cfg(None, None),
+        session.params(), **kw,
+    )
+
+
+def test_inlined_l1_leaves_fast_path_cache_state(quick_session, monkeypatch):
+    """Every flat quick cell: the generated loop's inlined hit path and
+    ``_run_fast``'s ``Cache.access`` calls leave the same L1 sets (keys,
+    LRU order, dirty truthiness) and the same hit/miss/writeback
+    counts; ``Cache.access`` itself runs only on the misses."""
+    from repro.memory.cache import Cache
+
+    for policy, workload, nt in _quick_cells():
+        spec = _quick_processor(quick_session, policy, workload, nt)
+        calls = _count_calls(monkeypatch, Cache, "access")
+        s = spec.run()
+        monkeypatch.undo()  # the fast path below runs uncounted
+        assert spec.loop_used == "specialized"
+        assert calls[0] == s.icache_misses + s.dcache_misses
+        fast = _quick_processor(
+            quick_session, policy, workload, nt, run_loop="fast"
+        )
+        f = fast.run()
+        cell = (policy, workload, nt)
+        assert s.to_dict() == f.to_dict(), cell
+        assert _cache_state(spec.mem.l1i) == _cache_state(fast.mem.l1i), cell
+        assert _cache_state(spec.mem.l1d) == _cache_state(fast.mem.l1d), cell
+
+
+@pytest.mark.parametrize("policy", ["SMT", "COSI AS", "OOSI NS"])
+def test_perfect_and_l2_memory_keep_their_calls(policy, monkeypatch):
+    """Only flat, non-perfect memory inlines the probe: perfect memory
+    still calls ``PerfectCache.access`` per probe and ``l2`` still goes
+    through ``MemorySystem.iaccess``/``daccess``."""
+    from repro.memory.cache import PerfectCache
+    from repro.memory.hierarchy import MemorySystem
+
+    traces = traces_for("paper")
+    base = MACHINE_PRESETS["paper"].machine
+    perfect = SimParams(
+        target_instructions=1_000, timeslice=300, seed=5, perfect_memory=True
+    )
+    calls = _count_calls(monkeypatch, PerfectCache, "access")
+    proc = Processor(BY_NAME[policy], traces, 4, base, perfect)
+    s = proc.run()
+    assert proc.loop_used == "specialized"
+    assert calls[0] == s.icache_accesses + s.dcache_accesses > 0
+
+    l2 = replace(base, memory=get_memory_config("l2"))
+    params = SimParams(target_instructions=1_000, timeslice=300, seed=5)
+    icalls = _count_calls(monkeypatch, MemorySystem, "iaccess")
+    dcalls = _count_calls(monkeypatch, MemorySystem, "daccess")
+    proc = Processor(BY_NAME[policy], traces, 4, l2, params)
+    s = proc.run()
+    assert proc.loop_used == "specialized"
+    assert icalls[0] == s.icache_accesses > 0
+    assert dcalls[0] == s.dcache_accesses > 0

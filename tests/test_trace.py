@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.config import PAPER_MACHINE
-from repro.arch.resources import unpack_usage
+from repro.arch.resources import op_usage_table, unpack_usage
 from repro.arch.scenarios import get_scenario
 from repro.engine import QUICK_SCALE
 from repro.kernels.suite import BENCH_ORDER, get_trace
@@ -112,6 +112,42 @@ def test_ops_desc_rotation(wide_trace):
         assert len(d0) == len(d2)
         for (c0, fu0, m0), (c2, fu2, m2) in zip(d0, d2):
             assert c2 == (c0 + 2) % 4 and fu0 == fu2 and m0 == m2
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_ops_use_matches_ops_desc_under_rotation(wide_trace, r):
+    """The op-split loop's ``(usage, mem bit)`` pairs are exactly the
+    merge engine's ``op_usage[c][fu]`` and the op's cluster bit, for
+    every rotation, and each distinct pair is one shared tuple."""
+    st_r, _ = wide_trace.rotated(r)
+    usage = op_usage_table(4)
+    interned = {}
+    for desc, use in zip(st_r.ops_desc, st_r.ops_use):
+        assert len(desc) == len(use)
+        for (c, fu, is_mem), pair in zip(desc, use):
+            assert pair == (usage[c][fu], (1 << c) if is_mem else 0)
+            assert interned.setdefault(pair, pair) is pair
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_bundle_sum_is_sum_of_bundle_packed(wide_trace, r):
+    st_r, _ = wide_trace.rotated(r)
+    assert st_r.bundle_sum == [sum(b) for b in st_r.bundle_packed]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect, ROADMAP item 5 (a): _rot_static rolls "
+    "bundle_packed without lane-shifting its values, so COSI charges "
+    "cluster c's bundle to lane c - r; fixing it moves the pinned "
+    "result digests",
+)
+def test_rotated_bundle_usage_sums_to_packed(wide_trace):
+    for r in (1, 2, 3):
+        st_r, _ = wide_trace.rotated(r)
+        assert all(
+            sum(b) == p for b, p in zip(st_r.bundle_packed, st_r.packed)
+        ), r
 
 
 def test_icc_flag_rotation_invariant(wide_trace):
