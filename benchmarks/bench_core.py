@@ -13,15 +13,6 @@ end-to-end equivalence smoke test, and records which tier actually ran
 (``engine``) so a silent specialisation fallback shows up in the
 tracked artifact.
 
-Schema 4 adds the sweep-throughput dimension: the lockstep batch tier
-(`repro.pipeline.batch`) runs thousands of eligible sweep cells as
-lanes of one vectorised execution, so its natural unit is *cells* per
-second, not cycles.  The ``batch-sweep-*`` scenario times a large
-quick-scale sweep group through ``run_batch`` against per-cell
-specialised execution (estimated from a stride subsample, which is
-also bit-identity-checked lane by lane) and records ``batch_cps`` and
-``batch_speedup``.
-
 Usage::
 
     python benchmarks/bench_core.py            # full measurement
@@ -187,89 +178,11 @@ def measure_scenario(label, policy_name, memory, n_threads, workload,
     }
 
 
-def measure_batch_sweep(quick: bool) -> dict:
-    """Cells/second of the lockstep batch tier on one large sweep
-    group, vs per-cell specialised execution.
-
-    The scenario is the batch tier's home turf and a shape `repro
-    --quick sweep --batch` actually produces: quick-scale SMT, four
-    threads, perfect memory (an eligible hierarchy), every 4-bench
-    mix in lexicographic order up to the lane budget.  The scalar
-    side would take minutes at full width, so it is estimated from a
-    32-cell stride subsample — each sampled cell is also compared
-    bit-for-bit against its batch lane, so the scenario doubles as a
-    batch-vs-scalar identity smoke test.  Both sides are best-of-2
-    (the file's best-of-reps convention); more repetitions buy
-    nothing because each run already self-averages over thousands of
-    lanes.
-    """
-    from itertools import product
-
-    from repro.kernels.suite import BENCH_ORDER
-    from repro.pipeline import batch as batch_mod
-
-    n_cells = 3072 if quick else 4096
-    cfg = get_scenario("paper").machine
-    policy = get_policy("SMT")
-    n_threads = 4
-    # quick-scale simulation length regardless of --quick: this is
-    # what the engine's QUICK_SCALE sweep runs, and shorter runs
-    # under-amortise segment construction into the throughput number
-    params = SimParams(target_instructions=6_000, timeslice=3_000,
-                       perfect_memory=True, seed=12345)
-    cells = list(product(BENCH_ORDER, repeat=4))[:n_cells]
-    bundles = {b: get_trace(b, KERNEL_SCALE, cfg) for b in BENCH_ORDER}
-
-    # untimed warm-up for both sides (lazy trace tables, codegen memo)
-    batch_mod.run_batch(policy, cfg, params, n_threads, cells[:8],
-                        bundles)
-    Processor(policy, [bundles[m] for m in cells[0]], n_threads, cfg,
-              params).run()
-
-    batch_s = float("inf")
-    for _ in range(2):
-        t0 = time.perf_counter()
-        lanes = batch_mod.run_batch(policy, cfg, params, n_threads,
-                                    cells, bundles)
-        batch_s = min(batch_s, time.perf_counter() - t0)
-
-    sample = list(range(0, n_cells, max(1, n_cells // 32)))
-    identical = True
-    sample_s = float("inf")
-    for rep in range(2):
-        t0 = time.perf_counter()
-        for i in sample:
-            stats = Processor(policy, [bundles[m] for m in cells[i]],
-                              n_threads, cfg, params).run()
-            if rep == 0 and stats.to_dict() != lanes[i].to_dict():
-                identical = False
-        sample_s = min(sample_s, time.perf_counter() - t0)
-    scalar_s = sample_s / len(sample) * n_cells
-    if not identical:
-        print("!! batch sweep: batch lanes DIVERGED from scalar",
-              file=sys.stderr)
-    return {
-        "label": f"batch-sweep-smt-{n_threads}t",
-        "policy": "SMT",
-        "memory": "paper (perfect)",
-        "machine": "paper",
-        "n_threads": n_threads,
-        "cells": n_cells,
-        "scalar_sample": len(sample),
-        "batch_seconds": round(batch_s, 6),
-        "scalar_seconds_est": round(scalar_s, 6),
-        "batch_cps": round(n_cells / batch_s, 1),
-        "scalar_cps": round(n_cells / scalar_s, 1),
-        "batch_speedup": round(scalar_s / batch_s, 3),
-        "identical": identical,
-    }
-
-
 def check_baseline(scenarios: list[dict], baseline_path: Path,
                    threshold: float, require: bool = False) -> int:
-    """Exit code 0/1: specialised-, fast- and batch-tier throughput vs
-    the committed baseline (metrics absent from either side are
-    skipped, so an old two-tier baseline still gates the fast path)."""
+    """Exit code 0/1: specialised- and fast-tier throughput vs the
+    committed baseline (metrics absent from either side are skipped,
+    so an old two-tier baseline still gates the fast path)."""
     if not baseline_path.exists():
         if require:
             print(f"FATAL: baseline {baseline_path} is missing but "
@@ -289,7 +202,7 @@ def check_baseline(scenarios: list[dict], baseline_path: Path,
         base = baseline.get(s["label"])
         if base is None:
             continue
-        for metric in ("spec_cps", "fast_cps", "batch_cps"):
+        for metric in ("spec_cps", "fast_cps"):
             if metric not in base or metric not in s:
                 continue
             floor = base[metric] * (1.0 - threshold)
@@ -342,21 +255,13 @@ def main(argv=None) -> int:
               f"spec x{r['spec_speedup']:4.2f}"
               f"{'' if r['identical'] else ' !! MISMATCH'}")
 
-    b = measure_batch_sweep(args.quick)
-    results.append(b)
-    print(f"{b['label']:18s} {b['policy']:8s} {b['cells']} cells "
-          f"nt={b['n_threads']} "
-          f"batch={b['batch_cps']:8.1f} cells/s "
-          f"x{b['batch_speedup']:4.2f} vs specialised"
-          f"{'' if b['identical'] else ' !! MISMATCH'}")
-
     report = {
-        # schema 4: the batch-sweep scenario (cells/second of the
-        # lockstep batch tier, batch_cps/batch_speedup); schema 3
-        # added three run-loop tiers (specialised codegen / fast /
-        # reference) with per-scenario engine provenance; schema 2
-        # added the machine-scenario coordinate
-        "schema": 4,
+        # schema 5 drops schema 4's batch-sweep scenario (the lockstep
+        # batch tier is gone); schema 3 added three run-loop tiers
+        # (specialised codegen / fast / reference) with per-scenario
+        # engine provenance; schema 2 added the machine-scenario
+        # coordinate
+        "schema": 5,
         "quick": args.quick,
         "reps": reps,
         "kernel_scale": KERNEL_SCALE,

@@ -166,35 +166,12 @@ def _closure_writes(
     return sim, bench
 
 
-def _batch_counter_set() -> CounterSet:
-    """Counter write-set of the lockstep batch tier.
-
-    The batch executor accumulates counters in numpy arrays and only
-    materialises them as stats objects in its module-level
-    ``_assemble_stats`` — whose receivers are literally named
-    ``stats`` / ``bstats`` so this extraction sees every write."""
-    from ..pipeline import batch as batch_mod
-
-    src = Path(batch_mod.__file__).read_text(encoding="utf-8")
-    tree = ast.parse(src, filename=batch_mod.__file__)
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and (
-            node.name == "_assemble_stats"
-        ):
-            sim, bench = _writes(node)
-            return CounterSet("batch", frozenset(sim), frozenset(bench))
-    raise RuntimeError("_assemble_stats not found in pipeline/batch.py")
-
-
 def tier_counter_sets() -> list[CounterSet]:
     """Extract the counter write-sets of every tier.
 
     The specialised tier is shape-dependent, so it contributes one
     set per policy (``specialized:<policy>``), generated fresh from
     the current generator with multitasking on (the superset shape).
-    The batch tier contributes one set (its one shape: no-split
-    round-robin lockstep; everything else is ejected by
-    ``batch_eligible``).
     """
     methods = _processor_methods()
     out: list[CounterSet] = []
@@ -204,7 +181,6 @@ def tier_counter_sets() -> list[CounterSet]:
     ):
         sim, bench = _closure_writes(methods[entry], methods)
         out.append(CounterSet(tier, frozenset(sim), frozenset(bench)))
-    out.append(_batch_counter_set())
     params = SimParams()
     for policy in ALL_POLICIES:
         src = specialize.generate_loop_source(
@@ -257,30 +233,6 @@ def compare_counter_sets(
                     f"{kind} counter {c!r} is written by _run_fast but "
                     "never by the reference loop"
                 )
-
-    # the batch tier serves exactly one shape — no-split round-robin
-    # lockstep (batch_eligible ejects everything else) — so its set
-    # must match _run_fast modulo the no-split constants, which its
-    # one shape proves dead the same way a no-split policy does
-    batch = by_tier.get("batch")
-    if batch is not None:
-        for c in sorted(batch.sim - fast.sim):
-            find(
-                f"batch tier writes sim counter {c!r} that _run_fast "
-                "never writes"
-            )
-        for c in sorted(fast.sim - batch.sim):
-            if allowed_only_in("fast", c) or c in NO_SPLIT_CONSTANT:
-                continue
-            find(
-                f"batch tier never writes sim counter {c!r} and its "
-                "eligibility gate does not prove it constant"
-            )
-        for c in sorted(batch.bench ^ fast.bench):
-            find(
-                f"batch tier and _run_fast disagree on bench counter "
-                f"{c!r}"
-            )
 
     # each specialised shape: no extras, omissions only when the
     # policy shape proves the counter constant

@@ -75,12 +75,8 @@ import logging
 from .arch.config import MEMORY_PRESETS
 from .arch.scenarios import MACHINE_PRESETS, get_scenario
 from .core.policies import BY_NAME
+from .engine.session import DEFAULT_SCALE, QUICK_SCALE, SimulationSession
 from .harness.claims import evaluate_claims, render_claims
-from .harness.experiment import (
-    DEFAULT_SCALE,
-    QUICK_SCALE,
-    ExperimentRunner,
-)
 from .harness.figures import (
     FIG14_POLICIES,
     FIG15_POLICIES,
@@ -99,8 +95,8 @@ from .obs.logcfg import setup_logging
 _log = logging.getLogger("repro.cli")
 
 
-def _runner(args, retry=None) -> ExperimentRunner:
-    return ExperimentRunner(
+def _session(args, retry=None) -> SimulationSession:
+    return SimulationSession(
         QUICK_SCALE if args.quick else DEFAULT_SCALE,
         cache_dir=args.cache_dir,
         jobs=args.jobs,
@@ -124,8 +120,7 @@ def _check_machines(names) -> int | None:
 def cmd_run(args) -> int:
     if (rc := _check_machines([args.machine] if args.machine else [])):
         return rc
-    r = _runner(args)
-    s = r.run(args.policy, args.workload, args.threads,
+    s = _session(args).run(args.policy, args.workload, args.threads,
               memory=args.memory, machine=args.machine)
     print(json.dumps(s.summary(), indent=1))
     # the paper's flat model adds nothing beyond the summary's
@@ -164,7 +159,7 @@ def cmd_sweep(args) -> int:
         retries=args.retries,
         max_failures=max_failures,
     )
-    session = _runner(args, retry=retry).session
+    session = _session(args, retry=retry)
     if args.resume and session.cache is None:
         _log.error("repro: sweep --resume requires --cache-dir")
         return 2
@@ -185,7 +180,6 @@ def cmd_sweep(args) -> int:
             memory=memory,
             machine=machine,
             resume=args.resume,
-            batch=args.batch,
         )
     except KeyboardInterrupt:
         _log.error(
@@ -245,19 +239,19 @@ def cmd_sweep(args) -> int:
 def cmd_mem(args) -> int:
     from .harness.memreport import memory_sensitivity, render_memory_report
 
-    r = _runner(args)
+    session = _session(args)
     presets = args.memory or list(MEMORY_PRESETS)
     if args.jobs > 1:
         # fan cold preset cells over the pool; memory_sensitivity then
         # reads them from the memo
-        r.session.sweep(
+        session.sweep(
             policies=[args.policy],
             workloads=[args.workload],
             n_threads=(args.threads,),
             memory=tuple(presets),
         )
     rows = memory_sensitivity(
-        r, args.policy, args.workload, args.threads, presets
+        session, args.policy, args.workload, args.threads, presets
     )
     print(render_memory_report(rows, args.policy, args.workload,
                                args.threads))
@@ -279,18 +273,18 @@ def cmd_machine(args) -> int:
     )
     if (rc := _check_machines(machines)):
         return rc
-    r = _runner(args)
+    session = _session(args)
     if args.jobs > 1:
         # fan cold scenario cells over the pool; machine_sensitivity
         # then reads them from the memo
-        r.session.sweep(
+        session.sweep(
             policies=[args.policy],
             workloads=[args.workload],
             n_threads=(args.threads,),
             machine=tuple(machines),
         )
     rows = machine_sensitivity(
-        r, args.policy, args.workload, args.threads, machines
+        session, args.policy, args.workload, args.threads, machines
     )
     print(render_machine_report(rows, args.policy, args.workload,
                                 args.threads))
@@ -304,12 +298,12 @@ def cmd_scenarios(args) -> int:
     return 0
 
 
-def _prewarm(r: ExperimentRunner, args, policies=None) -> None:
+def _prewarm(session: SimulationSession, args, policies=None) -> None:
     """With ``--jobs N``, fill the needed slice of the matrix through
     the parallel sweep first so figure/claim generation reads from the
     memo."""
     if args.jobs > 1:
-        r.session.sweep(policies=policies, n_threads=(2, 4))
+        session.sweep(policies=policies, n_threads=(2, 4))
 
 
 #: Policies each figure actually touches (prewarm slice)
@@ -321,14 +315,14 @@ _FIG_POLICIES = {
 
 
 def cmd_fig(args) -> int:
-    r = _runner(args)
+    session = _session(args)
     if args.number == "why":
         from .harness.figures import fig_why, render_fig_why
 
         # attribution pins the reference loop and bypasses the pool —
         # no --jobs prewarm applies
         print(render_fig_why(
-            fig_why(runner=r, workload=args.workload,
+            fig_why(session, workload=args.workload,
                     n_threads=args.threads)
         ))
         return 0
@@ -342,13 +336,13 @@ def cmd_fig(args) -> int:
         if args.jobs > 1:
             # fan the full policy x workload x machine matrix over the
             # pool; fig_machine then reads every cell from the memo
-            r.session.sweep(
+            session.sweep(
                 n_threads=(2, 4),
                 machine=tuple(
                     m for m in FIG_MACHINE_PRESETS if m in MACHINE_PRESETS
                 ),
             )
-        print(render_fig_machine(fig_machine(runner=r)))
+        print(render_fig_machine(fig_machine(session)))
         return 0
     if args.number == "mem":
         from .harness.figures import fig_mem, render_fig_mem
@@ -359,47 +353,47 @@ def cmd_fig(args) -> int:
             # reads every cell from the memo
             from .harness.figures import FIG_MEM_PRESETS
 
-            r.session.sweep(
+            session.sweep(
                 n_threads=(2, 4),
                 memory=tuple(
                     p for p in FIG_MEM_PRESETS if p in MEMORY_PRESETS
                 ),
             )
-        print(render_fig_mem(fig_mem(runner=r)))
+        print(render_fig_mem(fig_mem(session)))
         return 0
     number = int(args.number)
     if number in _FIG_POLICIES:
-        _prewarm(r, args, _FIG_POLICIES[number])
+        _prewarm(session, args, _FIG_POLICIES[number])
     if number == 13:
-        print(render_fig13a(fig13a(runner=r)))
+        print(render_fig13a(fig13a(session)))
     elif number == 14:
         print("Fig. 14: CCSI speedup over CSMT (%)")
-        print(render_speedup_table(fig14(runner=r), ["NS", "AS"]))
+        print(render_speedup_table(fig14(session), ["NS", "AS"]))
     elif number == 15:
         print("Fig. 15: COSI/OOSI speedup over SMT (%)")
         print(render_speedup_table(
-            fig15(runner=r),
+            fig15(session),
             ["COSI NS", "COSI AS", "OOSI NS", "OOSI AS"],
         ))
     else:  # number == 16: argparse choices guarantee the range
-        print(render_fig16(fig16(runner=r)))
+        print(render_fig16(fig16(session)))
     return 0
 
 
 def cmd_claims(args) -> int:
-    r = _runner(args)
-    _prewarm(r, args)
-    claims = evaluate_claims(r)
+    session = _session(args)
+    _prewarm(session, args)
+    claims = evaluate_claims(session)
     print(render_claims(claims))
     return 0 if all(c.holds for c in claims) else 1
 
 
 def cmd_waste(args) -> int:
     rows = waste_breakdown(
+        _session(args),
         ["CSMT", "CCSI AS", "SMT", "COSI AS", "OOSI AS"],
         args.workload,
         args.threads,
-        runner=_runner(args),
     )
     print(render_waste(rows))
     return 0
@@ -412,10 +406,10 @@ def cmd_why(args) -> int:
     from .harness.figures import FIG16_POLICIES
     from .obs import render_why, why_rows
 
-    r = _runner(args)
+    session = _session(args)
     policies = args.policies or FIG16_POLICIES
     rows = why_rows(
-        r, policies, args.workload, args.threads,
+        session, policies, args.workload, args.threads,
         memory=args.memory, machine=args.machine,
     )
     print(render_why(rows))
@@ -427,7 +421,6 @@ def cmd_trace(args) -> int:
     Chrome trace-event JSON."""
     if (rc := _check_machines([args.machine] if args.machine else [])):
         return rc
-    from .engine import SimulationSession
     from .obs import TraceExporter
 
     exporter = TraceExporter(
@@ -593,7 +586,6 @@ def cmd_profile(args) -> int:
 
     from .arch.config import get_memory_config
     from .core.policies import get_policy
-    from .engine import QUICK_SCALE
     from .kernels.suite import get_trace
     from .pipeline.processor import Processor, SimParams
 
@@ -615,47 +607,18 @@ def cmd_profile(args) -> int:
         seed=scale.seed,
     )
     engine = "reference" if args.reference else args.engine
-    if engine == "batch":
-        # the lockstep tier needs a *group*: all nine paper workloads
-        # under the chosen policy/threads run as one vectorised lane,
-        # and the chosen --workload's cell is the one reported
-        from .pipeline import batch as batch_mod
-
-        policy = get_policy(args.policy)
-        if not batch_mod.batch_eligible(policy, cfg, params):
-            _log.error(
-                "repro: profile --engine batch: this scenario is not "
-                "lockstep-eligible (split policies, non-flat memory "
-                "and non-round-robin priority eject to scalar tiers)"
-            )
-            return 2
-        cells = [tuple(WORKLOADS[w]) for w in WORKLOADS]
-        bmap = {
-            name: get_trace(name, scale.kernel_scale, cfg)
-            for members in cells for name in members
-        }
-        prof = cProfile.Profile()
-        prof.enable()
-        all_stats = batch_mod.run_batch(
-            policy, cfg, params, args.threads, cells, bmap
-        )
-        prof.disable()
-        stats = all_stats[list(WORKLOADS).index(args.workload)]
-        loop_used = f"batch ({len(cells)} cells)"
-    else:
-        proc = Processor(
-            get_policy(args.policy), bundles, args.threads, cfg, params,
-            run_loop="auto" if engine == "specialized" else engine,
-        )
-        prof = cProfile.Profile()
-        prof.enable()
-        stats = proc.run()
-        prof.disable()
-        loop_used = proc.loop_used
+    proc = Processor(
+        get_policy(args.policy), bundles, args.threads, cfg, params,
+        run_loop="auto" if engine == "specialized" else engine,
+    )
+    prof = cProfile.Profile()
+    prof.enable()
+    stats = proc.run()
+    prof.disable()
     header = (
         f"# {args.policy} / {args.workload} / {args.threads}T / "
         f"{args.machine} / {args.memory or cfg.memory.name} — "
-        f"{loop_used} loop"
+        f"{proc.loop_used} loop"
     )
     print(header)
     print(f"# {stats.cycles} cycles, {stats.instructions} instructions, "
@@ -681,17 +644,17 @@ def cmd_profile(args) -> int:
 def cmd_report(args) -> int:
     from .harness.report import render_report
 
-    r = _runner(args)
-    _prewarm(r, args)
+    session = _session(args)
+    _prewarm(session, args)
     results = {
-        "fig13a": fig13a(runner=r),
-        "fig14": fig14(runner=r),
-        "fig15": fig15(runner=r),
-        "fig16": fig16(runner=r),
+        "fig13a": fig13a(session),
+        "fig14": fig14(session),
+        "fig15": fig15(session),
+        "fig16": fig16(session),
         "claims": [
             {"name": c.name, "paper": c.paper, "measured": c.measured,
              "holds": c.holds}
-            for c in evaluate_claims(r)
+            for c in evaluate_claims(session)
         ],
     }
     note = ("Quick scale." if args.quick else
@@ -787,10 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", nargs="+", default=None,
                    metavar="SCENARIO",
                    help=machine_help + " — several sweep as an axis")
-    p.add_argument("--batch", action="store_true",
-                   help="run eligible cells in lockstep batch groups "
-                        "(the vectorised fourth run-loop tier; "
-                        "bit-identical, docs/performance.md)")
     p.add_argument("--resume", action="store_true",
                    help="skip cells already completed per the sweep "
                         "journal + store (requires --cache-dir)")
@@ -970,13 +929,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("cumulative", "tottime", "ncalls"),
                    help="pstats sort key (default: cumulative)")
     p.add_argument("--engine", default="specialized",
-                   choices=("batch", "specialized", "fast", "reference"),
-                   help="run-loop tier to profile: the lockstep "
-                        "batched executor (all nine workloads in one "
-                        "vectorised lane), the scenario-specialised "
-                        "codegen loop (default), the generic "
-                        "event-driven fast path, or the per-cycle "
-                        "reference loop (docs/performance.md)")
+                   choices=("specialized", "fast", "reference"),
+                   help="run-loop tier to profile: the "
+                        "scenario-specialised codegen loop (default), "
+                        "the generic event-driven fast path, or the "
+                        "per-cycle reference loop (docs/performance.md)")
     p.add_argument("--reference", action="store_true",
                    help="shorthand for --engine reference")
     p.add_argument("--out", default=None, metavar="FILE",

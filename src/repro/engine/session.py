@@ -92,7 +92,6 @@ class SimulationSession:
         telemetry: str | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | str | None = None,
-        batch: bool = False,
     ):
         if machine is not None:
             # a machine scenario supplies the whole config (its own
@@ -137,12 +136,6 @@ class SimulationSession:
             else FaultPlan.parse(fault_plan) if fault_plan
             else FaultPlan.from_env()
         )
-        #: default for ``sweep(batch=...)``: group eligible cells by
-        #: scenario shape and run each group in one lockstep
-        #: numpy-vectorised lane (:mod:`repro.pipeline.batch`,
-        #: ``docs/performance.md``); results stay bit-identical to
-        #: scalar execution
-        self.batch = batch
         #: cells that exhausted their retry budget across this
         #: session's sweeps (:class:`~repro.engine.runner.CellFailure`)
         self.failures: list = []
@@ -671,7 +664,6 @@ class SimulationSession:
         memory=None,
         machine=None,
         resume: bool = False,
-        batch: bool | None = None,
     ) -> dict[tuple, SimStats]:
         """Run a policy × workload × thread-count matrix, optionally on
         a process pool.  Returns ``{(policy, workload, nt): SimStats}``;
@@ -695,13 +687,7 @@ class SimulationSession:
         up to ``retry.max_failures``.  ``resume=True`` first diffs the
         matrix against the journal + store and logs the resume plan;
         completed cells are never re-simulated either way
-        (``docs/robustness.md``).
-
-        ``batch=True`` (default: the session's ``batch`` flag) groups
-        eligible cells by scenario shape and runs each group in one
-        lockstep numpy lane (:mod:`repro.pipeline.batch`); ineligible
-        or fault-injected cells run on the scalar tiers, and every
-        result is bit-identical to a scalar sweep."""
+        (``docs/robustness.md``)."""
         from .runner import run_matrix
 
         if policies is None:
@@ -739,7 +725,6 @@ class SimulationSession:
         return run_matrix(
             self, specs, self.jobs if jobs is None else jobs,
             resume=resume,
-            batch=self.batch if batch is None else batch,
         )
 
     # ----------------------------------------------------- conveniences

@@ -1,14 +1,8 @@
-"""Experiment harness: workloads, runner, and per-figure regenerators."""
+"""Experiment harness: workloads, paper claims and per-figure
+regenerators, each computed through a
+:class:`repro.engine.SimulationSession`."""
 
 from .claims import Claim, evaluate_claims, render_claims
-from .experiment import (
-    DEFAULT_SCALE,
-    QUICK_SCALE,
-    ExperimentRunner,
-    ExperimentScale,
-    default_runner,
-    with_quick_scale,
-)
 from .machreport import (
     MachineRow,
     machine_sensitivity,
@@ -37,12 +31,6 @@ __all__ = [
     "Claim",
     "evaluate_claims",
     "render_claims",
-    "DEFAULT_SCALE",
-    "QUICK_SCALE",
-    "ExperimentRunner",
-    "ExperimentScale",
-    "default_runner",
-    "with_quick_scale",
     "FIG16_POLICIES",
     "fig13a",
     "fig14",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .experiment import ExperimentRunner, default_runner
+from ..engine.session import SimulationSession
 from .figures import _avg_speedup
 
 
@@ -23,8 +23,7 @@ class Claim:
     note: str = ""
 
 
-def evaluate_claims(runner: ExperimentRunner | None = None) -> list[Claim]:
-    r = runner or default_runner()
+def evaluate_claims(session: SimulationSession) -> list[Claim]:
     claims: list[Claim] = []
 
     def add(name, paper, measured, holds, note=""):
@@ -32,8 +31,8 @@ def evaluate_claims(runner: ExperimentRunner | None = None) -> list[Claim]:
 
     # --- CCSI over CSMT (Fig. 14 averages) ---
     for nt, paper_ns, paper_as in ((2, 6.1, 8.7), (4, 3.5, 7.5)):
-        ns = _avg_speedup(r, "CCSI NS", "CSMT", nt)
-        as_ = _avg_speedup(r, "CCSI AS", "CSMT", nt)
+        ns = _avg_speedup(session, "CCSI NS", "CSMT", nt)
+        as_ = _avg_speedup(session, "CCSI AS", "CSMT", nt)
         add(
             f"CCSI NS avg speedup over CSMT ({nt}T)",
             paper_ns,
@@ -52,10 +51,10 @@ def evaluate_claims(runner: ExperimentRunner | None = None) -> list[Claim]:
     # --- COSI / OOSI over SMT (Fig. 15 averages) ---
     for nt, p in ((2, dict(cosi_ns=7.5, cosi_as=9.8, oosi_ns=8.2, oosi_as=13.0)),
                   (4, dict(cosi_ns=6.4, cosi_as=9.4, oosi_ns=7.9, oosi_as=15.7))):
-        cosi_ns = _avg_speedup(r, "COSI NS", "SMT", nt)
-        cosi_as = _avg_speedup(r, "COSI AS", "SMT", nt)
-        oosi_ns = _avg_speedup(r, "OOSI NS", "SMT", nt)
-        oosi_as = _avg_speedup(r, "OOSI AS", "SMT", nt)
+        cosi_ns = _avg_speedup(session, "COSI NS", "SMT", nt)
+        cosi_as = _avg_speedup(session, "COSI AS", "SMT", nt)
+        oosi_ns = _avg_speedup(session, "OOSI NS", "SMT", nt)
+        oosi_as = _avg_speedup(session, "OOSI AS", "SMT", nt)
         add(f"COSI NS avg speedup over SMT ({nt}T)", p["cosi_ns"], cosi_ns,
             cosi_ns > 0)
         add(f"COSI AS avg speedup over SMT ({nt}T)", p["cosi_as"], cosi_as,
@@ -78,9 +77,9 @@ def evaluate_claims(runner: ExperimentRunner | None = None) -> list[Claim]:
 
     # --- Fig. 16: cluster-merge vs op-merge gap shrinks with split ---
     for nt, paper_csmt_gap, paper_ccsi_gap in ((2, None, None), (4, 27.0, 13.0)):
-        smt = r.average_ipc("SMT", nt)
-        csmt = r.average_ipc("CSMT", nt)
-        ccsi = r.average_ipc("CCSI AS", nt)
+        smt = session.average_ipc("SMT", nt)
+        csmt = session.average_ipc("CSMT", nt)
+        ccsi = session.average_ipc("CCSI AS", nt)
         gap_before = 100.0 * (smt / csmt - 1.0)
         gap_after = 100.0 * (smt / ccsi - 1.0)
         if nt == 4:

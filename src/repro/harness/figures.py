@@ -24,13 +24,10 @@ issue slot of every cycle went (``docs/observability.md``).
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from ..arch.config import MEMORY_PRESETS
 from ..arch.scenarios import MACHINE_PRESETS
 from ..engine.session import SimulationSession
 from ..kernels.suite import BENCH_ORDER, get_meta
-from .experiment import DEFAULT_SCALE, ExperimentRunner, default_runner
 from .workloads import WORKLOAD_ORDER
 
 #: Policies each figure touches (single source of truth for the CLI's
@@ -51,18 +48,8 @@ FIG16_POLICIES = [
 ]
 
 
-def fig13a(scale: float | None = None, runner: ExperimentRunner | None = None):
+def fig13a(session: SimulationSession):
     """Per-benchmark single-thread IPC with real and perfect memory."""
-    runner = runner or default_runner()
-    session = runner.session
-    if scale is not None and scale != session.scale.kernel_scale:
-        # keep the runner's disk cache and hooks across the override
-        session = SimulationSession(
-            replace(session.scale, kernel_scale=scale),
-            session.cfg,
-            cache_dir=session.cache.root if session.cache else None,
-            hooks=session.hooks,
-        )
     rows = []
     for name in BENCH_ORDER:
         meta = get_meta(name)
@@ -96,10 +83,9 @@ def render_fig13a(rows) -> str:
     return "\n".join(out)
 
 
-def fig14(runner: ExperimentRunner | None = None):
+def fig14(session: SimulationSession):
     """CCSI speedup over CSMT (%), {NS, AS} x {2T, 4T} per workload
     (policies: FIG14_POLICIES)."""
-    runner = runner or default_runner()
     rows = []
     for nt in (2, 4):
         for w in WORKLOAD_ORDER:
@@ -107,25 +93,24 @@ def fig14(runner: ExperimentRunner | None = None):
                 {
                     "threads": nt,
                     "workload": w,
-                    "NS": runner.speedup("CCSI NS", "CSMT", w, nt),
-                    "AS": runner.speedup("CCSI AS", "CSMT", w, nt),
+                    "NS": session.speedup("CCSI NS", "CSMT", w, nt),
+                    "AS": session.speedup("CCSI AS", "CSMT", w, nt),
                 }
             )
         rows.append(
             {
                 "threads": nt,
                 "workload": "avg",
-                "NS": _avg_speedup(runner, "CCSI NS", "CSMT", nt),
-                "AS": _avg_speedup(runner, "CCSI AS", "CSMT", nt),
+                "NS": _avg_speedup(session, "CCSI NS", "CSMT", nt),
+                "AS": _avg_speedup(session, "CCSI AS", "CSMT", nt),
             }
         )
     return rows
 
 
-def fig15(runner: ExperimentRunner | None = None):
+def fig15(session: SimulationSession):
     """COSI and OOSI speedups over SMT (%), per workload
     (policies: FIG15_POLICIES)."""
-    runner = runner or default_runner()
     rows = []
     for nt in (2, 4):
         for w in WORKLOAD_ORDER:
@@ -133,28 +118,27 @@ def fig15(runner: ExperimentRunner | None = None):
                 {
                     "threads": nt,
                     "workload": w,
-                    "COSI NS": runner.speedup("COSI NS", "SMT", w, nt),
-                    "COSI AS": runner.speedup("COSI AS", "SMT", w, nt),
-                    "OOSI NS": runner.speedup("OOSI NS", "SMT", w, nt),
-                    "OOSI AS": runner.speedup("OOSI AS", "SMT", w, nt),
+                    "COSI NS": session.speedup("COSI NS", "SMT", w, nt),
+                    "COSI AS": session.speedup("COSI AS", "SMT", w, nt),
+                    "OOSI NS": session.speedup("OOSI NS", "SMT", w, nt),
+                    "OOSI AS": session.speedup("OOSI AS", "SMT", w, nt),
                 }
             )
         rows.append(
             {
                 "threads": nt,
                 "workload": "avg",
-                "COSI NS": _avg_speedup(runner, "COSI NS", "SMT", nt),
-                "COSI AS": _avg_speedup(runner, "COSI AS", "SMT", nt),
-                "OOSI NS": _avg_speedup(runner, "OOSI NS", "SMT", nt),
-                "OOSI AS": _avg_speedup(runner, "OOSI AS", "SMT", nt),
+                "COSI NS": _avg_speedup(session, "COSI NS", "SMT", nt),
+                "COSI AS": _avg_speedup(session, "COSI AS", "SMT", nt),
+                "OOSI NS": _avg_speedup(session, "OOSI NS", "SMT", nt),
+                "OOSI AS": _avg_speedup(session, "OOSI AS", "SMT", nt),
             }
         )
     return rows
 
 
-def fig16(runner: ExperimentRunner | None = None):
+def fig16(session: SimulationSession):
     """Average IPC of every multithreading technique, 2T and 4T."""
-    runner = runner or default_runner()
     rows = []
     for nt in (2, 4):
         for pol in FIG16_POLICIES:
@@ -162,7 +146,7 @@ def fig16(runner: ExperimentRunner | None = None):
                 {
                     "threads": nt,
                     "policy": pol,
-                    "ipc": runner.average_ipc(pol, nt),
+                    "ipc": session.average_ipc(pol, nt),
                 }
             )
     return rows
@@ -183,13 +167,12 @@ FIG_MEM_PRESETS = [
 
 
 def fig_mem(
-    runner: ExperimentRunner | None = None,
+    session: SimulationSession,
     presets=None,
     n_threads=(2, 4),
 ):
     """Memory-sensitivity figure: average IPC (over all nine workloads)
     of every multithreading technique under every memory preset."""
-    runner = runner or default_runner()
     if presets is None:
         presets = [p for p in FIG_MEM_PRESETS if p in MEMORY_PRESETS]
     rows = []
@@ -200,7 +183,7 @@ def fig_mem(
                     "threads": nt,
                     "policy": pol,
                     "ipc": {
-                        m: runner.average_ipc(pol, nt, memory=m)
+                        m: session.average_ipc(pol, nt, memory=m)
                         for m in presets
                     },
                 }
@@ -241,7 +224,7 @@ FIG_MACHINE_PRESETS = [
 
 
 def fig_machine(
-    runner: ExperimentRunner | None = None,
+    session: SimulationSession,
     machines=None,
     n_threads=(2, 4),
 ):
@@ -249,7 +232,6 @@ def fig_machine(
     workloads) of every multithreading technique on every machine
     scenario — the cross-machine scaling study no single-machine axis
     can produce."""
-    runner = runner or default_runner()
     if machines is None:
         machines = [m for m in FIG_MACHINE_PRESETS if m in MACHINE_PRESETS]
     rows = []
@@ -260,7 +242,7 @@ def fig_machine(
                     "threads": nt,
                     "policy": pol,
                     "ipc": {
-                        m: runner.average_ipc(pol, nt, machine=m)
+                        m: session.average_ipc(pol, nt, machine=m)
                         for m in machines
                     },
                 }
@@ -290,7 +272,7 @@ def render_fig_machine(rows) -> str:
 
 
 def fig_why(
-    runner: ExperimentRunner | None = None,
+    session: SimulationSession,
     workload: str = "llhh",
     n_threads: int = 4,
     policies=None,
@@ -302,10 +284,9 @@ def fig_why(
     checked on every row."""
     from ..obs.attribution import why_rows
 
-    runner = runner or default_runner()
     if policies is None:
         policies = FIG16_POLICIES
-    return why_rows(runner, policies, workload, n_threads)
+    return why_rows(session, policies, workload, n_threads)
 
 
 def render_fig_why(rows) -> str:
@@ -337,10 +318,10 @@ def render_fig_why(rows) -> str:
 
 
 def _avg_speedup(
-    runner: ExperimentRunner, policy: str, baseline: str, nt: int
+    session: SimulationSession, policy: str, baseline: str, nt: int
 ) -> float:
     vals = [
-        runner.speedup(policy, baseline, w, nt) for w in WORKLOAD_ORDER
+        session.speedup(policy, baseline, w, nt) for w in WORKLOAD_ORDER
     ]
     return sum(vals) / len(vals)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..arch.config import MEMORY_PRESETS
+from ..engine.session import SimulationSession
 from ..pipeline.stats import SimStats
 
 
@@ -31,7 +32,7 @@ class MemRow:
 
 
 def memory_sensitivity(
-    runner,
+    session: SimulationSession,
     policy: str,
     workload: str,
     n_threads: int,
@@ -41,7 +42,7 @@ def memory_sensitivity(
     if presets is None:
         presets = list(MEMORY_PRESETS)
     return [
-        MemRow(p, runner.run(policy, workload, n_threads, memory=p))
+        MemRow(p, session.run(policy, workload, n_threads, memory=p))
         for p in presets
     ]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.policies import Policy, get_policy
-from .experiment import ExperimentRunner, default_runner
+from ..engine.session import SimulationSession
 
 
 @dataclass
@@ -28,16 +28,15 @@ class WasteRow:
 
 
 def waste_breakdown(
+    session: SimulationSession,
     policies: list[str | Policy],
     workload: str,
     n_threads: int,
-    runner: ExperimentRunner | None = None,
 ) -> list[WasteRow]:
-    runner = runner or default_runner()
     rows = []
     for pol in policies:
         p = get_policy(pol) if isinstance(pol, str) else pol
-        s = runner.run(p, workload, n_threads)
+        s = session.run(p, workload, n_threads)
         width = s.issue_width
         active = s.cycles - s.vertical_waste
         horiz = (

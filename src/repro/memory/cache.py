@@ -14,8 +14,8 @@ paper's flat 20-cycle figure.
 Each set is an insertion-ordered dict ``{line: dirty}`` with the MRU
 entry last: a hit is one dict pop + reinsert (O(1)) instead of the
 O(assoc) ``list.index`` scan of the earlier list-based implementation
-(``benchmarks/bench_memory.py`` tracks the delta), and the dict value
-doubles as the dirty bit.
+(``tests/test_cache.py`` checks it against a list-based LRU model), and
+the dict value doubles as the dirty bit.
 
 Multithreaded sharing: the SMT pipeline shares one ICache and one DCache
 among all hardware threads, so the model is thread-oblivious (the

@@ -17,7 +17,12 @@ the stacked-bar rendering ``repro fig why`` shares.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..pipeline.stats import ATTRIBUTION_CATEGORIES, SimStats
+
+if TYPE_CHECKING:
+    from ..engine.session import SimulationSession
 
 #: one-character glyph per category for text stacked bars
 CATEGORY_GLYPHS = {
@@ -98,7 +103,7 @@ def attribution_bar(fractions: dict[str, float], width: int = 32) -> str:
 
 
 def why_rows(
-    runner,
+    session: SimulationSession,
     policies,
     workload: str,
     n_threads: int,
@@ -107,12 +112,10 @@ def why_rows(
 ) -> list[dict]:
     """Attribution breakdown per policy for one (workload, nt) cell.
 
-    ``runner`` is an :class:`~repro.harness.experiment.ExperimentRunner`
-    or anything exposing ``.session``; each policy costs one
-    reference-loop simulation (memoised: a cached result that already
-    carries attribution is reused).
+    Each policy costs one reference-loop simulation in ``session``
+    (memoised: a cached result that already carries attribution is
+    reused).
     """
-    session = getattr(runner, "session", runner)
     rows = []
     for pol in policies:
         s = session.attribute(pol, workload, n_threads, memory, machine)

@@ -6,9 +6,20 @@ import pytest
 
 from repro.arch.config import PAPER_MACHINE, ClusterConfig, MachineConfig
 from repro.compiler.pipeline import compile_kernel
+from repro.engine import QUICK_SCALE, SimulationSession
 from repro.pipeline.trace import record_trace
 
 from _kernels import make_axpy, make_wide
+
+
+@pytest.fixture(scope="session")
+def quick_session():
+    """One session that holds the quick Fig. 13b matrix (swept on two
+    workers), shared by the golden-digest and figure-shape tests."""
+    session = SimulationSession(QUICK_SCALE, jobs=2)
+    session.sweep()
+    yield session
+    session.close()
 
 
 @pytest.fixture(scope="session")

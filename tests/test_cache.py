@@ -286,3 +286,31 @@ def test_hits_plus_misses_equals_accesses(addrs):
     for a in addrs:
         c.access(a)
     assert c.hits + c.misses == len(addrs) == c.accesses
+
+
+@given(st.lists(st.tuples(st.integers(0, 1 << 12), st.booleans()),
+                min_size=1, max_size=400))
+def test_matches_list_lru_model(stream):
+    """Every counter agrees with a plain list-based LRU (front = MRU)
+    with write-allocate and dirty-victim writebacks."""
+    c = small_cache(assoc=4, lines=4)
+    sets = [[] for _ in range(4)]
+    dirty = set()
+    hits = misses = writebacks = 0
+    for addr, write in stream:
+        line = addr >> 5
+        ways = sets[line & 3]
+        if line in ways:
+            hits += 1
+            ways.remove(line)
+        else:
+            misses += 1
+            if len(ways) == 4:
+                victim = ways.pop()
+                writebacks += victim in dirty
+                dirty.discard(victim)
+        ways.insert(0, line)
+        if write:
+            dirty.add(line)
+        c.access(addr, write)
+    assert (c.hits, c.misses, c.writebacks) == (hits, misses, writebacks)

@@ -1,6 +1,8 @@
 """The engine layer: session memoisation, disk cache, parallel sweeps,
 hooks, and stats serialization (repro.engine)."""
 
+import time
+
 import pytest
 
 from repro.arch.config import CacheConfig, MachineConfig, PAPER_MACHINE
@@ -150,16 +152,31 @@ def test_warm_sweep_runs_zero_simulations(tmp_path):
     assert len(out) == 2
 
 
-def test_experiment_runner_rejects_session_with_knobs():
-    from repro.harness.experiment import ExperimentRunner
-
-    shared = SimulationSession(TINY)
-    wrapped = ExperimentRunner(session=shared)
-    assert wrapped.session is shared
-    with pytest.raises(ValueError):
-        ExperimentRunner(TINY, session=shared)
-    with pytest.raises(ValueError):
-        ExperimentRunner(jobs=2, session=shared)
+def test_pool_reused_across_sweeps():
+    """Consecutive sweeps on one session share one worker pool, and a
+    warm (fully cached) sweep costs almost nothing."""
+    kw = dict(
+        policies=["SMT", "CSMT"],
+        workloads=["llll", "llhh", "hhhh"],
+        n_threads=(2,),
+    )
+    s = SimulationSession(TINY, jobs=2)
+    try:
+        t0 = time.perf_counter()
+        s.sweep(**kw)
+        cold = time.perf_counter() - t0
+        pool = s._pool
+        assert pool is not None
+        # a second sweep with new cells must reuse the same executor
+        s.sweep(**dict(kw, workloads=["mmmm"]))
+        assert s._pool is pool
+        t0 = time.perf_counter()
+        s.sweep(**kw)  # warm: memo hits only
+        warm = time.perf_counter() - t0
+        assert s.simulations == 8  # 6 + 2: nothing re-simulated
+        assert warm < max(cold, 0.05)
+    finally:
+        s.close()
 
 
 # ---------------------------------------------------------------- hooks

@@ -1,14 +1,13 @@
 """Simulated results are pinned: a per-cell ``SimStats`` digest for the
-quick Fig. 13b matrix and one cell per memory and machine preset, so a
-change to the reference loop or the memory model names the cells it
-moves.  Regenerate with ``PYTHONPATH=src python tests/_golden.py``."""
+quick Fig. 13b matrix, one cell per memory and machine preset and two
+small-L1 cells, so a change to the simulator or the memory model names
+the cells it moves.  Regenerate with
+``PYTHONPATH=src python tests/_golden.py``."""
 
 import json
 from pathlib import Path
 
 import pytest
-
-from repro.engine import QUICK_SCALE, SimulationSession
 
 from _golden import GOLDEN_PATH, cell_digests
 
@@ -17,12 +16,8 @@ _PERFBENCH = Path(__file__).parent.parent / "perfbench" / "expected.json"
 
 
 @pytest.fixture(scope="module")
-def digests():
-    session = SimulationSession(QUICK_SCALE, jobs=2)
-    try:
-        yield cell_digests(session)
-    finally:
-        session.close()
+def digests(quick_session):
+    return cell_digests(quick_session)
 
 
 def test_cell_digests_match_golden(digests):

@@ -1,12 +1,16 @@
-"""Experiment harness: workloads, runner memoisation, figure structure."""
+"""Experiment harness: workloads, session memoisation, figure structure
+and the paper's figure shapes at quick scale."""
 
 import pytest
 
-from repro.harness.experiment import (
-    ExperimentRunner,
-    ExperimentScale,
+from repro.engine import ExperimentScale, SimulationSession
+from repro.harness.figures import (
+    FIG16_POLICIES,
+    fig13a,
+    fig14,
+    fig15,
+    fig16,
 )
-from repro.harness.figures import FIG16_POLICIES, fig14, fig15, fig16
 from repro.harness.workloads import (
     WORKLOAD_ORDER,
     WORKLOADS,
@@ -21,7 +25,7 @@ TINY = ExperimentScale(
 
 @pytest.fixture(scope="module")
 def runner():
-    return ExperimentRunner(TINY)
+    return SimulationSession(TINY)
 
 
 def test_nine_workloads_in_paper_order():
@@ -90,7 +94,7 @@ def test_average_ipc_positive(runner):
 
 
 def test_fig14_structure(runner):
-    rows = fig14(runner=runner)
+    rows = fig14(runner)
     assert len(rows) == 2 * (len(WORKLOAD_ORDER) + 1)
     for r in rows:
         assert set(r) == {"threads", "workload", "NS", "AS"}
@@ -99,14 +103,14 @@ def test_fig14_structure(runner):
 
 
 def test_fig15_structure(runner):
-    rows = fig15(runner=runner)
+    rows = fig15(runner)
     assert len(rows) == 2 * (len(WORKLOAD_ORDER) + 1)
     for r in rows:
         assert {"COSI NS", "COSI AS", "OOSI NS", "OOSI AS"} <= set(r)
 
 
 def test_fig16_structure(runner):
-    rows = fig16(runner=runner)
+    rows = fig16(runner)
     assert len(rows) == 2 * len(FIG16_POLICIES)
     for r in rows:
         assert r["ipc"] > 0
@@ -124,3 +128,37 @@ def test_smt_beats_csmt_on_average(runner):
 def test_four_threads_beat_two(runner):
     for pol in ("CSMT", "SMT"):
         assert runner.average_ipc(pol, 4) > runner.average_ipc(pol, 2) * 0.95
+
+
+# --------------------------------------------- paper shapes, quick scale
+def test_fig13a_ipcp_ordered_by_ilp_class(quick_session):
+    """Fig. 13a: mean perfect-memory IPC rises with the ILP class."""
+    by_class: dict[str, list[float]] = {}
+    for r in fig13a(quick_session):
+        by_class.setdefault(r["ilp"], []).append(r["ipcp"])
+    mean = {c: sum(v) / len(v) for c, v in by_class.items()}
+    assert mean["l"] < mean["m"] < mean["h"]
+
+
+def test_fig14_ccsi_as_speeds_up_csmt_on_average(quick_session):
+    for r in fig14(quick_session):
+        if r["workload"] == "avg":
+            assert r["AS"] > -0.5
+
+
+def test_fig15_oosi_as_is_the_best_split_on_average(quick_session):
+    for r in fig15(quick_session):
+        if r["workload"] == "avg":
+            assert r["OOSI AS"] >= r["COSI AS"] - 1.0
+
+
+def test_fig16_split_narrows_the_op_merge_gap(quick_session):
+    """Fig. 16: op-level merging beats cluster-level merging, and
+    split-issue narrows the gap."""
+    ipc = {(r["threads"], r["policy"]): r["ipc"]
+           for r in fig16(quick_session)}
+    for nt in (2, 4):
+        assert ipc[nt, "SMT"] > ipc[nt, "CSMT"] * 0.98
+        gap_before = ipc[nt, "SMT"] / ipc[nt, "CSMT"]
+        gap_after = ipc[nt, "SMT"] / ipc[nt, "CCSI AS"]
+        assert gap_after <= gap_before + 0.02

@@ -713,15 +713,13 @@ def test_mshr_preset_changes_results_and_reports(session):
 
 # ----------------------------------------------------------- reporting
 def test_memory_sensitivity_report(session):
-    from repro.harness.experiment import ExperimentRunner
     from repro.harness.memreport import (
         memory_sensitivity,
         render_memory_levels,
         render_memory_report,
     )
 
-    runner = ExperimentRunner(session=session)
-    rows = memory_sensitivity(runner, "SMT", "llll", 2,
+    rows = memory_sensitivity(session, "SMT", "llll", 2,
                               presets=["paper", "l2"])
     assert [r.preset for r in rows] == ["paper", "l2"]
     text = render_memory_report(rows, "SMT", "llll", 2)
@@ -740,11 +738,9 @@ def test_memory_report_renders_mshr_and_writeback(session):
 
 
 def test_fig_mem(session):
-    from repro.harness.experiment import ExperimentRunner
     from repro.harness.figures import fig_mem, render_fig_mem
 
-    runner = ExperimentRunner(session=session)
-    rows = fig_mem(runner, presets=["paper", "mshr"], n_threads=(2,))
+    rows = fig_mem(session, presets=["paper", "mshr"], n_threads=(2,))
     assert len(rows) == 8  # all eight policies
     assert all(set(r["ipc"]) == {"paper", "mshr"} for r in rows)
     assert all(r["ipc"]["paper"] > 0 for r in rows)

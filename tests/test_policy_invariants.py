@@ -110,3 +110,46 @@ def test_cosi_between_smt_and_oosi(mixed_traces):
     oosi = run(OOSI_AS, mixed_traces).ipc
     assert cosi >= smt * 0.97
     assert oosi >= cosi * 0.97
+
+
+# ------------------------------------------------------- design ablations
+#: an llmh-style mix, the workload the design ablations run on
+ABLATION_MIX = ("mcf", "cjpeg", "x264", "colorspace")
+
+
+def _ablation_run(policy, names=ABLATION_MIX, **kw):
+    params = dict(target_instructions=3_000, timeslice=1_500, seed=99)
+    params.update(kw)
+    traces = [get_trace(n, scale=0.15) for n in names]
+    return Processor(policy, traces, 4, params=SimParams(**params)).run()
+
+
+def test_renaming_does_not_hurt_a_mixed_workload():
+    """Cluster renaming de-biases the compiler's favourite clusters
+    across threads (paper §IV uses it everywhere)."""
+    on = _ablation_run(CCSI_AS, renaming=True).ipc
+    off = _ablation_run(CCSI_AS, renaming=False).ipc
+    assert on >= off * 0.97
+
+
+def test_round_robin_priority_is_fairer_than_fixed():
+    """Fixed merge priority trades fairness for raw IPC: the slowest
+    thread progresses at least half as well under round-robin."""
+    rr = _ablation_run(CCSI_AS, priority="round-robin")
+    fx = _ablation_run(CCSI_AS, priority="fixed")
+    rr_min = min(b.instructions for b in rr.per_bench.values())
+    fx_min = min(b.instructions for b in fx.per_bench.values())
+    assert rr_min >= fx_min * 0.5
+
+
+def test_ns_as_gap_grows_with_ilp():
+    """High-ILP code uses inter-cluster copies more, so splitting them
+    (AS) buys more there (paper §VI-B)."""
+    def gap(names):
+        ipc = {p.name: _ablation_run(p, names).ipc
+               for p in (CSMT, CCSI_NS, CCSI_AS)}
+        return 100 * (ipc["CCSI AS"] - ipc["CCSI NS"]) / ipc["CSMT"]
+
+    low = gap(("mcf", "bzip2", "blowfish", "gsmencode"))    # llll
+    high = gap(("x264", "idct", "imgpipe", "colorspace"))   # hhhh
+    assert high >= low - 1.0
