@@ -19,10 +19,17 @@ Unlike a bare ``pool.map``, one sick cell cannot destroy the sweep
 * every cell is a ``submit()`` future with a per-cell timeout
   (:class:`RetryPolicy.cell_timeout`) and a bounded retry budget with
   deterministic exponential backoff;
+* without a per-cell timeout the pool keeps one queued cell per
+  worker (``2 × jobs`` futures in flight), so a worker that finishes
+  a cell starts the next while the parent adopts the result; with a
+  timeout at most ``jobs`` are in flight, so a deadline starts at
+  about the time its cell starts;
 * a worker crash (``BrokenProcessPool``) respawns the pool and
   re-enqueues the in-flight cells — a crash is never attributable to
-  one cell, so nobody *fails* on crash evidence alone (attempt numbers
-  still advance, so attempt-matched transient faults make progress);
+  one cell, so nobody *fails* on crash evidence alone (the oldest
+  ``jobs`` in-flight cells, the ones running, have their attempt
+  numbers advance, so attempt-matched transient faults make progress;
+  cells still queued behind them are refunded);
   a cell that trips its own timeout *is* attributable and can exhaust
   its budget; after :attr:`RetryPolicy.pool_death_limit` pool deaths
   the sweep degrades to in-process execution, where every remaining
@@ -134,9 +141,10 @@ def cell_label(spec: tuple) -> str:
 #: scale its machine-rescaled timeslice; ``reference``/``run_loop``
 #: forward the session's run-loop choice (results are bit-identical
 #: across tiers, but the session must honour its contract);
-#: ``spec_src`` is the parent's pre-warmed ``(loop_key, source)``
-#: specialisation payload, or ``None`` — compiled code objects do not
-#: pickle, so workers ship *source* and compile locally; ``cell_id`` /
+#: ``spec_src`` is the parent's pre-warmed ``(loop_key, source,
+#: verified)`` specialisation payload, or ``None`` — compiled code
+#: objects do not pickle, so workers ship *source* and compile it
+#: locally, skipping ``loopcheck`` for text the parent verified; ``cell_id`` /
 #: ``attempt`` / ``fault_plan`` drive deterministic fault injection
 #: (:mod:`repro.engine.faults`).
 _CellPayload = tuple
@@ -392,32 +400,52 @@ def _spec_coords(spec: tuple) -> tuple:
     )
 
 
-def _materialise_bundles(session, specs: list[tuple]) -> None:
+def _materialise_bundles(session, specs: list[tuple]) -> list:
     """Build the trace bundles of cells about to simulate in this
-    process's memo, loading them from the store (or recording them).
-    Result keys come from the fingerprint index without bundles, and
-    pool workers have no store: they inherit the memo when the pool
-    forks, so a bundle left to a worker would re-run the functional VM
-    there."""
+    process's memo, loading them from the store (or recording them),
+    and return them.  Result keys come from the fingerprint index
+    without bundles, and pool workers have no store: they inherit the
+    memo when the pool forks, so a bundle left to a worker would re-run
+    the functional VM there."""
+    bundles = []
     for spec in specs:
         _, machine = _spec_coords(spec)
-        session._bundles(session.workload_members(spec[1]), machine)
+        bundles += session._bundles(
+            session.workload_members(spec[1]), machine
+        )
+    return bundles
 
 
-def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
-    """Drive ``pending`` cells through a self-healing process pool."""
+def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int,
+                bundles: list) -> None:
+    """Drive ``pending`` cells, whose trace bundles are ``bundles``,
+    through a self-healing process pool."""
     session, retry = run.session, run.retry
     queue: deque[tuple] = deque(pending)
     # the pool is session-owned and survives this sweep: consecutive
     # sweep() calls on one session reuse warm workers (numpy + the
-    # simulator pre-imported by _pool_warm_init)
+    # simulator pre-imported by _pool_warm_init), unless they were
+    # forked without one of this sweep's bundles
+    if session._pool_forked_without(bundles):
+        session.close()
     pool = session._ensure_pool(jobs)
     pool_deaths = 0
-    inflight: dict = {}          # future -> spec
+    # without a deadline to keep honest, one queued cell per worker
+    # lets a worker start its next cell while the parent adopts the
+    # last one; with one, a submitted cell must be (approximately) a
+    # *running* cell, so its timeout clock does not start while queued
+    cap = jobs if retry.cell_timeout is not None else 2 * jobs
+    inflight: dict = {}          # future -> spec, in submission order
     deadlines: dict = {}         # future -> monotonic deadline
     fault_plan = session.fault_plan.encode()
+    # the pool phase, first submit to last adoption, and the worker
+    # seconds its adopted cells took (the digest's ``pool busy``)
+    phase_start: float | None = None
+    phase_end: float | None = None
+    busy_s = 0.0
 
     def submit(spec) -> bool:
+        nonlocal phase_start
         attempt = run.charge(spec)
         payload = (
             *_payload_base(session, spec),
@@ -429,6 +457,8 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
             run.refund(spec)
             queue.appendleft(spec)
             return False
+        if phase_start is None:
+            phase_start = time.monotonic()
         inflight[fut] = spec
         if retry.cell_timeout is not None:
             deadlines[fut] = time.monotonic() + retry.cell_timeout
@@ -446,8 +476,9 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
         failed on crash evidence alone — a persistent crasher is
         convicted by the attributable in-process attempt after
         ``pool_death_limit`` deaths degrade the sweep.  ``bystanders``
-        (cells sharing a pool with a hung worker) get their attempt
-        refunded and re-enqueued."""
+        (cells sharing a pool with a hung worker, or queued behind the
+        running cells of a crashed one) get their attempt refunded and
+        re-enqueued."""
         nonlocal pool, pool_deaths
         pool_deaths += 1
         _kill_pool(pool)
@@ -485,6 +516,13 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
             )
             pool = session._ensure_pool(jobs)
 
+    def on_crash() -> None:
+        """A worker died: the executor dispatches FIFO, so the oldest
+        ``jobs`` in-flight cells were the running ones and the rest
+        were still queued behind them."""
+        aboard = list(inflight.values())
+        on_pool_death("crash", aboard[:jobs], aboard[jobs:])
+
     ok = False
     try:
         while queue or inflight:
@@ -492,12 +530,9 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
                 _run_serial(run, list(queue))
                 queue.clear()
                 break
-            # keep at most `jobs` futures in flight so a submitted
-            # cell is (approximately) a *running* cell — its timeout
-            # clock must not start while queued behind others
             now = time.monotonic()
             blocked_until: list[float] = []
-            while queue and len(inflight) < jobs:
+            while queue and len(inflight) < cap:
                 spec = queue[0]
                 nb = run.not_before.get(spec)
                 if nb is not None and nb > now:
@@ -516,7 +551,7 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
                     # the pool broke between waits: everything already
                     # in flight rode it down (the cell we tried to
                     # submit was refunded and re-queued by submit())
-                    on_pool_death("crash", list(inflight.values()))
+                    on_crash()
                     break
                 now = time.monotonic()
             if not inflight:
@@ -554,26 +589,23 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
                     )
                     on_pool_death("timeout", hung, bystanders)
                 continue
-            broken: list = []
+            broken = False
             for fut in done:
-                spec = inflight.pop(fut)
-                deadlines.pop(fut, None)
+                spec = inflight[fut]
                 try:
                     cell = fut.result()
                 except BrokenProcessPool:
-                    broken.append(spec)
+                    # stays in flight: on_crash() needs its place in
+                    # the submission order
+                    broken = True
                     continue
                 except Exception as e:  # pickling error etc.
-                    run.note_error(
-                        spec, "error", f"{type(e).__name__}: {e}"
-                    )
-                    if run.exhausted(spec):
-                        run.fail(spec, "error",
-                                 f"{type(e).__name__}: {e}")
-                    else:
-                        run.backoff(spec)
-                        queue.append(spec)
-                    continue
+                    cell = {"error": {
+                        "category": "error",
+                        "message": f"{type(e).__name__}: {e}",
+                    }}
+                del inflight[fut]
+                deadlines.pop(fut, None)
                 if "error" in cell:
                     err = cell["error"]
                     run.note_error(
@@ -590,13 +622,18 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int) -> None:
                     spec, SimStats.from_dict(cell["stats"]),
                     run.attempts.get(spec, 1), cell["telemetry"],
                 )
+                phase_end = time.monotonic()
+                busy_s += cell["telemetry"].get("wall_s", 0.0)
             if broken:
                 # one worker death breaks every outstanding future;
                 # everything still inflight rode the same dead pool
-                victims = broken + list(inflight.values())
-                on_pool_death("crash", victims)
+                on_crash()
         ok = True
     finally:
+        if phase_start is not None and phase_end is not None:
+            session.telemetry.note_pool_phase(
+                jobs, phase_end - phase_start, busy_s
+            )
         # a clean exit leaves the warm pool on the session for the
         # next sweep; an abort/interrupt may strand running workers,
         # so the pool is killed rather than inherited
@@ -680,14 +717,14 @@ def run_matrix(
                     run.results[spec] = stats
                 else:
                     pending.append(spec)
-            _materialise_bundles(session, pending)
+            bundles = _materialise_bundles(session, pending)
             log.debug(
                 "matrix: %d cells, %d cached, %d to simulate on %d "
                 "workers",
                 len(specs), len(run.results), len(pending), jobs,
             )
             if pending:
-                _run_pooled(run, pending, jobs)
+                _run_pooled(run, pending, jobs, bundles)
         outcome = "sweep-complete"
     except SweepAborted:
         outcome = "sweep-aborted"

@@ -144,6 +144,8 @@ class SimulationSession:
         #: simulator); ``close()`` releases it
         self._pool = None
         self._pool_jobs = 0
+        #: the trace bundles the pool's workers inherited
+        self._pool_bundles: list = []
         self._memo: dict[tuple, SimStats] = {}
         #: machine configs resolved per (machine preset, memory preset)
         #: sweep-axis coordinate, derived from the session config /
@@ -169,6 +171,7 @@ class SimulationSession:
         from the request is replaced."""
         from concurrent.futures import ProcessPoolExecutor
 
+        from ..kernels.suite import memoised_traces
         from .runner import _pool_warm_init
 
         if self._pool is not None and self._pool_jobs != jobs:
@@ -179,7 +182,20 @@ class SimulationSession:
                 max_workers=jobs, initializer=_pool_warm_init
             )
             self._pool_jobs = jobs
+            # the workers fork at the first submit, so they hold at
+            # least these
+            self._pool_bundles = memoised_traces()
         return self._pool
+
+    def _pool_forked_without(self, bundles) -> bool:
+        """Whether the pool's workers were forked without one of
+        ``bundles`` (they get bundles only by inheriting this
+        process's trace memo, so they would re-run the functional VM
+        for it)."""
+        held = self._pool_bundles
+        return self._pool is not None and any(
+            not any(b is h for h in held) for b in bundles
+        )
 
     def _discard_pool(self) -> None:
         """Forget the pool without joining it (the runner already
@@ -476,14 +492,17 @@ class SimulationSession:
         memory: str | None = None,
         machine: str | None = None,
     ) -> tuple | None:
-        """Generate + compile the specialised run loop for one cell in
-        *this* process and return the picklable ``(key, source)``
-        payload a pool worker installs with
+        """Generate, verify + compile the specialised run loop for one
+        cell in *this* process and return the picklable
+        ``(key, source, verified)`` payload a pool worker installs with
         :func:`repro.pipeline.specialize.adopt_source` — workers then
         compile shipped source instead of re-deriving it (code objects
-        do not pickle).  Returns ``None`` when the session's run-loop
-        tier never specialises or generation failed (workers fall back
-        exactly like the parent would)."""
+        do not pickle), and skip ``loopcheck`` when ``verified`` says
+        the parent already ran it on this text.  Returns ``None`` when
+        the session's run-loop tier never specialises or generation
+        failed or was rejected, so a worker never receives source the
+        parent would not execute (it falls back exactly like the
+        parent would)."""
         if self.run_loop in ("fast", "reference") or self.reference:
             return None
         from ..pipeline import specialize
@@ -506,7 +525,7 @@ class SimulationSession:
             if specialize.STRICT:
                 raise
             return None
-        return key, src
+        return key, src, specialize.VERIFY
 
     def lookup(
         self,

@@ -21,7 +21,9 @@ record is also appended as one JSON line, so a sweep's telemetry
 survives the process and ``repro stats`` can aggregate it later.
 :func:`summarize` / :func:`render_summary` produce the sweep-end
 digest ("N simulated / M disk / K memo, p50/p95 cell wall time, tier
-mix").
+mix").  A pooled sweep also notes its pool phase (first submit to last
+adoption) in memory, and the digest reports how busy the workers were
+during it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ class TelemetryLedger:
 
     path: str | None = None
     records: list[dict] = field(default_factory=list)
+    #: ``(jobs, wall_s, busy_s)`` per pooled sweep: the pool phase's
+    #: wall time and its cells' summed worker-reported ``wall_s``
+    pool_phases: list[tuple[int, float, float]] = field(
+        default_factory=list
+    )
 
     def record(self, **fields) -> dict:
         """Add one record; stamps the recording process's PID unless
@@ -57,8 +64,13 @@ class TelemetryLedger:
         ledger, preserving its ``worker`` field."""
         return self.record(**record)
 
+    def note_pool_phase(self, jobs: int, wall_s: float,
+                        busy_s: float) -> None:
+        """Record one pooled sweep's pool phase."""
+        self.pool_phases.append((jobs, wall_s, busy_s))
+
     def summary(self) -> dict:
-        return summarize(self.records)
+        return summarize(self.records, self.pool_phases)
 
 
 def load_jsonl(path: str | Path) -> list[dict]:
@@ -86,8 +98,12 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[min(rank, len(ordered)) - 1]
 
 
-def summarize(records: list[dict]) -> dict:
-    """Aggregate a record list into the sweep-end digest."""
+def summarize(records: list[dict], pool_phases=()) -> dict:
+    """Aggregate a record list into the sweep-end digest.
+    ``pool_busy`` is the share of the pool phases' worker time
+    (``jobs`` × phase wall) spent in cells, or ``None`` without a
+    pooled phase."""
+    capacity = sum(jobs * wall for jobs, wall, _ in pool_phases)
     sources = {"memo": 0, "disk": 0, "simulated": 0, "failed": 0}
     tiers: dict[str, int] = {}
     failure_categories: dict[str, int] = {}
@@ -121,6 +137,10 @@ def summarize(records: list[dict]) -> dict:
         "wall_p95_s": percentile(walls, 95),
         "spec_total_s": spec_s,
         "workers": len(workers),
+        "pool_busy": (
+            sum(busy for _, _, busy in pool_phases) / capacity
+            if capacity > 0 else None
+        ),
     }
 
 
@@ -131,7 +151,12 @@ def render_summary(summary: dict) -> str:
         f"# telemetry: {summary['cells']} cells — "
         f"{s['simulated']} simulated / {s['disk']} disk / "
         f"{s['memo']} memo ({summary['workers']} worker"
-        f"{'s' if summary['workers'] != 1 else ''})"
+        f"{'s' if summary['workers'] != 1 else ''}"
+        + (
+            f", pool busy {100 * summary['pool_busy']:.0f}%"
+            if summary.get("pool_busy") is not None else ""
+        )
+        + ")"
     ]
     if s["simulated"]:
         tiers = ", ".join(

@@ -61,9 +61,12 @@ logging tree (set ``REPRO_SPECIALIZE_STRICT=1`` to re-raise instead,
 e.g. in CI — a bad generation is then rejected before it executes).
 
 Process-pool sweeps cannot pickle code objects, so workers ship
-*source*: the parent pre-warms :func:`source_for` per distinct cell
-and the worker installs the text with :func:`adopt_source` before its
-first ``run()`` (see ``repro.engine.runner``).
+*source*: the parent pre-warms :func:`source_for` per distinct cell,
+verifies it once, and the worker installs the text together with that
+verdict with :func:`adopt_source` before its first ``run()`` (see
+``repro.engine.runner``).  Verified source compiles without a second
+check; source adopted without a verdict is checked like a fresh
+generation.
 """
 
 from __future__ import annotations
@@ -93,6 +96,9 @@ STRICT = bool(os.environ.get("REPRO_SPECIALIZE_STRICT"))
 VERIFY = os.environ.get("REPRO_SPECIALIZE_VERIFY", "1") != "0"
 
 _sources: dict[tuple, str] = {}
+#: keys whose ``_sources`` text arrived with another process's
+#: passing ``loopcheck`` verdict
+_verified: set[tuple] = set()
 _loops: dict[tuple, object] = {}
 _stats = {"hits": 0, "misses": 0, "failures": 0, "rejected": 0}
 
@@ -104,6 +110,7 @@ def cache_info() -> dict:
 
 def clear_cache() -> None:
     _sources.clear()
+    _verified.clear()
     _loops.clear()
     _stats.update(hits=0, misses=0, failures=0, rejected=0)
 
@@ -155,9 +162,16 @@ def source_for(
     return key, src
 
 
-def adopt_source(key, source: str) -> None:
-    """Install pre-generated source shipped from another process."""
-    _sources.setdefault(tuple(key), source)
+def adopt_source(key, source: str, verified: bool = False) -> None:
+    """Install pre-generated source shipped from another process.
+
+    ``verified=True`` says the sender's :func:`get_specialized_loop`
+    already passed this exact text through ``loopcheck``; it then
+    compiles here without a second check.  The verdict is dropped if
+    this process already holds other text for ``key``."""
+    key = tuple(key)
+    if _sources.setdefault(key, source) == source and verified:
+        _verified.add(key)
 
 
 def get_specialized_loop(
@@ -172,7 +186,8 @@ def get_specialized_loop(
     caller then uses ``_run_fast``).  Both outcomes are memoised by
     :func:`loop_key`.
 
-    Every fresh generation is verified by
+    Every fresh generation, and every source adopted without a
+    verdict, is verified by
     :func:`repro.analysis.loopcheck.check_source` *before* ``exec()``:
     a loop with an unexpected free name, an unprovable exit edge or an
     inlined literal that disagrees with the resolved spec is never
@@ -199,7 +214,7 @@ def get_specialized_loop(
                 policy, cfg, params, n_threads, n_benches
             )
             _sources[key] = src
-        if VERIFY:
+        if VERIFY and key not in _verified:
             # imported late: analysis.loopcheck imports this module
             from ..analysis import loopcheck
 

@@ -167,16 +167,52 @@ def test_pool_reused_across_sweeps():
         cold = time.perf_counter() - t0
         pool = s._pool
         assert pool is not None
-        # a second sweep with new cells must reuse the same executor
-        s.sweep(**dict(kw, workloads=["mmmm"]))
+        # a second sweep with new cells over kernels the workers
+        # already hold must reuse the same executor
+        s.sweep(**dict(kw, policies=["CCSI AS"]))
         assert s._pool is pool
         t0 = time.perf_counter()
         s.sweep(**kw)  # warm: memo hits only
         warm = time.perf_counter() - t0
-        assert s.simulations == 8  # 6 + 2: nothing re-simulated
+        assert s.simulations == 9  # 6 + 3: nothing re-simulated
         assert warm < max(cold, 0.05)
     finally:
         s.close()
+
+
+def test_pool_respawned_for_new_kernels(tmp_path, monkeypatch):
+    """Workers get trace bundles only by forking: a sweep over kernels
+    the session's workers were forked without respawns the pool, so
+    the new traces are recorded once, in the parent, and never in a
+    worker."""
+    import os
+
+    from repro.kernels import suite
+
+    log = tmp_path / "recordings"
+    real = suite.record_trace
+
+    def logged(*a, **k):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*a, **k)
+
+    # patched before any pool forks, so workers inherit the wrapper
+    monkeypatch.setattr(suite, "record_trace", logged)
+    suite.clear_trace_cache()
+    s = SimulationSession(TINY, jobs=2)
+    try:
+        s.sweep(policies=["SMT", "CSMT"], workloads=["llll"],
+                n_threads=(2,))
+        pool = s._pool
+        s.sweep(policies=["SMT", "CSMT"], workloads=["mmmm"],
+                n_threads=(2,))
+        assert s._pool is not pool
+    finally:
+        s.close()
+    pids = log.read_text().split()
+    assert pids, "the parent records the traces"
+    assert set(pids) == {str(os.getpid())}
 
 
 # ---------------------------------------------------------------- hooks

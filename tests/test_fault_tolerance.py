@@ -92,6 +92,40 @@ def test_persistent_crash_becomes_recorded_failure(baseline):
     }
 
 
+def test_crash_refunds_cells_queued_behind_running_ones(monkeypatch):
+    """Without a cell timeout the pool keeps one queued cell per worker,
+    so 4 cells ride 2 workers.  A crash charges the 2 running ones (the
+    oldest, since dispatch is FIFO); the 2 queued behind them are
+    refunded and keep attempt 1."""
+    from repro.engine import runner
+
+    adopted = {}
+    real = runner._MatrixRun.adopt
+
+    def spy(self, spec, stats, attempt, telemetry):
+        adopted[spec] = attempt
+        return real(self, spec, stats, attempt, telemetry)
+
+    monkeypatch.setattr(runner._MatrixRun, "adopt", spy)
+    s = SimulationSession(
+        TINY, jobs=2,
+        retry=RetryPolicy(**FAST),
+        fault_plan="crash@SMT/llll/2#1",
+    )
+    try:
+        s.sweep(policies=["SMT", "CSMT"], workloads=["llll", "hhhh"],
+                n_threads=THREADS)
+    finally:
+        s.close()
+    assert s.failures == []
+    assert adopted == {
+        ("SMT", "llll", 2): 2,   # crashed
+        ("SMT", "hhhh", 2): 2,   # running beside it
+        ("CSMT", "llll", 2): 1,  # queued: refunded
+        ("CSMT", "hhhh", 2): 1,
+    }
+
+
 def test_failure_lands_in_telemetry(tmp_path):
     s = SimulationSession(
         TINY, jobs=1,

@@ -29,6 +29,7 @@ from repro.obs import (
     attribution_fractions,
     check_attribution,
     load_jsonl,
+    render_summary,
     render_why,
     summarize,
     validate_trace_document,
@@ -255,6 +256,37 @@ def test_telemetry_parallel_workers():
     assert all(r["source"] == "simulated" for r in records)
     workers = {r["worker"] for r in records}
     assert os.getpid() not in workers, "cells should run in the pool"
+
+
+def test_digest_reports_pool_busy_only_for_pooled_sweeps():
+    """A pooled sweep's digest line names how busy its workers were
+    (cell wall over jobs × the pool phase's wall); a serial one does
+    not."""
+    kw = dict(policies=["SMT", "CSMT"], workloads=["llll"],
+              n_threads=(2,))
+    pooled = SimulationSession(TINY, jobs=2)
+    try:
+        pooled.sweep(**kw)
+    finally:
+        pooled.close()
+    (jobs, wall, busy), = pooled.telemetry.pool_phases
+    assert jobs == 2 and wall > 0
+    assert busy == pytest.approx(
+        sum(r["wall_s"] for r in pooled.telemetry.records)
+    )
+    summary = pooled.telemetry.summary()
+    assert summary["pool_busy"] == pytest.approx(busy / (2 * wall))
+    assert 0 < summary["pool_busy"] <= 1
+    head = render_summary(summary).splitlines()[0]
+    assert head.endswith(
+        f"(2 workers, pool busy {100 * summary['pool_busy']:.0f}%)"
+    )
+
+    serial = SimulationSession(TINY)
+    serial.sweep(**kw)
+    summary = serial.telemetry.summary()
+    assert summary["pool_busy"] is None
+    assert "pool busy" not in render_summary(summary)
 
 
 def test_cache_stats_counters(tmp_path):

@@ -170,6 +170,107 @@ def test_adopted_source_skips_generation(fresh_cache, monkeypatch):
     assert proc.loop_used == "specialized"
 
 
+# ---------------------------------------------------------- verify once
+def _shipped(policy="CCSI AS"):
+    """A cell plus the ``(key, source)`` the parent would ship for it,
+    on a cleared memo (as in a worker that has seen nothing yet)."""
+    traces = traces_for("paper")
+    cfg = MACHINE_PRESETS["paper"].machine
+    params = SimParams(target_instructions=500, timeslice=200, seed=1)
+    key, src = specialize.source_for(
+        BY_NAME[policy], cfg, params, 2, len(traces)
+    )
+    specialize.clear_cache()
+    return traces, cfg, params, key, src
+
+
+def _count_checks(monkeypatch) -> list:
+    from repro.analysis import loopcheck
+
+    calls = []
+    real = loopcheck.check_source
+
+    def counted(*a, **k):
+        calls.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr(loopcheck, "check_source", counted)
+    return calls
+
+
+def test_adopted_verified_source_is_not_rechecked(fresh_cache, monkeypatch):
+    """Source that arrives with the parent's verdict compiles without a
+    second ``loopcheck`` pass."""
+    traces, cfg, params, key, src = _shipped()
+    calls = _count_checks(monkeypatch)
+    specialize.adopt_source(key, src, True)
+    proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
+    proc.run()
+    assert proc.loop_used == "specialized"
+    assert calls == []
+
+
+def test_adopted_unverified_source_is_checked(fresh_cache, monkeypatch):
+    traces, cfg, params, key, src = _shipped()
+    calls = _count_checks(monkeypatch)
+    specialize.adopt_source(key, src)
+    proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
+    proc.run()
+    assert proc.loop_used == "specialized"
+    assert len(calls) == 1
+
+
+def test_tampered_unverified_source_is_rejected(fresh_cache, monkeypatch):
+    """Adopted text without a verdict is checked like a fresh
+    generation: a tampered loop never runs, the cell falls back, and
+    strict mode raises instead."""
+    from repro.analysis import LoopVerificationError
+
+    traces, cfg, params, key, src = _shipped()
+    tampered = src + "    while True:\n        cycle += 0\n"
+    monkeypatch.setattr(specialize, "STRICT", False)
+    specialize.adopt_source(key, tampered)
+    proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
+    stats = proc.run()
+    assert proc.loop_used == "fast"
+    assert specialize.cache_info()["rejected"] == 1
+    ref = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params,
+                    force_reference=True).run()
+    assert stats.to_dict() == ref.to_dict()
+
+    specialize.clear_cache()
+    monkeypatch.setattr(specialize, "STRICT", True)
+    specialize.adopt_source(key, tampered)
+    with pytest.raises(LoopVerificationError):
+        Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params).run()
+
+
+def test_verdict_does_not_cover_other_text(fresh_cache, monkeypatch):
+    """A verdict vouches for the text it came with: if this process
+    already holds other source for the key, that source is still
+    checked."""
+    traces, cfg, params, key, src = _shipped()
+    calls = _count_checks(monkeypatch)
+    specialize.adopt_source(key, src)
+    specialize.adopt_source(key, src + "\n# other text\n", True)
+    Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params).run()
+    assert len(calls) == 1
+
+
+def test_rejected_generation_ships_no_payload(fresh_cache, monkeypatch):
+    """A generation the parent rejects is never shipped, so a worker
+    never receives unverified source."""
+    monkeypatch.setattr(specialize, "STRICT", False)
+    real = specialize.generate_loop_source
+    monkeypatch.setattr(
+        specialize, "generate_loop_source",
+        lambda *a, **k: real(*a, **k) + "    while True:\n        pass\n",
+    )
+    session = SimulationSession(QUICK_SCALE)
+    assert session.prewarm_specialization("CCSI AS", ("mcf",), 2) is None
+    assert specialize.cache_info()["rejected"] == 1
+
+
 # -------------------------------------------------------- tier dispatch
 def test_hooks_and_force_reference_take_reference_loop():
     traces = traces_for("paper")
@@ -242,8 +343,9 @@ def test_session_prewarm_payload_roundtrip(fresh_cache):
     session = SimulationSession(QUICK_SCALE)
     payload = session.prewarm_specialization("CCSI AS", ("mcf",), 2)
     assert payload is not None
-    key, src = payload
+    key, src, verified = payload
     assert isinstance(src, str) and specialize.LOOP_NAME in src
+    assert verified is True  # the parent ran loopcheck on this text
 
     stats = session.run("CCSI AS", ("mcf",), 2)
     specialize.clear_cache()
