@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Tracked core-speed benchmark: cycles simulated per second.
 
-Measures the simulator's per-cell run-loop tiers — the scenario-
-specialised codegen loop (`repro.pipeline.specialize`), the generic
-event-driven fast path (`Processor._run_fast`, bulk idle-cycle
+Measures the simulator's two run-loop tiers — the scenario-specialised
+codegen loop (`repro.pipeline.specialize`, with bulk idle-cycle
 skipping) and the per-cycle reference loop (`Processor._run_reference`)
 — across a matrix of (policy x memory preset x thread count x machine
 scenario) scenarios, and writes the results to ``BENCH_core.json`` at
-the repository root.  Every scenario also cross-checks that all tiers
+the repository root.  Every scenario also cross-checks that both tiers
 produce bit-identical ``SimStats``, so the benchmark doubles as an
-end-to-end equivalence smoke test, and records which tier actually ran
-(``engine``) so a silent specialisation fallback shows up in the
-tracked artifact.
+end-to-end equivalence smoke test, and records which tier the default
+dispatch actually ran (``engine``) so a silent fallback to the
+reference loop shows up in the tracked artifact.
 
 Usage::
 
@@ -20,11 +19,12 @@ Usage::
     python benchmarks/bench_core.py --quick \
         --baseline benchmarks/BENCH_core.baseline.json
 
-With ``--baseline``, per-scenario specialised- and fast-path throughput
-is compared against the committed baseline (matched by scenario label)
-and the script exits non-zero when any scenario regresses by more than
-``--fail-threshold`` (default 25%).  A missing baseline file skips the
-check by default (so the gate arms itself once a baseline is
+With ``--baseline``, per-scenario specialised-loop throughput
+(``spec_cps``) is compared against the committed baseline (matched by
+scenario label) and the script exits non-zero when any scenario
+regresses by more than ``--fail-threshold`` (default 25%), or when a
+gated metric the baseline holds is missing from the run.  A missing
+baseline file skips the check by default (so the gate arms itself once a baseline is
 committed); with ``--require-baseline`` a missing file is a hard error
 — CI uses that, so the gate can never be silently disarmed by the
 baseline going missing.
@@ -62,8 +62,9 @@ from repro.pipeline.processor import Processor, SimParams
 #: machine scenario).  ``membound-smt-1t`` is the headline memory-bound
 #: scenario: a single pointer-chasing thread on slow banked DRAM spends
 #: ~90% of its cycles stalled, which is exactly the span the
-#: fast-forward core skips.  ``narrow-oosi-2t`` runs on a non-default
-#: machine scenario so cross-machine code paths are speed-tracked too.
+#: specialised loop's idle skip jumps.  ``narrow-oosi-2t`` runs on a
+#: non-default machine scenario so cross-machine code paths are
+#: speed-tracked too.
 SCENARIOS = [
     ("paper-ccsi-4t", "CCSI AS", "paper", 4,
      ("mcf", "idct", "gsmencode", "colorspace"), "paper"),
@@ -105,17 +106,16 @@ def _time_run(proc: Processor):
     return time.perf_counter() - t0, stats
 
 
-#: run-loop tiers measured per scenario, mapped to Processor kwargs
-TIERS = {
-    "spec": {"run_loop": "auto"},
-    "fast": {"run_loop": "fast"},
-    "ref": {"force_reference": True},
-}
+#: run-loop tiers measured per scenario: ``force_reference`` value
+TIERS = {"spec": False, "ref": True}
+
+#: throughput columns gated against the baseline
+GATED_METRICS = ("spec_cps",)
 
 
 def measure_scenario(label, policy_name, memory, n_threads, workload,
                      machine, quick: bool, reps: int) -> dict:
-    """Best-of-``reps`` wall time for all run-loop tiers on one
+    """Best-of-``reps`` wall time for both run-loop tiers on one
     scenario."""
     cfg = replace(get_scenario(machine).machine,
                   memory=get_memory_config(memory))
@@ -131,28 +131,27 @@ def measure_scenario(label, policy_name, memory, n_threads, workload,
     best = {}
     stats = {}
     engine = None
-    for tier, kwargs in TIERS.items():
+    for tier, force_reference in TIERS.items():
         times = []
         for _ in range(reps):
             proc = Processor(
-                policy, bundles, n_threads, cfg, params, **kwargs
+                policy, bundles, n_threads, cfg, params,
+                force_reference=force_reference,
             )
             elapsed, s = _time_run(proc)
             times.append(elapsed)
         best[tier] = min(times)
         stats[tier] = s
         if tier == "spec":
-            # which tier the "auto" dispatch actually took — a silent
-            # codegen fallback shows up here as "fast"
+            # which tier the default dispatch actually took — a silent
+            # codegen fallback shows up here as "reference"
             engine = proc.loop_used
 
-    spec, fast, ref = stats["spec"], stats["fast"], stats["ref"]
-    identical = (
-        spec.to_dict() == ref.to_dict() == fast.to_dict()
-    )
+    spec, ref = stats["spec"], stats["ref"]
+    identical = spec.to_dict() == ref.to_dict()
     if not identical:
         print(f"!! {label}: run-loop tiers DIVERGED", file=sys.stderr)
-    spec_s, fast_s, ref_s = best["spec"], best["fast"], best["ref"]
+    spec_s, ref_s = best["spec"], best["ref"]
     return {
         "label": label,
         "policy": policy_name,
@@ -161,28 +160,26 @@ def measure_scenario(label, policy_name, memory, n_threads, workload,
         "n_threads": n_threads,
         "workload": list(workload),
         "engine": engine,
-        "cycles": fast.cycles,
-        "instructions": fast.instructions,
-        "vertical_waste_frac": round(fast.vertical_waste_frac, 4),
+        "cycles": spec.cycles,
+        "instructions": spec.instructions,
+        "vertical_waste_frac": round(spec.vertical_waste_frac, 4),
         "spec_seconds": round(spec_s, 6),
-        "fast_seconds": round(fast_s, 6),
         "ref_seconds": round(ref_s, 6),
         "spec_cps": round(spec.cycles / spec_s, 1),
-        "fast_cps": round(fast.cycles / fast_s, 1),
         "ref_cps": round(ref.cycles / ref_s, 1),
-        # fast path vs reference loop (PR 3's tracked ratio) ...
-        "speedup": round(ref_s / fast_s, 3),
-        # ... and specialised loop vs fast path (this PR's)
-        "spec_speedup": round(fast_s / spec_s, 3),
+        # specialised loop vs the reference oracle
+        "speedup": round(ref_s / spec_s, 3),
         "identical": identical,
     }
 
 
 def check_baseline(scenarios: list[dict], baseline_path: Path,
                    threshold: float, require: bool = False) -> int:
-    """Exit code 0/1: specialised- and fast-tier throughput vs the
-    committed baseline (metrics absent from either side are skipped,
-    so an old two-tier baseline still gates the fast path)."""
+    """Exit code 0/1: :data:`GATED_METRICS` vs the committed baseline.
+
+    A gated metric the baseline holds but the run lacks is a failure,
+    so dropping or renaming a column cannot silently disarm its gate;
+    a metric absent from the baseline is not gated."""
     if not baseline_path.exists():
         if require:
             print(f"FATAL: baseline {baseline_path} is missing but "
@@ -202,8 +199,13 @@ def check_baseline(scenarios: list[dict], baseline_path: Path,
         base = baseline.get(s["label"])
         if base is None:
             continue
-        for metric in ("spec_cps", "fast_cps"):
-            if metric not in base or metric not in s:
+        for metric in GATED_METRICS:
+            if metric not in base:
+                continue
+            if metric not in s:
+                print(f"{s['label']:18s} {metric:8s} missing from the "
+                      f"run but gated by the baseline")
+                failures.append(f"{s['label']}:{metric} (missing)")
                 continue
             floor = base[metric] * (1.0 - threshold)
             verdict = "ok" if s[metric] >= floor else "REGRESSED"
@@ -213,7 +215,8 @@ def check_baseline(scenarios: list[dict], baseline_path: Path,
             if s[metric] < floor:
                 failures.append(f"{s['label']}:{metric}")
     if failures:
-        print(f"regression (> {threshold:.0%} below baseline) in: "
+        print(f"regression (> {threshold:.0%} below baseline, or "
+              f"missing) in: "
               f"{', '.join(failures)}", file=sys.stderr)
         return 1
     return 0
@@ -251,17 +254,16 @@ def main(argv=None) -> int:
               f"{r['machine']:7s} nt={nt} cycles={r['cycles']:7d} "
               f"spec={r['spec_cps']:12.0f} cps "
               f"[{r['engine']}] "
-              f"fast x{r['speedup']:4.2f} "
-              f"spec x{r['spec_speedup']:4.2f}"
+              f"x{r['speedup']:4.2f} vs reference"
               f"{'' if r['identical'] else ' !! MISMATCH'}")
 
     report = {
-        # schema 5 drops schema 4's batch-sweep scenario (the lockstep
-        # batch tier is gone); schema 3 added three run-loop tiers
-        # (specialised codegen / fast / reference) with per-scenario
-        # engine provenance; schema 2 added the machine-scenario
-        # coordinate
-        "schema": 5,
+        # schema 6 drops the fast tier's columns and rebases
+        # ``speedup`` on the specialised loop; schema 5 dropped schema
+        # 4's batch-sweep scenario (the lockstep batch tier is gone);
+        # schema 3 added per-scenario engine provenance; schema 2 added
+        # the machine-scenario coordinate
+        "schema": 6,
         "quick": args.quick,
         "reps": reps,
         "kernel_scale": KERNEL_SCALE,

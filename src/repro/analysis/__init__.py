@@ -9,7 +9,7 @@ currency (``docs/analysis.md`` has the full catalogue):
   literal re-derived independently from the resolved scenario spec.
   Hooked into ``specialize.get_specialized_loop`` (strict mode rejects
   a bad generation instead of executing it).
-* :mod:`~repro.analysis.counterflow` — the three run-loop tiers must
+* :mod:`~repro.analysis.counterflow` — the two run-loop tiers must
   write the same ``SimStats``/``BenchStats`` counters (or prove an
   omission constant): the static companion to the bit-identity tests.
 * :mod:`~repro.analysis.detlint` — pluggable determinism/contract

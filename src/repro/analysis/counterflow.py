@@ -1,25 +1,26 @@
 """Cross-tier counter-flow analysis.
 
-The three run-loop tiers — ``Processor._run_reference`` (the semantic
-oracle), ``Processor._run_fast`` and the specialised codegen loop —
-must produce bit-identical :class:`~repro.pipeline.stats.SimStats` /
-``BenchStats``.  The dynamic gate for that is the bit-identity test
-matrix; this pass is its zero-cost static companion: extract, per
-tier, the set of counter names the tier's code (entry function plus
-every helper it reaches) can ever write, and fail if one tier writes
-a counter another tier doesn't — unless the omission is *provably
-constant* for that cell shape.
+The two run-loop tiers — ``Processor._run_reference`` (the semantic
+oracle) and the specialised codegen loop — must produce bit-identical
+:class:`~repro.pipeline.stats.SimStats` / ``BenchStats``.  The
+dynamic gate for that is the bit-identity test matrix; this pass is
+its zero-cost static companion: extract, per tier, the set of counter
+names the tier's code (entry function plus every helper it reaches)
+can ever write, and fail if a generated loop writes a counter the
+reference loop doesn't, or omits one it writes — unless the omission
+is *provably constant* for that cell shape.
 
 Two structural allowances, both re-derived from the spec rather than
 asserted:
 
 * ``attribution`` is written only by the reference loop:
   ``Processor.run`` pins ``attribute=True`` runs to the reference tier
-  by contract, so the other tiers can never reach a cell that needs it.
+  by contract, so a generated loop can never reach a cell that needs
+  it.
 * a no-split policy (``policy.split == "none"``) can never split an
   instruction or buffer a store, so ``split_instructions`` and
   ``stall_cycles`` are constant zero and the specialised loop may omit
-  them (the generic tiers still carry the statements; the policy
+  them (the reference loop still carries the statements; the policy
   invariant is what proves them dead).
 
 The extraction is AST-only: attribute writes to stats-like receivers
@@ -174,13 +175,8 @@ def tier_counter_sets() -> list[CounterSet]:
     the current generator with multitasking on (the superset shape).
     """
     methods = _processor_methods()
-    out: list[CounterSet] = []
-    for tier, entry in (
-        ("reference", "_run_reference"),
-        ("fast", "_run_fast"),
-    ):
-        sim, bench = _closure_writes(methods[entry], methods)
-        out.append(CounterSet(tier, frozenset(sim), frozenset(bench)))
+    sim, bench = _closure_writes(methods["_run_reference"], methods)
+    out = [CounterSet("reference", frozenset(sim), frozenset(bench))]
     params = SimParams()
     for policy in ALL_POLICIES:
         src = specialize.generate_loop_source(
@@ -205,7 +201,6 @@ def compare_counter_sets(
     corrupted sets and it must object."""
     by_tier = {s.tier: s for s in sets}
     ref = by_tier["reference"]
-    fast = by_tier["fast"]
     findings: list[Finding] = []
 
     def find(message: str) -> None:
@@ -213,42 +208,21 @@ def compare_counter_sets(
             Finding("counterflow", message, "processor.py", 0, ORIGIN)
         )
 
-    def allowed_only_in(tier: str, counter: str) -> bool:
-        owner = EXCLUSIVE.get(counter)
-        return owner is not None and tier.startswith(owner)
-
-    # reference vs fast must agree exactly (modulo exclusives)
-    for kind in ("sim", "bench"):
-        r: frozenset[str] = getattr(ref, kind)
-        f: frozenset[str] = getattr(fast, kind)
-        for c in sorted(r - f):
-            if not allowed_only_in("reference", c):
-                find(
-                    f"{kind} counter {c!r} is written by the reference "
-                    "loop but never by _run_fast"
-                )
-        for c in sorted(f - r):
-            if not allowed_only_in("fast", c):
-                find(
-                    f"{kind} counter {c!r} is written by _run_fast but "
-                    "never by the reference loop"
-                )
-
-    # each specialised shape: no extras, omissions only when the
-    # policy shape proves the counter constant
+    # each specialised shape: no extras, omissions only when a
+    # tier exclusive or the policy shape proves the counter constant
     policies = {p.name: p for p in ALL_POLICIES}
     for tier, cs in by_tier.items():
         if not tier.startswith("specialized:"):
             continue
         policy = policies.get(tier.split(":", 1)[1])
         no_split = policy is not None and policy.split == "none"
-        for c in sorted(cs.sim - fast.sim):
+        for c in sorted(cs.sim - ref.sim):
             find(
                 f"specialised loop ({tier}) writes sim counter {c!r} "
-                "that _run_fast never writes"
+                "that the reference loop never writes"
             )
-        for c in sorted(fast.sim - cs.sim):
-            if allowed_only_in("fast", c):
+        for c in sorted(ref.sim - cs.sim):
+            if EXCLUSIVE.get(c) == "reference":
                 continue
             if no_split and c in NO_SPLIT_CONSTANT:
                 continue  # provably constant: the policy cannot split
@@ -257,10 +231,10 @@ def compare_counter_sets(
                 f"{c!r} and the policy shape does not prove it "
                 "constant"
             )
-        for c in sorted(cs.bench ^ fast.bench):
+        for c in sorted(cs.bench ^ ref.bench):
             find(
-                f"specialised loop ({tier}) and _run_fast disagree on "
-                f"bench counter {c!r}"
+                f"specialised loop ({tier}) and the reference loop "
+                f"disagree on bench counter {c!r}"
             )
     return findings
 

@@ -40,7 +40,8 @@ contains everything the source inlines — its documented contract).
 ``exec()`` on every fresh generation; under
 ``REPRO_SPECIALIZE_STRICT=1`` a finding raises
 :class:`LoopVerificationError`, otherwise the cell is memoised as
-rejected and falls back to ``_run_fast``.
+rejected and falls back to ``_run_reference``, the other of the two
+run-loop tiers.
 """
 
 from __future__ import annotations

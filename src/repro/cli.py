@@ -606,10 +606,9 @@ def cmd_profile(args) -> int:
         max_cycles=scale.max_cycles,
         seed=scale.seed,
     )
-    engine = "reference" if args.reference else args.engine
     proc = Processor(
         get_policy(args.policy), bundles, args.threads, cfg, params,
-        run_loop="auto" if engine == "specialized" else engine,
+        force_reference=args.reference,
     )
     prof = cProfile.Profile()
     prof.enable()
@@ -928,14 +927,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sort", default="cumulative",
                    choices=("cumulative", "tottime", "ncalls"),
                    help="pstats sort key (default: cumulative)")
-    p.add_argument("--engine", default="specialized",
-                   choices=("specialized", "fast", "reference"),
-                   help="run-loop tier to profile: the "
-                        "scenario-specialised codegen loop (default), "
-                        "the generic event-driven fast path, or the "
-                        "per-cycle reference loop (docs/performance.md)")
     p.add_argument("--reference", action="store_true",
-                   help="shorthand for --engine reference")
+                   help="profile the per-cycle reference loop instead "
+                        "of the scenario-specialised codegen loop "
+                        "(docs/performance.md)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="also save the profile: *.pstats for the raw "
                         "marshalled form (pstats.Stats/snakeviz), "

@@ -13,9 +13,9 @@ class RoundRobinPriority:
     """Cycle ``t``: order = [t % n, (t % n)+1, ..., wrapping].
 
     ``orders`` is the full precomputed rotation table; cycle ``t`` uses
-    ``orders[t % len(orders)]``.  The fast simulation loop indexes it
-    directly (no method call per cycle); :meth:`order` remains for
-    everything off the hot path.
+    ``orders[t % len(orders)]``.  The specialiser inlines the table into
+    the generated loop (no method call per cycle); :meth:`order`
+    remains for the reference loop.
     """
 
     name = "round-robin"

@@ -136,11 +136,11 @@ def cell_label(spec: tuple) -> str:
 
 #: One worker task: everything needed to reproduce a cell from scratch.
 #: (policy_name, member_names, n_threads, scale, cfg, reference,
-#: run_loop, spec_src, cell_id, attempt, fault_plan) — the cfg already
-#: carries the cell's machine- and memory-scenario coordinates and the
-#: scale its machine-rescaled timeslice; ``reference``/``run_loop``
-#: forward the session's run-loop choice (results are bit-identical
-#: across tiers, but the session must honour its contract);
+#: spec_src, cell_id, attempt, fault_plan) — the cfg already carries
+#: the cell's machine- and memory-scenario coordinates and the scale
+#: its machine-rescaled timeslice; ``reference`` forwards the
+#: session's run-loop choice (results are bit-identical across tiers,
+#: but the session must honour its contract);
 #: ``spec_src`` is the parent's pre-warmed ``(loop_key, source,
 #: verified)`` specialisation payload, or ``None`` — compiled code
 #: objects do not pickle, so workers ship *source* and compile it
@@ -168,8 +168,8 @@ def _simulate_cell(payload: _CellPayload) -> dict:
     exception, so the parent can charge the attempt and retry; only a
     real crash (or injected ``os._exit``) breaks the pool.
     """
-    (policy_name, members, n_threads, scale, cfg, reference, run_loop,
-     spec_src, cell_id, attempt, fault_plan) = payload
+    (policy_name, members, n_threads, scale, cfg, reference, spec_src,
+     cell_id, attempt, fault_plan) = payload
     # Import here so fork-less start methods (spawn) stay cheap until
     # a task actually runs.
     from .session import SimulationSession
@@ -182,9 +182,7 @@ def _simulate_cell(payload: _CellPayload) -> dict:
             from ..pipeline import specialize
 
             specialize.adopt_source(*spec_src)
-        session = SimulationSession(
-            scale=scale, cfg=cfg, reference=reference, run_loop=run_loop
-        )
+        session = SimulationSession(scale=scale, cfg=cfg, reference=reference)
         stats = session.run(policy_name, members, n_threads)
     except Exception as e:
         return {"error": {
@@ -226,7 +224,6 @@ def _payload_base(session, spec) -> tuple:
         replace(session.scale, timeslice=params.timeslice),
         session.resolve_cfg(memory, machine),
         session.reference,
-        session.run_loop,
         spec_src,
     )
 

@@ -30,7 +30,7 @@ from ..arch.scenarios import get_scenario
 from ..core.policies import ALL_POLICIES, Policy, get_policy
 from ..kernels.suite import get_fingerprint, get_trace, trace_identity
 from ..obs.telemetry import TelemetryLedger
-from ..pipeline.processor import Processor, RUN_LOOPS, SimParams
+from ..pipeline.processor import Processor, SimParams
 from ..pipeline.stats import SimStats
 from ..pipeline.trace import TraceBundle
 from .cache import ResultCache, cache_key
@@ -88,7 +88,6 @@ class SimulationSession:
         memory: str | None = None,
         machine: str | None = None,
         reference: bool = False,
-        run_loop: str = "auto",
         telemetry: str | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | str | None = None,
@@ -106,18 +105,9 @@ class SimulationSession:
         self.jobs = max(1, jobs)
         self.hooks = tuple(hooks) if hooks else ()
         #: force the per-cycle reference simulation loop instead of the
-        #: event-driven fast path (``docs/performance.md``).  Results
+        #: specialised codegen loop (``docs/performance.md``).  Results
         #: are bit-identical, so cached entries are shared either way.
         self.reference = reference
-        #: run-loop tier handed to every Processor this session builds
-        #: ("auto" = specialised codegen loop with ``_run_fast``
-        #: fallback; see :data:`~repro.pipeline.processor.RUN_LOOPS`);
-        #: ``reference=True`` still wins via ``force_reference``
-        if run_loop not in RUN_LOOPS:
-            raise ValueError(
-                f"run_loop must be one of {RUN_LOOPS}, got {run_loop!r}"
-            )
-        self.run_loop = run_loop
         self.cache = ResultCache(cache_dir) if cache_dir else None
         #: durable sweep journal under the cache dir — the resumable
         #: scheduler's record of cell outcomes (``docs/robustness.md``);
@@ -382,7 +372,6 @@ class SimulationSession:
                 params,
                 hooks=self.hooks,
                 force_reference=self.reference,
-                run_loop=self.run_loop,
             )
             stats = proc.run()
             self.simulations += 1
@@ -499,11 +488,11 @@ class SimulationSession:
         compile shipped source instead of re-deriving it (code objects
         do not pickle), and skip ``loopcheck`` when ``verified`` says
         the parent already ran it on this text.  Returns ``None`` when
-        the session's run-loop tier never specialises or generation
-        failed or was rejected, so a worker never receives source the
-        parent would not execute (it falls back exactly like the
-        parent would)."""
-        if self.run_loop in ("fast", "reference") or self.reference:
+        the session forces the reference loop or generation failed or
+        was rejected, so a worker never receives source the parent
+        would not execute (it falls back exactly like the parent
+        would)."""
+        if self.reference:
             return None
         from ..pipeline import specialize
 
@@ -525,7 +514,7 @@ class SimulationSession:
             if specialize.STRICT:
                 raise
             return None
-        return key, src, specialize.VERIFY
+        return key, src, True
 
     def lookup(
         self,
@@ -657,7 +646,7 @@ class SimulationSession:
             params, disk_key = self._single_cell(bench, perfect_memory)
             proc = Processor(
                 SMT, [bundle], 1, self.cfg, params, hooks=self.hooks,
-                force_reference=self.reference, run_loop=self.run_loop,
+                force_reference=self.reference,
             )
             stats = proc.run()
             self.simulations += 1

@@ -14,7 +14,7 @@ Three independent answers to "what did that simulation actually do?":
 
 Everything here observes; nothing here changes simulated results
 (attribution runs pin the reference loop, but its counters are
-bit-identical to the fast and specialised tiers — tests enforce it).
+bit-identical to the specialised tier — tests enforce it).
 See ``docs/observability.md``.
 """
 

@@ -9,8 +9,8 @@ lands as one flat record in the session's :class:`TelemetryLedger`:
 ``"failed"`` for cells that exhausted their sweep retry budget (these
 additionally carry ``error`` — the failure category — and
 ``attempts``; see ``docs/robustness.md``),
-``loop_used``— run-loop tier for simulated cells (``specialized`` /
-``fast`` / ``reference``; ``None`` for cache hits),
+``loop_used``— run-loop tier for simulated cells, one of the two
+tiers ``specialized`` / ``reference`` (``None`` for cache hits),
 ``wall_s``   — wall-clock seconds to resolve the cell,
 ``spec_s``   — of which specialised-loop codegen+compile time,
 ``worker``   — PID of the process that did the work (pool workers

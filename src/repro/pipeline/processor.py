@@ -42,10 +42,6 @@ from .specialize import get_specialized_loop
 from .stats import ATTRIBUTION_CATEGORIES, BenchStats, SimStats
 from .trace import TraceBundle
 
-#: valid ``Processor(run_loop=...)`` values — "auto" and "specialized"
-#: both try the generated loop first and fall back to the fast path
-RUN_LOOPS = ("auto", "specialized", "fast", "reference")
-
 #: sentinel: specialised loop not yet resolved for this processor
 _UNRESOLVED = object()
 
@@ -135,15 +131,10 @@ class Processor:
         params: SimParams | None = None,
         hooks=None,
         force_reference: bool = False,
-        run_loop: str = "auto",
         attribute: bool = False,
     ):
         if n_threads < 1:
             raise ValueError("need at least one hardware thread")
-        if run_loop not in RUN_LOOPS:
-            raise ValueError(
-                f"run_loop must be one of {RUN_LOOPS}, got {run_loop!r}"
-            )
         self.cfg = cfg
         self.policy = policy
         # hoisted out of the per-cycle loop
@@ -151,22 +142,20 @@ class Processor:
         self._comm_split = policy.comm_split
         #: debugging/benchmark escape hatch: always take the per-cycle
         #: reference loop even without hooks (results are bit-identical
-        #: either way, so this never affects cache identity)
+        #: either way, so this never affects cache identity).  Must not
+        #: change between ``run()`` calls on one instance: the two
+        #: tiers represent in-flight pending instructions differently
         self.force_reference = force_reference
-        #: requested tier ("auto"/"specialized" try codegen first);
-        #: must not change between ``run()`` calls on one instance —
-        #: the specialised loop and ``_run_fast`` represent in-flight
-        #: pending instructions differently
-        self.run_loop = run_loop
         #: tier the last ``run()`` actually took:
-        #: "specialized" | "fast" | "reference"
+        #: "specialized" | "reference"
         self.loop_used: str | None = None
         #: cycle attribution (``docs/observability.md``): account every
         #: issue-slot × cycle into the exhaustive category set of
         #: :data:`~repro.pipeline.stats.ATTRIBUTION_CATEGORIES`.
         #: Forces the reference loop (per-cycle classification needs the
         #: exact machine state) and flushes into ``stats.attribution``;
-        #: all other counters stay bit-identical to the other tiers.
+        #: all other counters stay bit-identical to the specialised
+        #: tier.
         self.attribute = attribute
         self._attr = (
             dict.fromkeys(ATTRIBUTION_CATEGORIES, 0) if attribute else None
@@ -211,8 +200,8 @@ class Processor:
             self.stats.per_bench[b.stats.name] = b.stats
         self._target = self.params.target_instructions
         self._target_hit = False
-        #: diagnostic: cycles the fast path jumped over in bulk (not
-        #: part of SimStats — identical results must hash identically
+        #: diagnostic: cycles the specialised loop jumped over in bulk
+        #: (not part of SimStats — identical results must hash identically
         #: whichever loop produced them)
         self.ff_skipped_cycles = 0
         self._schedule_initial()
@@ -456,30 +445,21 @@ class Processor:
         """Simulate until a benchmark hits the instruction target (or
         ``max_cycles``).  Returns the statistics object.
 
-        Three-tier dispatch, all tiers bit-identical:
+        Two-tier dispatch, both tiers bit-identical:
 
         1. **specialized** — a scenario-monomorphic loop generated by
            :mod:`repro.pipeline.specialize` (constants inlined, dead
-           branches deleted); the default when no hooks are installed.
-        2. **fast** — :meth:`_run_fast`, the event-driven generic loop
-           (also the silent fallback when generation fails).
-        3. **reference** — :meth:`_run_reference`, the per-cycle
+           branches deleted, idle spans skipped by
+           :meth:`_fast_forward`); the default.
+        2. **reference** — :meth:`_run_reference`, the per-cycle
            oracle; forced by hooks (``on_cycle`` must fire every
            cycle), by cycle attribution (``attribute=True``, which
-           classifies every cycle), and by
-           ``force_reference``/``run_loop="reference"``.
+           classifies every cycle) and by ``force_reference``, and
+           the fallback when generation fails or is rejected.
 
         The tier taken is recorded in :attr:`loop_used`.
         """
-        if (
-            self._hooks
-            or self.force_reference
-            or self.attribute
-            or self.run_loop == "reference"
-        ):
-            self.loop_used = "reference"
-            return self._run_reference(max_cycles, stop_on_target)
-        if self.run_loop != "fast":
+        if not (self._hooks or self.force_reference or self.attribute):
             if self._loop_fn is _UNRESOLVED:
                 t0 = time.perf_counter()
                 self._loop_fn = get_specialized_loop(
@@ -493,8 +473,8 @@ class Processor:
             if self._loop_fn is not None:
                 self.loop_used = "specialized"
                 return self._loop_fn(self, max_cycles, stop_on_target)
-        self.loop_used = "fast"
-        return self._run_fast(max_cycles, stop_on_target)
+        self.loop_used = "reference"
+        return self._run_reference(max_cycles, stop_on_target)
 
     def _run_reference(
         self,
@@ -504,7 +484,7 @@ class Processor:
         """The exact per-cycle loop: one :meth:`_issue_cycle` +
         :meth:`_account_cycle` pass per simulated cycle, hook events
         included.  This is the semantic definition of the simulator and
-        the test oracle for :meth:`_run_fast`."""
+        the test oracle for the specialised loop."""
         params = self.params
         stats = self.stats
         threads = self.threads
@@ -657,381 +637,6 @@ class Processor:
                 # new benches may wake at different times (or the drain
                 # continues): recompute on the next pass
         return cycle, switching, next_switch
-
-    def _run_fast(
-        self,
-        max_cycles: int | None = None,
-        stop_on_target: bool = True,
-    ) -> SimStats:
-        """Event-driven run loop: the per-cycle issue pass is inlined
-        with attribute lookups hoisted into locals, and any cycle that
-        issues nothing triggers :meth:`_fast_forward`, which skips the
-        idle span in O(n_threads) instead of O(span).
-
-        Bit-identical to :meth:`_run_reference`: the skipped cycles
-        have no side effects (the RNG advances only on context
-        switches, priority rotation is irrelevant while nothing can
-        issue, and the memory system sees explicit start cycles), and
-        every state-changing cycle — fetch attempts, issues, timeslice
-        transitions — still executes exactly at its reference cycle
-        number.
-        """
-        params = self.params
-        stats = self.stats
-        threads = self.threads
-        engine = self.engine
-        mem_sys = self.mem
-        limit = max_cycles if max_cycles is not None else params.max_cycles
-        timeslice = params.timeslice
-        next_switch = timeslice
-        switching = False
-        multi = len(self.benches) > 1 and timeslice > 0
-
-        # loop-invariant lookups hoisted into locals
-        orders = self.priority.orders
-        n_orders = len(orders)
-        single_order = orders[0] if n_orders == 1 else None
-        split = self._split
-        comm_split = self._comm_split
-        no_split = split == "none"
-        cluster_split = split == "cluster"
-        packet_threads = stats.packet_threads
-        try_bundles = engine.try_bundles
-        try_ops = engine.try_ops
-        begin_cycle = engine.begin_cycle
-        op_merge = engine._op_level
-        capacity = engine.capacity
-        guards_m = engine.guards
-        iaccess = mem_sys.iaccess
-        daccess = mem_sys.daccess
-        nonblocking = self._nonblocking
-        iline_shift = self.iline_shift
-        taken_penalty = self.cfg.taken_branch_penalty
-        target = self._target
-        new_pend = PendingInstruction
-
-        # event counters accumulated locally, flushed to ``stats`` once
-        # at the end (one int add beats a dataclass attribute RMW per
-        # event by a wide margin)
-        operations = 0
-        instructions = 0
-        vertical_waste = 0
-        stall_cycles = 0
-        split_instructions = 0
-        icache_accesses = 0
-        icache_misses = 0
-        dcache_accesses = 0
-        dcache_misses = 0
-
-        cycle = stats.cycles
-        end_cycle = cycle + limit
-
-        while cycle < end_cycle:
-            # ---- issue pass (_issue_cycle inlined) ----
-            ops_this_cycle = 0
-            threads_contributing = 0
-            stall_extra = 0
-            if no_split:
-                # Specialised pass for the no-split policies (SMT /
-                # CSMT).  Instructions merge whole or not at all, so a
-                # pending instruction can never be mid-split: it never
-                # buffers stores (no Fig. 11 port conflicts, so
-                # ``stall_extra`` stays 0 and ``mem_used_mask`` is
-                # never read), never sets ``was_split``, and retires
-                # the cycle it issues.  The whole merge engine reduces
-                # to two locals — remaining packed capacity (op-level
-                # merge) or a used-cluster mask (cluster-level merge) —
-                # reset here instead of via ``begin_cycle``.
-                e_remaining = capacity
-                e_used = 0
-                for t in single_order or orders[cycle % n_orders]:
-                    th = threads[t]
-                    bench = th.bench
-                    if bench is None or cycle < th.stall_until:
-                        continue
-                    pend = th.pend
-                    table = th.table
-                    if pend is None:
-                        if switching or cycle < th.fetch_at:
-                            continue
-                        # ---- fetch (_fetch inlined) ----
-                        i = th.idx[bench.pos]
-                        pc = table.pc[i]
-                        line = pc >> iline_shift
-                        if line != th.last_iline:
-                            th.last_iline = line
-                            icache_accesses += 1
-                            lat = iaccess(pc, cycle)
-                            if lat is not None:
-                                icache_misses += 1
-                                th.fetch_at = cycle + lat
-                                continue
-                        pend = th.pend = new_pend(
-                            table, i, split, comm_split
-                        )
-                    else:
-                        i = pend.static_index
-                    n = pend.ops_total
-                    if n:
-                        # ---- merge (try_whole inlined) ----
-                        if op_merge:
-                            packed = table.packed[i]
-                            if ((e_remaining | guards_m) - packed) \
-                                    & guards_m != guards_m:
-                                continue
-                            e_remaining -= packed
-                        else:
-                            cm = table.cmask[i]
-                            if cm & e_used:
-                                continue
-                            e_used |= cm
-                        ops_this_cycle += n
-                        threads_contributing += 1
-                        bench.stats.operations += n
-                        mem = table.mem_cmask[i]
-                        if mem:
-                            # ---- memory probe (inlined) ----
-                            row = th.addr_rows[bench.pos]
-                            store_mask = table.store_cmask[i]
-                            penalty = 0
-                            m = mem
-                            c = 0
-                            if nonblocking:
-                                # MSHRs: misses all issue at ``cycle``
-                                # and overlap; stall for the slowest
-                                while m:
-                                    if m & 1:
-                                        addr = row[c]
-                                        if addr >= 0:
-                                            dcache_accesses += 1
-                                            lat = daccess(
-                                                addr,
-                                                bool((store_mask >> c) & 1),
-                                                cycle,
-                                            )
-                                            if lat is not None:
-                                                dcache_misses += 1
-                                                if lat > penalty:
-                                                    penalty = lat
-                                    m >>= 1
-                                    c += 1
-                            else:
-                                while m:
-                                    if m & 1:
-                                        addr = row[c]
-                                        if addr >= 0:
-                                            dcache_accesses += 1
-                                            lat = daccess(
-                                                addr,
-                                                bool((store_mask >> c) & 1),
-                                                cycle + penalty,
-                                            )
-                                            if lat is not None:
-                                                dcache_misses += 1
-                                                penalty += lat
-                                    m >>= 1
-                                    c += 1
-                            if penalty:
-                                su = cycle + 1 + penalty
-                                if su > th.stall_until:
-                                    th.stall_until = su
-                    # ---- retire (inlined; always the last part) ----
-                    pos = bench.pos
-                    taken = th.taken[pos]
-                    th.fetch_at = cycle + 1 + (
-                        taken_penalty if taken else 0
-                    )
-                    bench.pos = pos = pos + 1
-                    bstats = bench.stats
-                    bstats.instructions += 1
-                    instructions += 1
-                    if bstats.instructions >= target:
-                        self._target_hit = True
-                    th.pend = None
-                    if pos >= bench.bundle.length:
-                        # benchmark finished: respawn it (§VI-A)
-                        bench.pos = 0
-                        bstats.respawns += 1
-                        th.last_iline = -1
-                    if taken:
-                        th.last_iline = -1  # refetch target line
-
-            else:
-                begin_cycle()
-                for t in single_order or orders[cycle % n_orders]:
-                    th = threads[t]
-                    bench = th.bench
-                    if bench is None or cycle < th.stall_until:
-                        continue
-                    pend = th.pend
-                    table = th.table
-                    if pend is None:
-                        if switching or cycle < th.fetch_at:
-                            continue
-                        # ---- fetch (_fetch inlined) ----
-                        i = th.idx[bench.pos]
-                        pc = table.pc[i]
-                        line = pc >> iline_shift
-                        if line != th.last_iline:
-                            th.last_iline = line
-                            icache_accesses += 1
-                            lat = iaccess(pc, cycle)
-                            if lat is not None:
-                                icache_misses += 1
-                                th.fetch_at = cycle + lat
-                                continue
-                        pend = th.pend = new_pend(table, i, split, comm_split)
-                    i = pend.static_index
-                    n = pend.ops_total
-                    if n == 0:
-                        # empty instruction (compiler latency-padding
-                        # NOP cycle): consumes this thread's issue
-                        # cycle; falls through to the inlined retire
-                        mem = 0
-                    elif cluster_split:
-                        issued_mask, n = try_bundles(pend)
-                        if not n:
-                            continue
-                        mem = table.mem_cmask[i] & issued_mask
-                    else:
-                        n, _cmask, mem = try_ops(pend)
-                        if not n:
-                            continue
-                    if n:
-                        ops_this_cycle += n
-                        threads_contributing += 1
-                        bench.stats.operations += n
-                    if mem:
-                        # ---- memory probe (_dcache_probe inlined) ----
-                        row = th.addr_rows[bench.pos]
-                        store_mask = table.store_cmask[i]
-                        penalty = 0
-                        m = mem
-                        c = 0
-                        if nonblocking:
-                            # MSHRs: misses all issue at ``cycle`` and
-                            # overlap; stall for the slowest
-                            while m:
-                                if m & 1:
-                                    addr = row[c]
-                                    if addr >= 0:
-                                        dcache_accesses += 1
-                                        lat = daccess(
-                                            addr,
-                                            bool((store_mask >> c) & 1),
-                                            cycle,
-                                        )
-                                        if lat is not None:
-                                            dcache_misses += 1
-                                            if lat > penalty:
-                                                penalty = lat
-                                m >>= 1
-                                c += 1
-                        else:
-                            while m:
-                                if m & 1:
-                                    addr = row[c]
-                                    if addr >= 0:
-                                        dcache_accesses += 1
-                                        # misses serialise (single
-                                        # port, blocking cache): later
-                                        # misses start after the
-                                        # accumulated penalty
-                                        lat = daccess(
-                                            addr,
-                                            bool((store_mask >> c) & 1),
-                                            cycle + penalty,
-                                        )
-                                        if lat is not None:
-                                            dcache_misses += 1
-                                            penalty += lat
-                                m >>= 1
-                                c += 1
-                        if penalty:
-                            su = cycle + 1 + penalty
-                            if su > th.stall_until:
-                                th.stall_until = su
-                    # ---- commit (_commit_thread + _retire inlined) ----
-                    if pend.ops_remaining == 0:
-                        bsm = pend.buffered_store_mask
-                        if bsm:
-                            # last-part commit: buffered stores need
-                            # the memory ports *now* (Fig. 11)
-                            stall_extra += (
-                                bsm & engine.mem_used_mask
-                            ).bit_count()
-                            engine.mem_used_mask |= bsm
-                        if pend.was_split:
-                            split_instructions += 1
-                        pos = bench.pos
-                        taken = th.taken[pos]
-                        th.fetch_at = cycle + 1 + (
-                            taken_penalty if taken else 0
-                        )
-                        bench.pos = pos = pos + 1
-                        bstats = bench.stats
-                        bstats.instructions += 1
-                        instructions += 1
-                        if bstats.instructions >= target:
-                            self._target_hit = True
-                        th.pend = None
-                        if pos >= bench.bundle.length:
-                            # benchmark finished: respawn it (§VI-A)
-                            bench.pos = 0
-                            bstats.respawns += 1
-                            th.last_iline = -1
-                        if taken:
-                            th.last_iline = -1  # refetch target line
-                    else:
-                        sm = table.store_cmask[i] & mem
-                        if sm:
-                            pend.buffered_store_mask |= sm
-
-            # ---- accounting (_account_cycle inlined, hookless) ----
-            operations += ops_this_cycle
-            if ops_this_cycle == 0:
-                vertical_waste += 1
-            else:
-                packet_threads[threads_contributing] = (
-                    packet_threads.get(threads_contributing, 0) + 1
-                )
-            cycle += 1
-            if stall_extra:
-                cycle += stall_extra
-                stall_cycles += stall_extra
-                vertical_waste += stall_extra
-
-            # ---- multitasking scheduler ----
-            if multi and cycle >= next_switch:
-                if not switching:
-                    switching = True  # drain split instructions first
-                if all(th.pend is None for th in threads):
-                    self._context_switch(cycle)
-                    next_switch = cycle + timeslice
-                    switching = False
-
-            if stop_on_target and self._target_hit:
-                break
-
-            # ---- bulk idle skip ----
-            if ops_this_cycle == 0 and cycle < end_cycle:
-                cycle, switching, next_switch = self._fast_forward(
-                    cycle, end_cycle, switching, next_switch, multi,
-                    timeslice,
-                )
-
-        stats.operations += operations
-        stats.instructions += instructions
-        stats.vertical_waste += vertical_waste
-        stats.stall_cycles += stall_cycles
-        stats.split_instructions += split_instructions
-        stats.icache_accesses += icache_accesses
-        stats.icache_misses += icache_misses
-        stats.dcache_accesses += dcache_accesses
-        stats.dcache_misses += dcache_misses
-        stats.cycles = cycle
-        stats.memory = self.mem.stats_dict()
-        return stats
 
 
 def run_single_thread(

@@ -1,8 +1,10 @@
 """Scenario-specialised run-loop code generation.
 
-The fast path (:meth:`Processor._run_fast`) still re-evaluates per
-cycle a pile of facts that are constants once a scenario is resolved:
-the split level, the merge level, the memory class (flat vs
+The simulator has two run-loop tiers: the loop generated here, which
+runs every cell without hooks or attribution, and the per-cycle
+reference oracle (:meth:`Processor._run_reference`).  The oracle
+re-evaluates per cycle a pile of facts that are constants once a
+scenario is resolved: the split level, the merge level, the memory class (flat vs
 hierarchical, blocking vs MSHR), whether multitasking is on, the
 priority rotation, and every scenario parameter (timeslice, penalties,
 packed capacities, the instruction target).  This module generates the
@@ -27,8 +29,12 @@ packed capacities, the instruction target).  This module generates the
   policies), eliminating one object construction per fetched
   instruction.
 
-Three fast paths exist only here, not in ``_run_fast``:
+Four fast paths exist only here, not in the oracle:
 
+* **bulk idle skip** — a cycle that issues nothing calls
+  :meth:`Processor._fast_forward`, which jumps the clock over the span
+  in which no thread can act (clamped to timeslice expiries) in
+  O(n_threads) instead of one iteration per cycle;
 * **whole issue at fetch** — a split policy first tests whether the
   whole fetched instruction fits the packet (``cmask & e_used`` under
   cluster merge, one SWAR test against ``bundle_sum``/``packed``
@@ -43,10 +49,11 @@ Three fast paths exist only here, not in ``_run_fast``:
   ``stats_dict()``); ``Cache.access`` runs only on a miss.
 
 They, like the rest of the loop, are gated by the bit-identity tests,
-not by a line-for-line correspondence with ``_run_fast``:
+not by a line-for-line correspondence with the oracle:
 ``tests/test_specialize.py`` checks every generated loop against
 ``_run_reference`` over the full policy × machine × memory × thread
-matrix, and the L1 set contents it leaves against ``_run_fast``'s.
+matrix, L1 set contents included, and ``tests/test_fast_forward.py``
+pins the idle-skip boundaries.
 
 The generated function is statically verified
 (:mod:`repro.analysis.loopcheck`: closed free-name set, provable loop
@@ -55,7 +62,7 @@ then ``compile()``d/``exec``d once and memoised by :func:`loop_key` —
 policy shape + :func:`machine_fingerprint` (the same canonical hash
 the disk cache keys on) + the scenario parameters the source inlines.
 Generation failures and verification rejections are memoised as
-``None`` so :meth:`Processor.run` falls back to ``_run_fast``, with
+``None`` so :meth:`Processor.run` falls back to ``_run_reference``, with
 the rule names + cell fingerprint logged through the ``repro``
 logging tree (set ``REPRO_SPECIALIZE_STRICT=1`` to re-raise instead,
 e.g. in CI — a bad generation is then rejected before it executes).
@@ -89,11 +96,6 @@ LOOP_NAME = "__specialized_loop"
 #: re-raise generation/verification/compilation failures instead of
 #: falling back
 STRICT = bool(os.environ.get("REPRO_SPECIALIZE_STRICT"))
-
-#: statically verify every fresh generation before exec()
-#: (``repro.analysis.loopcheck``); set REPRO_SPECIALIZE_VERIFY=0 to
-#: skip the pre-exec check (the full matrix is still verified in CI)
-VERIFY = os.environ.get("REPRO_SPECIALIZE_VERIFY", "1") != "0"
 
 _sources: dict[tuple, str] = {}
 #: keys whose ``_sources`` text arrived with another process's
@@ -183,7 +185,7 @@ def get_specialized_loop(
 ):
     """Compiled monomorphic loop for one cell, or ``None`` if
     generation failed or was rejected by static verification (the
-    caller then uses ``_run_fast``).  Both outcomes are memoised by
+    caller then uses ``_run_reference``).  Both outcomes are memoised by
     :func:`loop_key`.
 
     Every fresh generation, and every source adopted without a
@@ -214,7 +216,7 @@ def get_specialized_loop(
                 policy, cfg, params, n_threads, n_benches
             )
             _sources[key] = src
-        if VERIFY and key not in _verified:
+        if key not in _verified:
             # imported late: analysis.loopcheck imports this module
             from ..analysis import loopcheck
 
@@ -241,14 +243,14 @@ def get_specialized_loop(
             _stats["rejected"] += 1
             _log.warning(
                 "specialised loop rejected before exec for %s "
-                "(rules: %s); falling back to _run_fast",
+                "(rules: %s); falling back to the reference loop",
                 cell, ", ".join(rules),
             )
         else:
             _stats["failures"] += 1
             _log.warning(
                 "specialised-loop generation failed for %s "
-                "(%s: %s); falling back to _run_fast",
+                "(%s: %s); falling back to the reference loop",
                 cell, type(e).__name__, e,
             )
         fn = None

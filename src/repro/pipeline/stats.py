@@ -8,10 +8,10 @@ Tullsen-style decomposition the paper's introduction uses).
 
 Counters are plain integers with no per-cycle semantics attached: the
 simulator may fold a whole idle span into ``vertical_waste`` in one
-addition (the fast-forward path) or accumulate events in locals and
-flush them once per ``run()`` — only the final totals are defined, and
-they are bit-identical whichever run loop produced them (that identity
-is what lets both loops share disk-cache entries; see
+addition (the specialised loop's idle skip) or accumulate events in
+locals and flush them once per ``run()`` — only the final totals are defined, and
+they are bit-identical whichever of the two run-loop tiers produced
+them (that identity is what lets both share disk-cache entries; see
 ``docs/performance.md``).
 """
 
@@ -103,7 +103,7 @@ class SimStats:
     #: the invariant ``sum(categories) == cycles * slots``.  Populated
     #: only by attribution runs (``Processor(attribute=True)``, always
     #: on the reference loop); empty otherwise, so non-attributed runs
-    #: stay bit-identical across the three run-loop tiers.
+    #: stay bit-identical across the two run-loop tiers.
     attribution: dict = field(default_factory=dict)
 
     @property

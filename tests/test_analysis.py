@@ -5,7 +5,7 @@ pragma contract, the full-matrix loopcheck clean run, tampered-source
 detection, the counterflow tier contract, and the injected-bad-codegen
 path: a monkeypatched generator emitting a stray global must be
 rejected *before* ``exec()`` under ``REPRO_SPECIALIZE_STRICT``, and
-must fall back to ``_run_fast`` (with ``loop_used`` provenance and
+must fall back to ``_run_reference`` (with ``loop_used`` provenance and
 bit-identical results) otherwise.
 """
 
@@ -316,9 +316,9 @@ def test_counterflow_clean():
 
 def test_counterflow_flags_missing_counter():
     sets = {s.tier: s for s in tier_counter_sets()}
-    crippled = sets["fast"]
-    sets["fast"] = CounterSet(
-        "fast",
+    crippled = sets["reference"]
+    sets["reference"] = CounterSet(
+        "reference",
         frozenset(crippled.sim - {"operations"}),
         crippled.bench,
     )
@@ -350,7 +350,8 @@ def test_counterflow_no_split_omission_is_proven_constant():
 def test_counterflow_attribution_is_reference_exclusive():
     sets = {s.tier: s for s in tier_counter_sets()}
     assert "attribution" in sets["reference"].sim
-    assert "attribution" not in sets["fast"].sim
+    spec = [s for t, s in sets.items() if t.startswith("specialized:")]
+    assert spec and all("attribution" not in s.sim for s in spec)
 
 
 # --------------------------------------- specializer pre-exec gating
@@ -395,12 +396,15 @@ def test_nonstrict_rejection_falls_back_and_logs(
     ):
         proc = Processor(BY_NAME["CCSI AS"], traces, 2, PAPER_CFG, params)
         stats = proc.run()
-    assert proc.loop_used == "fast"
+    assert proc.loop_used == "reference"
     info = specialize.cache_info()
     assert info["rejected"] == 1 and info["failures"] == 0
-    # the rejection names the rule and the cell through the repro tree
+    # the rejection names the rule, the cell and the loop it falls
+    # back to through the repro tree
     assert any(
-        "loopcheck-free-name" in r.message and "machine=" in r.message
+        "loopcheck-free-name" in r.message
+        and "machine=" in r.message
+        and "reference loop" in r.message
         for r in caplog.records
     )
 
@@ -414,7 +418,7 @@ def test_nonstrict_rejection_falls_back_and_logs(
     # the rejection is memoised: a second processor takes the memo hit
     again = Processor(BY_NAME["CCSI AS"], traces, 2, PAPER_CFG, params)
     again.run()
-    assert again.loop_used == "fast"
+    assert again.loop_used == "reference"
     info = specialize.cache_info()
     assert info["rejected"] == 1 and info["hits"] == 1
 

@@ -1,12 +1,17 @@
-"""Bit-identity of the event-driven fast-forward run loop.
+"""Bit-identity of the specialised loop's bulk idle-cycle skip.
 
-``Processor.run`` dispatches to ``_run_fast`` (bulk idle-cycle
-skipping, inlined hot path) unless hooks are installed; the per-cycle
-``_run_reference`` loop is the semantic definition of the simulator.
-Every test here asserts the two produce *identical* ``SimStats``
-(compared through ``to_dict()``, i.e. every counter the disk cache
-hashes), across policies, memory presets, thread counts, and the
-scheduler/limit corner cases the skip logic must respect.
+``Processor.run`` dispatches to the generated specialised loop unless
+hooks, attribution or ``force_reference`` ask for the per-cycle
+``_run_reference`` loop, the semantic definition of the simulator.
+The generated loop is the only caller of ``Processor._fast_forward``,
+which jumps the clock over spans in which no thread can act.  Every
+test here runs the default (generated) tier against the reference
+loop and asserts *identical* ``SimStats`` (compared through
+``to_dict()``, i.e. every counter the disk cache hashes), across
+policies, memory presets, thread counts, and the scheduler/limit
+corner cases the skip logic must respect: timeslice expiries and
+``max_cycles`` limits landing mid-skip, DRAM bank-busy windows
+straddling a skipped span, and engaged MSHRs.
 """
 
 from __future__ import annotations
@@ -28,25 +33,15 @@ from repro.pipeline.processor import Processor, SimParams
 
 
 def run_pair(policy, traces, n_threads, cfg, params, **run_kw):
-    """Run the same cell through both loops; returns (fast, ref).
-
-    ``run_loop="fast"`` pins the generic fast path: the default
-    dispatch would take the specialised codegen tier (covered by
-    ``tests/test_specialize.py``) and these tests must keep gating
-    ``_run_fast`` itself — it is the fallback for any scenario the
-    generator rejects.
-    """
-    fast_proc = Processor(
-        policy, traces, n_threads, cfg, params, run_loop="fast"
-    )
+    """Run the same cell through both tiers; returns (spec, ref, proc)
+    where ``proc`` is the processor that ran the generated loop."""
+    spec_proc = Processor(policy, traces, n_threads, cfg, params)
     ref_proc = Processor(
         policy, traces, n_threads, cfg, params, force_reference=True
     )
-    return (
-        fast_proc.run(**run_kw),
-        ref_proc.run(**run_kw),
-        fast_proc,
-    )
+    spec = spec_proc.run(**run_kw)
+    assert spec_proc.loop_used == "specialized"
+    return spec, ref_proc.run(**run_kw), spec_proc
 
 
 def preset_cfg(preset: str):
@@ -65,10 +60,10 @@ def test_bit_identity_policy_preset_matrix(tiny_traces, policy, preset):
         params = SimParams(
             target_instructions=1_500, timeslice=400, seed=11
         )
-        fast, ref, _ = run_pair(
+        spec, ref, _ = run_pair(
             BY_NAME[policy], tiny_traces, nt, cfg, params
         )
-        assert fast.to_dict() == ref.to_dict(), (policy, preset, nt)
+        assert spec.to_dict() == ref.to_dict(), (policy, preset, nt)
 
 
 @pytest.mark.parametrize("preset", sorted(MEMORY_PRESETS))
@@ -81,10 +76,10 @@ def test_bit_identity_real_kernels(preset):
     cfg = preset_cfg(preset)
     params = SimParams(target_instructions=2_000, timeslice=500, seed=7)
     for policy in ("CCSI AS", "OOSI NS"):
-        fast, ref, _ = run_pair(
+        spec, ref, _ = run_pair(
             BY_NAME[policy], traces, 2, cfg, params
         )
-        assert fast.to_dict() == ref.to_dict(), (policy, preset)
+        assert spec.to_dict() == ref.to_dict(), (policy, preset)
 
 
 # ------------------------------------------------------------ skip logic
@@ -93,10 +88,9 @@ def test_fast_forward_engages_on_memory_stalls(tiny_traces):
     otherwise the identity tests above prove nothing about it."""
     cfg = preset_cfg("slow-dram")
     params = SimParams(target_instructions=2_000, timeslice=0, seed=3)
-    proc = Processor(
-        BY_NAME["SMT"], tiny_traces[:1], 1, cfg, params, run_loop="fast"
-    )
+    proc = Processor(BY_NAME["SMT"], tiny_traces[:1], 1, cfg, params)
     stats = proc.run()
+    assert proc.loop_used == "specialized"
     assert proc.ff_skipped_cycles > 0
     assert stats.vertical_waste >= proc.ff_skipped_cycles
 
@@ -107,12 +101,12 @@ def test_timeslice_boundary_crossed_mid_skip(tiny_traces):
     still advance at exactly the reference cycles."""
     cfg = preset_cfg("slow-dram")
     params = SimParams(target_instructions=4_000, timeslice=50, seed=5)
-    fast, ref, proc = run_pair(
+    spec, ref, proc = run_pair(
         BY_NAME["CCSI AS"], tiny_traces, 2, cfg, params
     )
     assert proc.ff_skipped_cycles > 0
-    assert fast.context_switches > 0
-    assert fast.to_dict() == ref.to_dict()
+    assert spec.context_switches > 0
+    assert spec.to_dict() == ref.to_dict()
 
 
 def test_max_cycles_boundary_lands_mid_stall(tiny_traces):
@@ -121,18 +115,18 @@ def test_max_cycles_boundary_lands_mid_stall(tiny_traces):
     cfg = preset_cfg("slow-dram")
     params = SimParams(target_instructions=10**9, timeslice=0, seed=2)
     for limit in (37, 61, 100, 1_000):
-        fast, ref, _ = run_pair(
+        spec, ref, _ = run_pair(
             BY_NAME["SMT"], tiny_traces[:1], 1, cfg, params,
             max_cycles=limit, stop_on_target=False,
         )
-        assert fast.to_dict() == ref.to_dict(), limit
+        assert spec.to_dict() == ref.to_dict(), limit
 
 
 def test_resumed_runs_stay_identical(tiny_traces):
     """Consecutive ``run()`` calls on one processor (cycle counter
     resumes, scheduler state re-derives) match the reference loop."""
     params = SimParams(target_instructions=10**9, timeslice=250, seed=4)
-    fast_proc = Processor(
+    spec_proc = Processor(
         BY_NAME["COSI AS"], tiny_traces, 2, PAPER_MACHINE, params
     )
     ref_proc = Processor(
@@ -140,15 +134,15 @@ def test_resumed_runs_stay_identical(tiny_traces):
         force_reference=True,
     )
     for limit in (300, 400):
-        fast = fast_proc.run(max_cycles=limit, stop_on_target=False)
+        spec = spec_proc.run(max_cycles=limit, stop_on_target=False)
         ref = ref_proc.run(max_cycles=limit, stop_on_target=False)
-        assert fast.to_dict() == ref.to_dict(), limit
+        assert spec.to_dict() == ref.to_dict(), limit
 
 
 def test_bank_busy_window_straddles_skipped_span(tiny_traces):
     """A bank-busy reservation far longer than the stall that created
-    it must survive bulk skips: the fast path jumps over the span, but
-    a post-skip miss to the same bank has to wait the exact residual
+    it must survive bulk skips: the generated loop jumps over the span,
+    but a post-skip miss to the same bank has to wait the exact residual
     the reference loop charges."""
     cfg = replace(
         PAPER_MACHINE,
@@ -161,30 +155,30 @@ def test_bank_busy_window_straddles_skipped_span(tiny_traces):
         params = SimParams(
             target_instructions=2_500, timeslice=timeslice, seed=seed
         )
-        fast, ref, proc = run_pair(
+        spec, ref, proc = run_pair(
             BY_NAME["SMT"], tiny_traces, 2, cfg, params
         )
         assert proc.ff_skipped_cycles > 0, (seed, timeslice)
-        assert fast.memory["dram"]["bank_conflicts"] > 0, (seed, timeslice)
-        assert fast.to_dict() == ref.to_dict(), (seed, timeslice)
+        assert spec.memory["dram"]["bank_conflicts"] > 0, (seed, timeslice)
+        assert spec.to_dict() == ref.to_dict(), (seed, timeslice)
 
 
 def test_slow_dram_timeslice_expiry_lands_mid_skip(tiny_traces):
     """slow-dram preset with timeslices shorter than a DRAM stall: the
-    drain/context-switch transition fires inside spans the fast path
-    skips, while bank-busy windows carry across them."""
+    drain/context-switch transition fires inside spans the generated
+    loop skips, while bank-busy windows carry across them."""
     cfg = preset_cfg("slow-dram")
     for seed in (21, 22):
         for ts in (61, 97):
             params = SimParams(
                 target_instructions=3_000, timeslice=ts, seed=seed
             )
-            fast, ref, proc = run_pair(
+            spec, ref, proc = run_pair(
                 BY_NAME["CCSI AS"], tiny_traces, 4, cfg, params
             )
             assert proc.ff_skipped_cycles > 0, (seed, ts)
-            assert fast.context_switches > 0, (seed, ts)
-            assert fast.to_dict() == ref.to_dict(), (seed, ts)
+            assert spec.context_switches > 0, (seed, ts)
+            assert spec.to_dict() == ref.to_dict(), (seed, ts)
 
 
 def test_bit_identity_with_engaged_mshrs():
@@ -198,16 +192,16 @@ def test_bit_identity_with_engaged_mshrs():
         params = SimParams(
             target_instructions=2_000, timeslice=500, seed=7
         )
-        fast, ref, _ = run_pair(BY_NAME["CCSI AS"], traces, 2, cfg, params)
-        assert fast.memory["mshr"]["merges"] > 0, preset
-        assert fast.to_dict() == ref.to_dict(), preset
+        spec, ref, _ = run_pair(BY_NAME["CCSI AS"], traces, 2, cfg, params)
+        assert spec.memory["mshr"]["merges"] > 0, preset
+        assert spec.to_dict() == ref.to_dict(), preset
 
 
 # -------------------------------------------------------- hook fallback
 def test_hooks_fall_back_to_reference_loop(tiny_traces):
     """A hooked run must fire ``on_cycle`` for *every* issue cycle
-    (the fast path cannot guarantee that, so it must not be taken) and
-    still produce the same stats as the hook-less fast path."""
+    (the generated loop skips idle spans, so it must not be taken) and
+    still produce the same stats as the hook-less generated loop."""
     rec = CycleRecorder(limit=10**9)
     params = SimParams(target_instructions=1_200, timeslice=300, seed=3)
     hooked = Processor(
@@ -220,10 +214,10 @@ def test_hooks_fall_back_to_reference_loop(tiny_traces):
     assert len(rec.samples) == s.cycles - s.stall_cycles
     assert hooked.ff_skipped_cycles == 0
 
-    fast = Processor(
+    spec = Processor(
         BY_NAME["SMT"], tiny_traces, 2, PAPER_MACHINE, params
     ).run()
-    assert fast.to_dict() == s.to_dict()
+    assert spec.to_dict() == s.to_dict()
 
 
 def test_force_reference_flag(tiny_traces):
@@ -240,8 +234,8 @@ def test_force_reference_flag(tiny_traces):
 def test_session_reference_flag_matches_fast_path(tmp_path):
     """`SimulationSession(reference=True)` runs the reference loop and
     lands bit-identical stats in the same cache keys."""
-    fast = SimulationSession(QUICK_SCALE).run("CCSI AS", ("mcf",), 1)
+    spec = SimulationSession(QUICK_SCALE).run("CCSI AS", ("mcf",), 1)
     ref = SimulationSession(QUICK_SCALE, reference=True).run(
         "CCSI AS", ("mcf",), 1
     )
-    assert fast.to_dict() == ref.to_dict()
+    assert spec.to_dict() == ref.to_dict()

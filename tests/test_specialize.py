@@ -2,10 +2,10 @@
 
 ``repro.pipeline.specialize`` generates a monomorphic run loop per
 resolved (policy, machine, memory, thread-count) cell; ``Processor.run``
-dispatches specialised → ``_run_fast`` → ``_run_reference``.  The tests
-here gate the generator the same way PR 3 gated the fast path: the
-generated loop must be *bit-identical* (every ``SimStats`` counter,
-memory/MSHR/writeback included) to the per-cycle reference loop across
+dispatches to it, or to the per-cycle ``_run_reference`` oracle when
+hooks, attribution or ``force_reference`` ask for it or the generated
+loop is rejected.  The generated loop must be *bit-identical* (every
+``SimStats`` counter, memory/MSHR/writeback included) to the per-cycle reference loop across
 the full policy × machine × memory × nt matrix, the memo must hit on
 fingerprint-equal configs, and every fallback edge (hooks,
 ``force_reference``, broken generation) must land on the right tier
@@ -232,7 +232,7 @@ def test_tampered_unverified_source_is_rejected(fresh_cache, monkeypatch):
     specialize.adopt_source(key, tampered)
     proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
     stats = proc.run()
-    assert proc.loop_used == "fast"
+    assert proc.loop_used == "reference"
     assert specialize.cache_info()["rejected"] == 1
     ref = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params,
                     force_reference=True).run()
@@ -287,26 +287,11 @@ def test_hooks_and_force_reference_take_reference_loop():
     forced.run()
     assert forced.loop_used == "reference"
 
-    explicit = Processor(BY_NAME["SMT"], traces, 2, cfg, params,
-                         run_loop="reference")
-    explicit.run()
-    assert explicit.loop_used == "reference"
 
-    fast = Processor(BY_NAME["SMT"], traces, 2, cfg, params,
-                     run_loop="fast")
-    fast.run()
-    assert fast.loop_used == "fast"
-    assert fast.ff_skipped_cycles >= 0
-
-    with pytest.raises(ValueError):
-        Processor(BY_NAME["SMT"], traces, 2, cfg, params,
-                  run_loop="turbo")
-
-
-def test_broken_generation_falls_back_to_fast(fresh_cache, monkeypatch):
+def test_broken_generation_falls_back_to_reference(fresh_cache, monkeypatch):
     """A generator bug must not change results: pre-exec verification
     (``repro.analysis.loopcheck``) rejects the source, the dispatch
-    memoises the rejection and lands on ``_run_fast``."""
+    memoises the rejection and lands on ``_run_reference``."""
     from repro.analysis import LoopVerificationError
 
     traces = traces_for("paper")
@@ -320,7 +305,7 @@ def test_broken_generation_falls_back_to_fast(fresh_cache, monkeypatch):
     )
     proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
     stats = proc.run()
-    assert proc.loop_used == "fast"
+    assert proc.loop_used == "reference"
     assert specialize.cache_info()["rejected"] == 1
 
     ref = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params,
@@ -353,10 +338,7 @@ def test_session_prewarm_payload_roundtrip(fresh_cache):
     fresh = SimulationSession(QUICK_SCALE)
     assert fresh.run("CCSI AS", ("mcf",), 2).to_dict() == stats.to_dict()
 
-    # tiers that never specialise ship no payload
-    assert SimulationSession(
-        QUICK_SCALE, run_loop="fast"
-    ).prewarm_specialization("CCSI AS", ("mcf",), 2) is None
+    # a session that never specialises ships no payload
     assert SimulationSession(
         QUICK_SCALE, reference=True
     ).prewarm_specialization("CCSI AS", ("mcf",), 2) is None
@@ -410,8 +392,8 @@ def _quick_processor(session, policy, workload, nt, **kw):
 
 def test_inlined_l1_leaves_fast_path_cache_state(quick_session, monkeypatch):
     """Every flat quick cell: the generated loop's inlined hit path and
-    ``_run_fast``'s ``Cache.access`` calls leave the same L1 sets (keys,
-    LRU order, dirty truthiness) and the same hit/miss/writeback
+    the reference loop's ``Cache.access`` calls leave the same L1 sets
+    (keys, LRU order, dirty truthiness) and the same hit/miss/writeback
     counts; ``Cache.access`` itself runs only on the misses."""
     from repro.memory.cache import Cache
 
@@ -419,17 +401,17 @@ def test_inlined_l1_leaves_fast_path_cache_state(quick_session, monkeypatch):
         spec = _quick_processor(quick_session, policy, workload, nt)
         calls = _count_calls(monkeypatch, Cache, "access")
         s = spec.run()
-        monkeypatch.undo()  # the fast path below runs uncounted
+        monkeypatch.undo()  # the reference loop below runs uncounted
         assert spec.loop_used == "specialized"
         assert calls[0] == s.icache_misses + s.dcache_misses
-        fast = _quick_processor(
-            quick_session, policy, workload, nt, run_loop="fast"
+        ref = _quick_processor(
+            quick_session, policy, workload, nt, force_reference=True
         )
-        f = fast.run()
+        r = ref.run()
         cell = (policy, workload, nt)
-        assert s.to_dict() == f.to_dict(), cell
-        assert _cache_state(spec.mem.l1i) == _cache_state(fast.mem.l1i), cell
-        assert _cache_state(spec.mem.l1d) == _cache_state(fast.mem.l1d), cell
+        assert s.to_dict() == r.to_dict(), cell
+        assert _cache_state(spec.mem.l1i) == _cache_state(ref.mem.l1i), cell
+        assert _cache_state(spec.mem.l1d) == _cache_state(ref.mem.l1d), cell
 
 
 @pytest.mark.parametrize("policy", ["SMT", "COSI AS", "OOSI NS"])
