@@ -26,6 +26,7 @@ from .runner import (
 )
 from .session import (
     DEFAULT_SCALE,
+    Cell,
     QUICK_SCALE,
     ExperimentScale,
     SimulationSession,
@@ -48,6 +49,7 @@ __all__ = [
     "cell_label",
     "run_matrix",
     "DEFAULT_SCALE",
+    "Cell",
     "QUICK_SCALE",
     "ExperimentScale",
     "SimulationSession",

@@ -3,11 +3,12 @@
 Each matrix cell is an independent deterministic simulation (its own
 ``random.Random(seed)``, its own caches), so cells can run on a process
 pool in any order and produce bit-identical counters to a serial sweep.
-Workers receive only small picklable specs — (policy name, benchmark
-names, thread count, scale, machine config) — and rebuild traces
-locally via the per-process trace memo in :mod:`repro.kernels.suite`;
-trace bundles themselves (megabytes of flattened tables) never cross
-the process boundary.  Results come back as
+Workers receive the cell the parent resolved — a small picklable
+:class:`~repro.engine.session.Cell` carrying policy, benchmark names,
+machine config and simulation parameters — and take its traces from
+the per-process trace memo they inherited at fork; trace bundles
+themselves (megabytes of flattened tables) never cross the process
+boundary.  Results come back as
 ``{"stats": SimStats.to_dict(), "telemetry": <ledger record>}``
 payloads; stats are folded into the parent session's memo and disk
 cache, and the worker's telemetry record (tagged with the worker's
@@ -53,12 +54,13 @@ sources.
 from __future__ import annotations
 
 import logging
+import os
 import time
 import traceback as tb_module
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..pipeline.stats import SimStats
 from . import faults
@@ -124,29 +126,21 @@ class SweepAborted(RuntimeError):
 def cell_label(spec: tuple) -> str:
     """Human/journal/fault-matcher id of one cell:
     ``policy/workload/nT[/memory][/machine]``."""
-    workload = spec[1]
+    policy, workload, n_threads, *coords = spec
     w = workload if isinstance(workload, str) else "+".join(workload)
-    parts = [str(spec[0]), w, str(spec[2])]
-    if len(spec) > 3 and spec[3]:
-        parts.append(str(spec[3]))
-    if len(spec) > 4 and spec[4]:
-        parts.append(str(spec[4]))
-    return "/".join(parts)
+    return "/".join(
+        [str(policy), w, str(n_threads), *(str(c) for c in coords if c)]
+    )
 
 
-#: One worker task: everything needed to reproduce a cell from scratch.
-#: (policy_name, member_names, n_threads, scale, cfg, reference,
-#: spec_src, cell_id, attempt, fault_plan) — the cfg already carries
-#: the cell's machine- and memory-scenario coordinates and the scale
-#: its machine-rescaled timeslice; ``reference`` forwards the
-#: session's run-loop choice (results are bit-identical across tiers,
-#: but the session must honour its contract);
+#: One worker task: ``(cell, spec_src, attempt, fault_plan)``.  The
+#: :class:`~repro.engine.session.Cell` is simulated as received;
 #: ``spec_src`` is the parent's pre-warmed ``(loop_key, source,
 #: verified)`` specialisation payload, or ``None`` — compiled code
 #: objects do not pickle, so workers ship *source* and compile it
-#: locally, skipping ``loopcheck`` for text the parent verified; ``cell_id`` /
-#: ``attempt`` / ``fault_plan`` drive deterministic fault injection
-#: (:mod:`repro.engine.faults`).
+#: locally, skipping ``loopcheck`` for text the parent verified; the
+#: cell's label, ``attempt`` and ``fault_plan`` drive deterministic
+#: fault injection (:mod:`repro.engine.faults`).
 _CellPayload = tuple
 
 
@@ -168,22 +162,17 @@ def _simulate_cell(payload: _CellPayload) -> dict:
     exception, so the parent can charge the attempt and retry; only a
     real crash (or injected ``os._exit``) breaks the pool.
     """
-    (policy_name, members, n_threads, scale, cfg, reference, spec_src,
-     cell_id, attempt, fault_plan) = payload
-    # Import here so fork-less start methods (spawn) stay cheap until
-    # a task actually runs.
-    from .session import SimulationSession
-
+    cell, spec_src, attempt, fault_plan = payload
     faults.install(fault_plan, in_worker=True)
-    faults.begin_cell(cell_id, attempt)
+    faults.begin_cell(cell.label, attempt)
     try:
-        faults.maybe_crash_or_hang(cell_id, attempt)
+        faults.maybe_crash_or_hang(cell.label, attempt)
         if spec_src is not None:
             from ..pipeline import specialize
 
             specialize.adopt_source(*spec_src)
-        session = SimulationSession(scale=scale, cfg=cfg, reference=reference)
-        stats = session.run(policy_name, members, n_threads)
+        t0 = time.perf_counter()
+        stats, proc = cell.simulate()
     except Exception as e:
         return {"error": {
             "category": "error",
@@ -192,40 +181,16 @@ def _simulate_cell(payload: _CellPayload) -> dict:
         }}
     finally:
         faults.end_cell()
-    # the run just recorded exactly one ledger entry; ship it home so
-    # the parent's telemetry covers pooled cells too
-    telemetry = session.telemetry.records[-1]
+    telemetry = cell.telemetry(
+        "simulated", proc.loop_used, time.perf_counter() - t0,
+        proc.spec_seconds, worker=os.getpid(),
+    )
     log.debug(
         "simulated %s / %s / %dT (%s loop, %.0f ms)",
-        policy_name, "+".join(members), n_threads,
-        telemetry.get("loop_used"), 1e3 * telemetry.get("wall_s", 0.0),
+        cell.policy.name, "+".join(cell.members), cell.n_threads,
+        proc.loop_used, 1e3 * telemetry["wall_s"],
     )
     return {"stats": stats.to_dict(), "telemetry": telemetry}
-
-
-# --------------------------------------------------------------- helpers
-def _payload_base(session, spec) -> tuple:
-    """The attempt-independent part of one cell's worker payload."""
-    memory = spec[3] if len(spec) > 3 else None
-    machine = spec[4] if len(spec) > 4 else None
-    params = session.params(machine)
-    # pre-warm the specialised-loop source once per distinct cell
-    # shape in the parent (the generator memoises by loop key, so
-    # repeated shapes are free) and ship it as text
-    spec_src = session.prewarm_specialization(
-        spec[0], spec[1], spec[2], memory, machine
-    )
-    return (
-        spec[0],
-        session.workload_members(spec[1]),
-        spec[2],
-        # the machine scenario may rescale the timeslice; the worker
-        # rebuilds its params from this scale
-        replace(session.scale, timeslice=params.timeslice),
-        session.resolve_cfg(memory, machine),
-        session.reference,
-        spec_src,
-    )
 
 
 def _kill_pool(pool) -> None:
@@ -244,7 +209,7 @@ def _kill_pool(pool) -> None:
 
 
 class _MatrixRun:
-    """State of one fault-tolerant matrix execution."""
+    """State of one fault-tolerant matrix execution, keyed by cell."""
 
     def __init__(self, session, retry: RetryPolicy):
         self.session = session
@@ -252,83 +217,90 @@ class _MatrixRun:
         self.journal = session.journal
         self.results: dict[tuple, SimStats] = {}
         self.failures: list[CellFailure] = []
-        self.attempts: dict[tuple, int] = {}
-        self.tracebacks: dict[tuple, list[str]] = {}
-        self.not_before: dict[tuple, float] = {}
+        self.attempts: dict = {}
+        self.tracebacks: dict = {}
+        self.not_before: dict = {}
 
     # ------------------------------------------------------- accounting
-    def charge(self, spec) -> int:
-        self.attempts[spec] = self.attempts.get(spec, 0) + 1
-        return self.attempts[spec]
+    def charge(self, cell) -> int:
+        self.attempts[cell] = self.attempts.get(cell, 0) + 1
+        return self.attempts[cell]
 
-    def refund(self, spec) -> None:
-        self.attempts[spec] = max(0, self.attempts.get(spec, 1) - 1)
+    def refund(self, cell) -> None:
+        self.attempts[cell] = max(0, self.attempts.get(cell, 1) - 1)
 
-    def exhausted(self, spec) -> bool:
-        return self.attempts.get(spec, 0) > self.retry.retries
+    def exhausted(self, cell) -> bool:
+        return self.attempts.get(cell, 0) > self.retry.retries
 
-    def note_error(self, spec, category: str, message: str,
+    def note_error(self, cell, category: str, message: str,
                    traceback: str | None = None) -> None:
-        entry = f"[attempt {self.attempts.get(spec, 1)}: {category}] " + (
+        entry = f"[attempt {self.attempts.get(cell, 1)}: {category}] " + (
             traceback or message
         )
-        self.tracebacks.setdefault(spec, []).append(entry)
+        self.tracebacks.setdefault(cell, []).append(entry)
         log.warning(
             "cell %s attempt %d failed (%s): %s",
-            cell_label(spec), self.attempts.get(spec, 1), category,
-            message,
+            cell.label, self.attempts.get(cell, 1), category, message,
         )
 
-    def backoff(self, spec) -> None:
+    def backoff(self, cell) -> None:
         """Schedule the cell's next attempt (deterministic exponential
         backoff); pooled execution keeps other cells running while this
         one waits."""
-        used = self.attempts.get(spec, 1)
+        used = self.attempts.get(cell, 1)
         delay = self.retry.backoff_s * (2 ** (used - 1))
         if delay > 0:
-            self.not_before[spec] = time.monotonic() + delay
+            self.not_before[cell] = time.monotonic() + delay
 
-    def adopt(self, spec, stats: SimStats, attempt: int,
+    def done(self, cell, stats: SimStats, key: str | None,
+             source: str) -> None:
+        """Record one completed cell: its result, and its journal line
+        (``source`` is ``"simulated"`` or ``"cached"``) under the store
+        key its resolution derived (a memo hit derives it here)."""
+        if self.journal is not None:
+            self.journal.record_done(
+                key or self.session._disk_key(cell), cell.label, source
+            )
+        self.results[cell.spec] = stats
+
+    def adopt(self, cell, stats: SimStats, attempt: int,
               telemetry: dict) -> None:
         """Fold one cell a pool worker simulated into the session (memo
         + store + journal + the worker's telemetry record) the moment
         it completes."""
         session = self.session
-        cell = cell_label(spec)
-        faults.begin_cell(cell, attempt)  # store faults key off cells
+        faults.begin_cell(cell.label, attempt)  # store faults key off cells
         try:
-            session.adopt(
-                spec[0], spec[1], spec[2], stats,
-                spec[3] if len(spec) > 3 else None,
-                spec[4] if len(spec) > 4 else None,
-            )
+            key = session._adopt(cell, stats)
         finally:
             faults.end_cell()
         session.telemetry.adopt(telemetry)
         session.simulations += 1
-        if self.journal is not None:
-            self.journal.record_done(
-                session.journal_key(spec), cell, "simulated"
-            )
-        self.results[spec] = stats
+        self.done(cell, stats, key, "simulated")
 
-    def fail(self, spec, category: str, message: str) -> None:
+    def fail(self, cell, category: str, message: str) -> None:
         """Record one exhausted cell; abort the sweep if the failure
         budget is spent."""
+        session = self.session
         failure = CellFailure(
-            spec=spec,
-            cell=cell_label(spec),
+            spec=cell.spec,
+            cell=cell.label,
             category=category,
-            attempts=self.attempts.get(spec, 1),
+            attempts=self.attempts.get(cell, 1),
             error=message,
-            tracebacks=tuple(self.tracebacks.get(spec, ())),
+            tracebacks=tuple(self.tracebacks.get(cell, ())),
         )
         self.failures.append(failure)
-        self.session.failures.append(failure)
-        self.session.record_failure(spec, failure)
+        session.failures.append(failure)
+        # a source="failed" ledger record carrying the error category
+        # and attempt count (surfaced by the sweep digest and `repro
+        # stats`)
+        session.telemetry.record(**cell.telemetry(
+            "failed", error=category, attempts=failure.attempts
+        ))
         if self.journal is not None:
             self.journal.record_failed(
-                self.session.journal_key(spec), failure.cell,
+                session._disk_key(cell), failure.cell,
                 category, failure.attempts, message,
             )
         log.error(
@@ -345,80 +317,51 @@ class _MatrixRun:
             raise SweepAborted(self.failures)
 
 
-def _run_serial(run: _MatrixRun, specs: list[tuple]) -> None:
+def _run_serial(run: _MatrixRun, cells: list) -> None:
     """In-process execution with the same retry/record semantics as the
     pool (also the degraded mode after repeated pool deaths).  Per-cell
     timeouts cannot preempt in-process code and do not apply."""
     session, retry = run.session, run.retry
-    for spec in specs:
-        if spec in run.results:
+    for cell in cells:
+        if cell.spec in run.results:
             continue
         while True:
-            attempt = run.charge(spec)
+            attempt = run.charge(cell)
             if attempt > 1:
                 delay = retry.backoff_s * (2 ** (attempt - 2))
                 if delay > 0:
                     time.sleep(delay)
-            cell = cell_label(spec)
-            before = session.simulations
-            faults.begin_cell(cell, attempt)
+            faults.begin_cell(cell.label, attempt)
             try:
-                faults.maybe_crash_or_hang(cell, attempt)
-                stats = session.run(*spec)
+                faults.maybe_crash_or_hang(cell.label, attempt)
+                stats, source, key = session._run_cell(cell)
             except faults.InjectedCrash as e:
-                run.note_error(spec, "crash", str(e))
+                run.note_error(cell, "crash", str(e))
                 category, message = "crash", str(e)
             except Exception as e:
                 message = f"{type(e).__name__}: {e}"
-                run.note_error(spec, "error", message,
+                run.note_error(cell, "error", message,
                                tb_module.format_exc())
                 category = "error"
             else:
-                run.results[spec] = stats
-                if run.journal is not None:
-                    run.journal.record_done(
-                        session.journal_key(spec), cell,
-                        "simulated" if session.simulations > before
-                        else "cached",
-                    )
+                run.done(
+                    cell, stats, key,
+                    "simulated" if source == "simulated" else "cached",
+                )
                 break
             finally:
                 faults.end_cell()
-            if run.exhausted(spec):
-                run.fail(spec, category, message)
+            if run.exhausted(cell):
+                run.fail(cell, category, message)
                 break
 
 
-def _spec_coords(spec: tuple) -> tuple:
-    """(memory, machine) coordinates of one sweep spec."""
-    return (
-        spec[3] if len(spec) > 3 else None,
-        spec[4] if len(spec) > 4 else None,
-    )
-
-
-def _materialise_bundles(session, specs: list[tuple]) -> list:
-    """Build the trace bundles of cells about to simulate in this
-    process's memo, loading them from the store (or recording them),
-    and return them.  Result keys come from the fingerprint index
-    without bundles, and pool workers have no store: they inherit the
-    memo when the pool forks, so a bundle left to a worker would re-run
-    the functional VM there."""
-    bundles = []
-    for spec in specs:
-        _, machine = _spec_coords(spec)
-        bundles += session._bundles(
-            session.workload_members(spec[1]), machine
-        )
-    return bundles
-
-
-def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int,
+def _run_pooled(run: _MatrixRun, pending: list, jobs: int,
                 bundles: list) -> None:
     """Drive ``pending`` cells, whose trace bundles are ``bundles``,
     through a self-healing process pool."""
     session, retry = run.session, run.retry
-    queue: deque[tuple] = deque(pending)
+    queue: deque = deque(pending)
     # the pool is session-owned and survives this sweep: consecutive
     # sweep() calls on one session reuse warm workers (numpy + the
     # simulator pre-imported by _pool_warm_init), unless they were
@@ -432,7 +375,7 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int,
     # last one; with one, a submitted cell must be (approximately) a
     # *running* cell, so its timeout clock does not start while queued
     cap = jobs if retry.cell_timeout is not None else 2 * jobs
-    inflight: dict = {}          # future -> spec, in submission order
+    inflight: dict = {}          # future -> cell, in submission order
     deadlines: dict = {}         # future -> monotonic deadline
     fault_plan = session.fault_plan.encode()
     # the pool phase, first submit to last adoption, and the worker
@@ -441,28 +384,29 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int,
     phase_end: float | None = None
     busy_s = 0.0
 
-    def submit(spec) -> bool:
+    def submit(cell) -> bool:
         nonlocal phase_start
-        attempt = run.charge(spec)
+        attempt = run.charge(cell)
+        # the parent pre-warms the specialised-loop source (memoised
+        # by loop key, so repeated shapes are free) and ships it as text
         payload = (
-            *_payload_base(session, spec),
-            cell_label(spec), attempt, fault_plan,
+            cell, cell.prewarm_specialization(), attempt, fault_plan
         )
         try:
             fut = pool.submit(_simulate_cell, payload)
         except BrokenProcessPool:
-            run.refund(spec)
-            queue.appendleft(spec)
+            run.refund(cell)
+            queue.appendleft(cell)
             return False
         if phase_start is None:
             phase_start = time.monotonic()
-        inflight[fut] = spec
+        inflight[fut] = cell
         if retry.cell_timeout is not None:
             deadlines[fut] = time.monotonic() + retry.cell_timeout
         return True
 
-    def on_pool_death(kind: str, culprits: list[tuple],
-                      bystanders: list[tuple] = ()) -> None:
+    def on_pool_death(kind: str, culprits: list,
+                      bystanders: list = ()) -> None:
         """Handle one pool death and respawn (or signal degrade).
 
         ``culprits`` were plausibly at fault: a timed-out cell is
@@ -480,23 +424,23 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int,
         pool_deaths += 1
         _kill_pool(pool)
         session._discard_pool()
-        for spec in culprits:
+        for cell in culprits:
             run.note_error(
-                spec, kind,
+                cell, kind,
                 f"worker pool died ({kind}) with the cell aboard",
             )
-            if kind != "crash" and run.exhausted(spec):
+            if kind != "crash" and run.exhausted(cell):
                 run.fail(
-                    spec, kind,
-                    f"cell was aboard {run.attempts[spec]} pool "
+                    cell, kind,
+                    f"cell was aboard {run.attempts[cell]} pool "
                     f"death(s) ({kind})",
                 )
             else:
-                run.backoff(spec)
-                queue.append(spec)
-        for spec in bystanders:
-            run.refund(spec)
-            queue.append(spec)
+                run.backoff(cell)
+                queue.append(cell)
+        for cell in bystanders:
+            run.refund(cell)
+            queue.append(cell)
         inflight.clear()
         deadlines.clear()
         if pool_deaths >= retry.pool_death_limit:
@@ -530,21 +474,21 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int,
             now = time.monotonic()
             blocked_until: list[float] = []
             while queue and len(inflight) < cap:
-                spec = queue[0]
-                nb = run.not_before.get(spec)
+                cell = queue[0]
+                nb = run.not_before.get(cell)
                 if nb is not None and nb > now:
                     # head cell is backing off; rotate it away so it
                     # cannot starve the rest of the queue
                     blocked_until.append(nb)
                     queue.rotate(-1)
                     if all(
-                        run.not_before.get(s, 0) > now for s in queue
+                        run.not_before.get(c, 0) > now for c in queue
                     ):
                         break
                     continue
                 queue.popleft()
-                run.not_before.pop(spec, None)
-                if not submit(spec):
+                run.not_before.pop(cell, None)
+                if not submit(cell):
                     # the pool broke between waits: everything already
                     # in flight rode it down (the cell we tried to
                     # submit was refunded and re-queued by submit())
@@ -575,52 +519,52 @@ def _run_pooled(run: _MatrixRun, pending: list[tuple], jobs: int,
                 if expired:
                     hung = [inflight[f] for f in expired]
                     bystanders = [
-                        s for f, s in inflight.items()
+                        c for f, c in inflight.items()
                         if f not in expired
                     ]
                     log.warning(
                         "cell(s) %s exceeded the %.1fs per-cell "
                         "timeout; killing the pool",
-                        ", ".join(cell_label(s) for s in hung),
+                        ", ".join(c.label for c in hung),
                         retry.cell_timeout,
                     )
                     on_pool_death("timeout", hung, bystanders)
                 continue
             broken = False
             for fut in done:
-                spec = inflight[fut]
+                cell = inflight[fut]
                 try:
-                    cell = fut.result()
+                    result = fut.result()
                 except BrokenProcessPool:
                     # stays in flight: on_crash() needs its place in
                     # the submission order
                     broken = True
                     continue
                 except Exception as e:  # pickling error etc.
-                    cell = {"error": {
+                    result = {"error": {
                         "category": "error",
                         "message": f"{type(e).__name__}: {e}",
                     }}
                 del inflight[fut]
                 deadlines.pop(fut, None)
-                if "error" in cell:
-                    err = cell["error"]
+                if "error" in result:
+                    err = result["error"]
                     run.note_error(
-                        spec, err["category"], err["message"],
+                        cell, err["category"], err["message"],
                         err.get("traceback"),
                     )
-                    if run.exhausted(spec):
-                        run.fail(spec, err["category"], err["message"])
+                    if run.exhausted(cell):
+                        run.fail(cell, err["category"], err["message"])
                     else:
-                        run.backoff(spec)
-                        queue.append(spec)
+                        run.backoff(cell)
+                        queue.append(cell)
                     continue
                 run.adopt(
-                    spec, SimStats.from_dict(cell["stats"]),
-                    run.attempts.get(spec, 1), cell["telemetry"],
+                    cell, SimStats.from_dict(result["stats"]),
+                    run.attempts.get(cell, 1), result["telemetry"],
                 )
                 phase_end = time.monotonic()
-                busy_s += cell["telemetry"].get("wall_s", 0.0)
+                busy_s += result["telemetry"].get("wall_s", 0.0)
             if broken:
                 # one worker death breaks every outstanding future;
                 # everything still inflight rode the same dead pool
@@ -649,10 +593,12 @@ def run_matrix(
     quadruples with a memory-preset name appended, or quintuples with
     (memory-preset-or-None, machine-scenario) appended — through
     ``session``, fanning cache misses out over ``jobs`` processes.
+    Each spec is resolved once, into the
+    :class:`~repro.engine.session.Cell` every later step uses.
 
-    Serial (``jobs <= 1``) drives ``session.run`` in-process.  Parallel
-    first resolves every spec against the memo/disk cache in-process,
-    then ships only the misses to the pool; finished cells are adopted
+    Serial (``jobs <= 1``) runs each cell in-process.  Parallel first
+    resolves every cell against the memo/disk cache in-process, then
+    ships only the misses to the pool; finished cells are adopted
     into the session *as they complete* so a subsequent sweep (or
     figure generation, or an interrupted run's journal) sees them.
 
@@ -671,7 +617,7 @@ def run_matrix(
     """
     # duplicate specs (e.g. `--threads 2 2`) would each miss the cache
     # before any result lands, costing a redundant pool simulation
-    specs = list(dict.fromkeys(specs))
+    cells = [session.cell(*s, spec=s) for s in dict.fromkeys(specs)]
     run = _MatrixRun(session, session.retry)
     journal = session.journal
     if resume and journal is not None:
@@ -679,46 +625,47 @@ def run_matrix(
 
         plan = resume_plan(
             journal.load(),
-            [(session.journal_key(s), s) for s in specs],
+            [(session._disk_key(c), c.spec) for c in cells],
         )
         log.info(
             "resume: %d cells requested — %d done in journal, %d "
             "previously failed (re-scheduled), %d never attempted",
-            len(specs), len(plan["done"]), len(plan["failed"]),
+            len(cells), len(plan["done"]), len(plan["failed"]),
             len(plan["missing"]),
         )
     if journal is not None:
         journal.checkpoint(
-            "sweep-start", cells=len(specs), jobs=jobs, resume=resume
+            "sweep-start", cells=len(cells), jobs=jobs, resume=resume
         )
     prev_plan = faults.active()
     faults.install(session.fault_plan)
     outcome = "sweep-interrupted"
     try:
         if jobs <= 1 or session.hooks:
-            _run_serial(run, specs)
+            _run_serial(run, cells)
         else:
-            pending: list[tuple] = []
-            for spec in specs:
-                stats, source = session.lookup_with_source(*spec)
-                if stats is not None:
-                    # the pool path bypasses session.run(), so cache
-                    # hits are written to the telemetry ledger here
-                    # (wall time is the lookup's, effectively zero)
-                    session._record_cell(
-                        spec[0], spec[1], spec[2],
-                        spec[3] if len(spec) > 3 else None,
-                        spec[4] if len(spec) > 4 else None,
-                        source, None, 0.0, 0.0,
-                    )
-                    run.results[spec] = stats
-                else:
-                    pending.append(spec)
-            bundles = _materialise_bundles(session, pending)
+            pending = []
+            for cell in cells:
+                stats, source, key = session._lookup(cell)
+                if stats is None:
+                    pending.append(cell)
+                    continue
+                # the pool path bypasses session._run_cell, so hits
+                # land in the ledger here (wall time is the lookup's,
+                # effectively zero)
+                session.telemetry.record(**cell.telemetry(source))
+                run.done(cell, stats, key, "cached")
+            # pool workers have no store: they inherit this process's
+            # trace memo at fork, so every bundle they need is loaded
+            # (or recorded) here, or a worker would re-run the
+            # functional VM
+            bundles = [
+                b for cell in pending for b in cell.bundles(session.cache)
+            ]
             log.debug(
                 "matrix: %d cells, %d cached, %d to simulate on %d "
                 "workers",
-                len(specs), len(run.results), len(pending), jobs,
+                len(cells), len(run.results), len(pending), jobs,
             )
             if pending:
                 _run_pooled(run, pending, jobs, bundles)

@@ -18,6 +18,10 @@ optionally × memory-scenario (`memory=` presets from
 — serially or on a process pool (:mod:`repro.engine.runner`); the same
 seed gives bit-identical counters either way, because every cell is an
 independent deterministic simulation.
+
+Every call resolves its cell spec once, into a :class:`Cell`; that
+record is what the memo, the store, the simulator, telemetry, the
+journal, fault injection and the pool workers see.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, replace
 
 from ..arch.config import MachineConfig, PAPER_MACHINE, get_memory_config
 from ..arch.scenarios import get_scenario
-from ..core.policies import ALL_POLICIES, Policy, get_policy
+from ..core.policies import ALL_POLICIES, SMT, Policy, get_policy
 from ..kernels.suite import get_fingerprint, get_trace, trace_identity
 from ..obs.telemetry import TelemetryLedger
 from ..pipeline.processor import Processor, SimParams
@@ -36,12 +40,13 @@ from ..pipeline.trace import TraceBundle
 from .cache import ResultCache, cache_key
 from .faults import FaultPlan
 from .journal import SweepJournal
-from .runner import DEFAULT_RETRY, RetryPolicy
+from .runner import DEFAULT_RETRY, RetryPolicy, cell_label
 
 #: Policy-name stand-in for single-thread (ST) baseline runs in cache
-#: keys; the run itself uses op-level merging with one thread, where
-#: every policy is equivalent.
+#: keys and telemetry; the run itself uses op-level merging with one
+#: thread, where every policy is equivalent.
 _ST_POLICY = "ST"
+_ST = replace(SMT, name=_ST_POLICY)
 
 
 @dataclass(frozen=True)
@@ -67,12 +72,121 @@ QUICK_SCALE = ExperimentScale(
 )
 
 
+def _resolve_cfg(
+    cfg: MachineConfig, memory: str | None, machine: str | None
+) -> MachineConfig:
+    """``cfg`` under a (memory preset, machine preset) coordinate
+    (``None``: keep ``cfg``'s).  A machine scenario supplies the whole
+    config, its own memory included; a memory preset overlays it."""
+    if machine is not None:
+        cfg = get_scenario(machine).machine
+    if memory is not None:
+        cfg = replace(cfg, memory=get_memory_config(memory))
+    return cfg
+
+
 def _workloads_table() -> dict[str, tuple[str, ...]]:
     # Lazy: harness.workloads transitively triggers repro.harness.
     # __init__, which imports back into this module.
     from ..harness.workloads import WORKLOADS
 
     return WORKLOADS
+
+
+@dataclass(frozen=True, eq=False)
+class Cell:
+    """One matrix cell, resolved once from its spec.
+
+    Frozen and picklable: a pool worker simulates the cell it receives
+    without resolving anything from names.  Compared and hashed by
+    identity, so one sweep's bookkeeping can key on it."""
+
+    #: the spec it was resolved from: ``(policy, workload, n_threads)``
+    #: plus the memory and machine coordinates a sweep appends
+    spec: tuple
+    policy: Policy
+    #: the Fig. 13b workload name, or the member names joined by ``+``
+    workload: str
+    members: tuple[str, ...]
+    n_threads: int
+    #: memory- and machine-scenario coordinates (``None``: the
+    #: session's own)
+    memory: str | None
+    machine: str | None
+    cfg: MachineConfig
+    params: SimParams
+    kernel_scale: float
+    #: ``policy/workload/nT[/memory][/machine]``: the journal, log and
+    #: fault-matcher id
+    label: str
+    memo_key: tuple
+
+    def bundles(self, store: ResultCache | None = None) -> list[TraceBundle]:
+        """The members' trace bundles.  The compiler and the functional
+        VM see only the machine shape, and the trace memo normalises
+        the memory hierarchy out, so every memory preset riding on one
+        machine shares one compile + trace per benchmark."""
+        return [
+            get_trace(name, self.kernel_scale, self.cfg, store=store)
+            for name in self.members
+        ]
+
+    def simulate(
+        self, store: ResultCache | None = None, hooks=(),
+        attribute: bool = False,
+    ) -> tuple[SimStats, Processor]:
+        """Run the cell cycle by cycle; returns its stats and the
+        processor (which reports the run-loop tier it took)."""
+        proc = Processor(
+            self.policy, self.bundles(store), self.n_threads, self.cfg,
+            self.params, hooks=hooks, attribute=attribute,
+        )
+        return proc.run(), proc
+
+    def prewarm_specialization(self) -> tuple | None:
+        """Generate, verify + compile the cell's specialised run loop
+        in *this* process and return the picklable ``(key, source,
+        verified)`` payload a pool worker installs with
+        :func:`repro.pipeline.specialize.adopt_source` — workers then
+        compile shipped source instead of re-deriving it (code objects
+        do not pickle), and skip ``loopcheck`` when ``verified`` says
+        the parent already ran it on this text.  Returns ``None`` when
+        generation failed or was rejected, so a worker never receives
+        source the parent would not execute (it falls back exactly like
+        the parent would)."""
+        from ..pipeline import specialize
+
+        shape = (
+            self.policy, self.cfg, self.params, self.n_threads,
+            len(self.members),
+        )
+        try:
+            key, src = specialize.source_for(*shape)
+            if specialize.get_specialized_loop(*shape) is None:
+                return None
+        except Exception:
+            if specialize.STRICT:
+                raise
+            return None
+        return key, src, True
+
+    def telemetry(
+        self, source: str, loop_used: str | None = None,
+        wall_s: float = 0.0, spec_s: float = 0.0, **extra,
+    ) -> dict:
+        """The cell's telemetry-ledger record for one resolution."""
+        return dict(
+            policy=self.policy.name,
+            workload=self.workload,
+            n_threads=self.n_threads,
+            memory=self.memory,
+            machine=self.machine,
+            source=source,
+            loop_used=loop_used,
+            wall_s=round(wall_s, 6),
+            spec_s=round(spec_s, 6),
+            **extra,
+        )
 
 
 class SimulationSession:
@@ -87,27 +201,17 @@ class SimulationSession:
         hooks=None,
         memory: str | None = None,
         machine: str | None = None,
-        reference: bool = False,
         telemetry: str | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | str | None = None,
     ):
-        if machine is not None:
-            # a machine scenario supplies the whole config (its own
-            # memory included); an explicit memory= still overlays it
-            spec = get_scenario(machine)
-            cfg = spec.machine
-            scale = replace(scale, timeslice=spec.timeslice(scale.timeslice))
-        if memory is not None:
-            cfg = replace(cfg, memory=get_memory_config(memory))
         self.scale = scale
-        self.cfg = cfg
+        self.cfg = _resolve_cfg(cfg, memory, machine)
+        #: the machine scenario whose timeslice factor applies to cells
+        #: without a machine coordinate of their own
+        self.machine = machine
         self.jobs = max(1, jobs)
         self.hooks = tuple(hooks) if hooks else ()
-        #: force the per-cycle reference simulation loop instead of the
-        #: specialised codegen loop (``docs/performance.md``).  Results
-        #: are bit-identical, so cached entries are shared either way.
-        self.reference = reference
         self.cache = ResultCache(cache_dir) if cache_dir else None
         #: durable sweep journal under the cache dir — the resumable
         #: scheduler's record of cell outcomes (``docs/robustness.md``);
@@ -137,16 +241,10 @@ class SimulationSession:
         #: the trace bundles the pool's workers inherited
         self._pool_bundles: list = []
         self._memo: dict[tuple, SimStats] = {}
-        #: machine configs resolved per (machine preset, memory preset)
-        #: sweep-axis coordinate, derived from the session config /
-        #: scenario registry; cached so config identity is stable for
-        #: the per-process trace memo
-        self._preset_cfgs: dict[tuple, MachineConfig] = {}
         #: Processor runs actually executed on behalf of this session
         #: (including pool workers); zero on a warm-cache rerun.
         self.simulations = 0
-        #: in-process memo hits (every ``lookup``/``run`` resolution
-        #: served from ``_memo``)
+        #: in-process memo hits
         self.memo_hits = 0
         #: per-cell telemetry ledger (``docs/observability.md``):
         #: always accumulates in memory; ``telemetry=`` names a JSONL
@@ -200,142 +298,184 @@ class SimulationSession:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    # ------------------------------------------------------------ keys
-    def params(self, machine: str | None = None) -> SimParams:
-        """Simulation parameters for one machine-scenario coordinate
-        (``None`` = the session's own scale): a scenario may scale the
-        OS timeslice (``fast-switch``), everything else is the scale's."""
+    # ----------------------------------------------------------- cells
+    def _params(self, machine: str | None) -> SimParams:
+        """Simulation parameters under one machine-scenario coordinate
+        (``None``: the session's machine): a scenario may scale the OS
+        timeslice (``fast-switch``), everything else is the scale's."""
         s = self.scale
-        timeslice = s.timeslice
-        if machine is not None:
-            timeslice = get_scenario(machine).timeslice(timeslice)
+        machine = machine or self.machine
         return SimParams(
             target_instructions=s.target_instructions,
-            timeslice=timeslice,
+            timeslice=(
+                s.timeslice if machine is None
+                else get_scenario(machine).timeslice(s.timeslice)
+            ),
             max_cycles=s.max_cycles,
             seed=s.seed,
         )
 
-    def workload_members(self, workload) -> tuple[str, ...]:
-        """Normalise a workload spec: a Fig. 13b name or an explicit
-        sequence of benchmark names."""
-        if isinstance(workload, str):
-            return tuple(_workloads_table()[workload])
-        return tuple(workload)
-
-    def machine_cfg(self, machine: str | None) -> MachineConfig:
-        """Base machine config for one machine-scenario coordinate
-        (``None`` = the session's own config).  This is the config
-        traces are compiled against, so it is shared by every memory
-        preset riding on the same machine."""
-        if machine is None:
-            return self.cfg
-        key = (machine, None)
-        cfg = self._preset_cfgs.get(key)
-        if cfg is None:
-            cfg = get_scenario(machine).machine
-            self._preset_cfgs[key] = cfg
-        return cfg
-
-    def resolve_cfg(
-        self, memory: str | None, machine: str | None = None
-    ) -> MachineConfig:
-        """Machine config for one (memory preset, machine preset)
-        sweep-axis coordinate (``None`` = the session's own)."""
-        base = self.machine_cfg(machine)
-        if memory is None:
-            return base
-        key = (machine, memory)
-        cfg = self._preset_cfgs.get(key)
-        if cfg is None:
-            cfg = replace(base, memory=get_memory_config(memory))
-            self._preset_cfgs[key] = cfg
-        return cfg
-
-    def _bundles(
-        self, members: tuple[str, ...], machine: str | None = None
-    ) -> list[TraceBundle]:
-        # Built against the cell's *machine* base config (the compiler
-        # and functional VM see cluster count and issue shape): every
-        # memory preset riding on one machine shares one compile +
-        # trace per benchmark, because the memory hierarchy is
-        # invisible to both.  Only a simulating cell needs them;
-        # result keys come from get_fingerprint.
-        cfg = self.machine_cfg(machine)
-        return [
-            get_trace(name, self.scale.kernel_scale, cfg, store=self.cache)
-            for name in members
-        ]
-
-    def _disk_key(
-        self,
-        policy_name: str,
-        members: tuple[str, ...],
-        n_threads: int,
-        params: SimParams,
-        cfg: MachineConfig | None = None,
-        machine: str | None = None,
-    ) -> str | None:
-        if self.cache is None:
-            return None
-        base = self.machine_cfg(machine)
-        prints = tuple(
-            get_fingerprint(
-                name, self.scale.kernel_scale, base, store=self.cache
-            )
-            for name in members
-        )
-        return cache_key(
-            self.cfg if cfg is None else cfg,
-            params,
-            policy_name,
-            members,
-            prints,
-            n_threads,
-        )
-
-    def journal_key(self, spec: tuple) -> str | None:
-        """Content-hashed identity of one sweep spec for the journal —
-        the same key the disk cache uses, so a resumed sweep after a
-        kernel/scale/scenario change correctly sees *different* cells.
-        ``None`` for cache-less sessions (which cannot journal)."""
-        if self.cache is None:
-            return None
-        memory = spec[3] if len(spec) > 3 else None
-        machine = spec[4] if len(spec) > 4 else None
-        policy, members, cfg, params, _ = self._cell(
-            spec[0], spec[1], spec[2], memory, machine
-        )
-        return self._disk_key(
-            policy.name, members, spec[2], params, cfg, machine
-        )
-
-    def _cell(
+    def cell(
         self,
         policy: Policy | str,
         workload,
         n_threads: int,
         memory: str | None = None,
         machine: str | None = None,
-    ) -> tuple[Policy, tuple[str, ...], MachineConfig, SimParams, tuple]:
-        """Normalise one matrix-cell spec to
-        (policy, members, machine config, sim params, memo key)."""
+        spec: tuple | None = None,
+    ) -> Cell:
+        """Resolve one matrix cell: ``workload`` is a Fig. 13b name or
+        a sequence of benchmark names, ``memory``/``machine`` name
+        scenario presets (``None``: the session's own).  ``spec`` is
+        the sweep spec the cell stands for (default: the arguments)."""
+        if spec is None:
+            spec = (policy, workload, n_threads, memory, machine)
         if isinstance(policy, str):
             policy = get_policy(policy)
-        members = self.workload_members(workload)
-        cfg = self.resolve_cfg(memory, machine)
-        params = self.params(machine)
-        # keyed by the full (frozen, hashable) machine config plus the
-        # effective timeslice, not by preset names: a custom config
-        # sharing a preset's name must not collide with that preset in
-        # the memo, and a machine scenario may rescale the timeslice
-        key = (
-            "cell", policy.name, members, n_threads, cfg,
-            params.timeslice,
+        if isinstance(workload, str):
+            members = tuple(_workloads_table()[workload])
+        else:
+            members = tuple(workload)
+            workload = "+".join(members)
+        cfg = _resolve_cfg(self.cfg, memory, machine)
+        params = self._params(machine)
+        return Cell(
+            spec=spec,
+            policy=policy,
+            workload=workload,
+            members=members,
+            n_threads=n_threads,
+            memory=memory,
+            machine=machine,
+            cfg=cfg,
+            params=params,
+            kernel_scale=self.scale.kernel_scale,
+            label=cell_label(
+                (policy.name, workload, n_threads, memory, machine)
+            ),
+            # keyed by the full (frozen, hashable) machine config plus
+            # the effective timeslice, not by preset names: a custom
+            # config sharing a preset's name must not collide with that
+            # preset, and a machine scenario may rescale the timeslice
+            memo_key=(
+                "cell", policy.name, members, n_threads, cfg,
+                params.timeslice,
+            ),
         )
-        return policy, members, cfg, params, key
+
+    def _single_cell(self, bench: str, perfect_memory: bool) -> Cell:
+        """One single-thread baseline run.  Its length comes from the
+        trace identity, served like a fingerprint."""
+        ident = trace_identity(
+            bench, self.scale.kernel_scale, self.cfg, store=self.cache
+        )
+        # Matches the legacy ``run_single_thread`` helper exactly
+        # (including its 50 M-cycle safety limit, not the matrix
+        # scale's), so Fig. 13a numbers are unchanged by the engine.
+        params = SimParams(
+            target_instructions=ident.length,
+            timeslice=0,
+            perfect_memory=perfect_memory,
+            renaming=False,
+            seed=self.scale.seed,
+        )
+        spec = (_ST_POLICY, bench, 1)
+        return Cell(
+            spec=spec, policy=_ST, workload=bench, members=(bench,),
+            n_threads=1, memory=None, machine=None, cfg=self.cfg,
+            params=params, kernel_scale=self.scale.kernel_scale,
+            label=cell_label(spec),
+            memo_key=("single", bench, perfect_memory),
+        )
+
+    def _disk_key(self, cell: Cell) -> str | None:
+        """The cell's store key (``None`` without a store).  The trace
+        fingerprints come from the memo or the store's fingerprint
+        index, so no bundle is built for them."""
+        if self.cache is None:
+            return None
+        prints = tuple(
+            get_fingerprint(
+                name, cell.kernel_scale, cell.cfg, store=self.cache
+            )
+            for name in cell.members
+        )
+        return cache_key(
+            cell.cfg, cell.params, cell.policy.name, cell.members,
+            prints, cell.n_threads,
+        )
 
     # ------------------------------------------------------- execution
+    def _lookup(self, cell: Cell) -> tuple[SimStats | None, str | None,
+                                           str | None]:
+        """Memo, then store, never simulating: ``(stats, source, store
+        key)`` with ``source`` ``"memo"``, ``"disk"`` or ``None`` on a
+        miss.  The store key is derived only after a memo miss.
+
+        A hooked session never reads the store: a disk hit would
+        return stats for a simulation whose events never fired in this
+        process, desynchronising hook state from the results.  (Memo
+        hits are fine — the in-process run that populated the memo
+        already fired its events.)"""
+        stats = self._memo.get(cell.memo_key)
+        if stats is not None:
+            self.memo_hits += 1
+            return stats, "memo", None
+        if self.hooks or self.cache is None:
+            return None, None, None
+        key = self._disk_key(cell)
+        stats = self.cache.get(key)
+        if stats is not None:
+            self._memo[cell.memo_key] = stats
+            return stats, "disk", key
+        return None, None, key
+
+    def _adopt(self, cell: Cell, stats: SimStats) -> str | None:
+        """Store a computed result (local or a pool worker's) in the
+        memo and the store, as if this session had simulated it;
+        returns the store key.  The key is derived again because the
+        cell's bundles are built by now, and a built bundle's identity
+        replaces whatever the fingerprint index served."""
+        self._memo[cell.memo_key] = stats
+        key = self._disk_key(cell)
+        if key is not None:
+            self.cache.put(
+                key,
+                stats,
+                meta={
+                    "policy": cell.policy.name,
+                    "members": list(cell.members),
+                    "n_threads": cell.n_threads,
+                    "memory": cell.cfg.memory.name,
+                    "machine": cell.machine or "default",
+                },
+            )
+        return key
+
+    def _run_cell(self, cell: Cell, rebuild=None) -> tuple[SimStats, str,
+                                                          str | None]:
+        """Memo → store → simulate one resolved cell; lands one
+        telemetry record and returns ``(stats, source, store key)``.
+        ``rebuild`` re-resolves a cell whose parameters depend on its
+        traces, once their bundles are built."""
+        t0 = time.perf_counter()
+        stats, source, key = self._lookup(cell)
+        loop_used = None
+        spec_s = 0.0
+        if stats is None:
+            if rebuild is not None:
+                cell.bundles(self.cache)
+                cell = rebuild()
+            stats, proc = cell.simulate(self.cache, self.hooks)
+            self.simulations += 1
+            key = self._adopt(cell, stats)
+            source, loop_used = "simulated", proc.loop_used
+            spec_s = proc.spec_seconds
+        self.telemetry.record(**cell.telemetry(
+            source, loop_used, time.perf_counter() - t0, spec_s
+        ))
+        return stats, source, key
+
     def run(
         self,
         policy: Policy | str,
@@ -354,36 +494,9 @@ class SimulationSession:
 
         Every resolution — memo hit, disk hit, or simulation — lands
         one record in :attr:`telemetry`."""
-        t0 = time.perf_counter()
-        stats, source = self.lookup_with_source(
-            policy, workload, n_threads, memory, machine
-        )
-        loop_used = None
-        spec_s = 0.0
-        if stats is None:
-            pol, members, cfg, params, _ = self._cell(
-                policy, workload, n_threads, memory, machine
-            )
-            proc = Processor(
-                pol,
-                self._bundles(members, machine),
-                n_threads,
-                cfg,
-                params,
-                hooks=self.hooks,
-                force_reference=self.reference,
-            )
-            stats = proc.run()
-            self.simulations += 1
-            self.adopt(pol, members, n_threads, stats, memory, machine)
-            source = "simulated"
-            loop_used = proc.loop_used
-            spec_s = proc.spec_seconds
-        self._record_cell(
-            policy, workload, n_threads, memory, machine,
-            source, loop_used, time.perf_counter() - t0, spec_s,
-        )
-        return stats
+        return self._run_cell(
+            self.cell(policy, workload, n_threads, memory, machine)
+        )[0]
 
     def attribute(
         self,
@@ -403,265 +516,36 @@ class SimulationSession:
         touch the disk cache — a populated ``attribution`` block in a
         shared cache entry would leak into non-attribution runs and
         break the run-loop tiers' bit-identity contract."""
-        pol, members, cfg, params, base_key = self._cell(
-            policy, workload, n_threads, memory, machine
-        )
-        key = ("attr", *base_key[1:])
+        cell = self.cell(policy, workload, n_threads, memory, machine)
+        key = ("attr", *cell.memo_key[1:])
         stats = self._memo.get(key)
         if stats is not None:
             self.memo_hits += 1
             return stats
         t0 = time.perf_counter()
-        proc = Processor(
-            pol,
-            self._bundles(members, machine),
-            n_threads,
-            cfg,
-            params,
-            hooks=self.hooks,
-            attribute=True,
-        )
-        stats = proc.run()
+        stats, proc = cell.simulate(self.cache, self.hooks, attribute=True)
         self.simulations += 1
         self._memo[key] = stats
-        self._record_cell(
-            policy, workload, n_threads, memory, machine,
+        self.telemetry.record(**cell.telemetry(
             "simulated", proc.loop_used, time.perf_counter() - t0,
             proc.spec_seconds,
-        )
+        ))
         return stats
-
-    def _record_cell(
-        self, policy, workload, n_threads, memory, machine,
-        source, loop_used, wall_s, spec_s,
-    ) -> None:
-        self.telemetry.record(
-            policy=policy if isinstance(policy, str) else policy.name,
-            workload=(
-                workload if isinstance(workload, str)
-                else "+".join(workload)
-            ),
-            n_threads=n_threads,
-            memory=memory,
-            machine=machine,
-            source=source,
-            loop_used=loop_used,
-            wall_s=round(wall_s, 6),
-            spec_s=round(spec_s, 6),
-        )
-
-    def record_failure(self, spec: tuple, failure) -> None:
-        """Land one exhausted cell in the telemetry ledger as a
-        ``source="failed"`` record carrying the error category and
-        attempt count (surfaced by the sweep digest and ``repro
-        stats``)."""
-        workload = spec[1]
-        self.telemetry.record(
-            policy=spec[0],
-            workload=(
-                workload if isinstance(workload, str)
-                else "+".join(workload)
-            ),
-            n_threads=spec[2],
-            memory=spec[3] if len(spec) > 3 else None,
-            machine=spec[4] if len(spec) > 4 else None,
-            source="failed",
-            loop_used=None,
-            wall_s=0.0,
-            spec_s=0.0,
-            error=failure.category,
-            attempts=failure.attempts,
-        )
-
-    def prewarm_specialization(
-        self,
-        policy: Policy | str,
-        workload,
-        n_threads: int,
-        memory: str | None = None,
-        machine: str | None = None,
-    ) -> tuple | None:
-        """Generate, verify + compile the specialised run loop for one
-        cell in *this* process and return the picklable
-        ``(key, source, verified)`` payload a pool worker installs with
-        :func:`repro.pipeline.specialize.adopt_source` — workers then
-        compile shipped source instead of re-deriving it (code objects
-        do not pickle), and skip ``loopcheck`` when ``verified`` says
-        the parent already ran it on this text.  Returns ``None`` when
-        the session forces the reference loop or generation failed or
-        was rejected, so a worker never receives source the parent
-        would not execute (it falls back exactly like the parent
-        would)."""
-        if self.reference:
-            return None
-        from ..pipeline import specialize
-
-        policy, members, cfg, params, _ = self._cell(
-            policy, workload, n_threads, memory, machine
-        )
-        try:
-            key, src = specialize.source_for(
-                policy, cfg, params, n_threads, len(members)
-            )
-            if (
-                specialize.get_specialized_loop(
-                    policy, cfg, params, n_threads, len(members)
-                )
-                is None
-            ):
-                return None
-        except Exception:
-            if specialize.STRICT:
-                raise
-            return None
-        return key, src, True
-
-    def lookup(
-        self,
-        policy: Policy | str,
-        workload,
-        n_threads: int,
-        memory: str | None = None,
-        machine: str | None = None,
-    ):
-        """Memo/disk-cache probe that never simulates (``None`` on
-        miss)."""
-        return self.lookup_with_source(
-            policy, workload, n_threads, memory, machine
-        )[0]
-
-    def lookup_with_source(
-        self,
-        policy: Policy | str,
-        workload,
-        n_threads: int,
-        memory: str | None = None,
-        machine: str | None = None,
-    ) -> tuple[SimStats | None, str | None]:
-        """Like :meth:`lookup`, but also reports where the result came
-        from: ``"memo"``, ``"disk"``, or ``None`` on a miss — the
-        provenance half of the telemetry ledger.
-
-        A hooked session never reads the disk cache: a disk hit would
-        return stats for a simulation whose events never fired in this
-        process, desynchronising hook state from the results.  (Memo
-        hits are fine — the in-process run that populated the memo
-        already fired its events.)
-        """
-        policy, members, cfg, params, memo_key = self._cell(
-            policy, workload, n_threads, memory, machine
-        )
-        stats = self._memo.get(memo_key)
-        if stats is not None:
-            self.memo_hits += 1
-            return stats, "memo"
-        if not self.hooks:
-            disk_key = self._disk_key(
-                policy.name, members, n_threads, params, cfg, machine
-            )
-            if disk_key is not None:
-                stats = self.cache.get(disk_key)
-                if stats is not None:
-                    self._memo[memo_key] = stats
-                    return stats, "disk"
-        return None, None
-
-    def adopt(
-        self,
-        policy: Policy | str,
-        workload,
-        n_threads: int,
-        stats: SimStats,
-        memory: str | None = None,
-        machine: str | None = None,
-    ) -> None:
-        """Store a computed result (local or a pool worker's) in the
-        memo and disk cache, as if this session had simulated it."""
-        policy, members, cfg, params, memo_key = self._cell(
-            policy, workload, n_threads, memory, machine
-        )
-        self._memo[memo_key] = stats
-        disk_key = self._disk_key(
-            policy.name, members, n_threads, params, cfg, machine
-        )
-        if disk_key is not None:
-            self.cache.put(
-                disk_key,
-                stats,
-                meta={
-                    "policy": policy.name,
-                    "members": list(members),
-                    "n_threads": n_threads,
-                    "memory": cfg.memory.name,
-                    "machine": machine or "default",
-                },
-            )
-
-    def _single_cell(
-        self, bench: str, perfect_memory: bool
-    ) -> tuple[SimParams, str | None]:
-        """Sim params and disk key of one single-thread baseline run."""
-        ident = trace_identity(
-            bench, self.scale.kernel_scale, self.cfg, store=self.cache
-        )
-        # Matches the legacy ``run_single_thread`` helper exactly
-        # (including its 50 M-cycle safety limit, not the matrix
-        # scale's), so Fig. 13a numbers are unchanged by the engine.
-        params = SimParams(
-            target_instructions=ident.length,
-            timeslice=0,
-            perfect_memory=perfect_memory,
-            renaming=False,
-            seed=self.scale.seed,
-        )
-        if self.cache is None:
-            return params, None
-        return params, cache_key(
-            self.cfg, params, _ST_POLICY, (bench,), (ident.fingerprint,), 1
-        )
 
     def run_single(self, bench: str, perfect_memory: bool = False) -> SimStats:
         """Single-thread baseline run of one benchmark (Fig. 13a's
         IPCr/IPCp columns): no multitasking, no renaming, run to the
         end of the trace once."""
-        memo_key = ("single", bench, perfect_memory)
-        stats = self._memo.get(memo_key)
+        stats = self._memo.get(("single", bench, perfect_memory))
         if stats is not None:
             self.memo_hits += 1
             return stats
-        t0 = time.perf_counter()
-        params, disk_key = self._single_cell(bench, perfect_memory)
-        if disk_key is not None and not self.hooks:
-            # see lookup(): no disk reads when hooked
-            stats = self.cache.get(disk_key)
-        source, loop_used, spec_s = "disk", None, 0.0
-        if stats is None:
-            from ..core.policies import SMT
-
-            bundle = get_trace(
-                bench, self.scale.kernel_scale, self.cfg, store=self.cache
-            )
-            # re-derived from the built bundle, which replaced whatever
-            # the fingerprint index served
-            params, disk_key = self._single_cell(bench, perfect_memory)
-            proc = Processor(
-                SMT, [bundle], 1, self.cfg, params, hooks=self.hooks,
-                force_reference=self.reference,
-            )
-            stats = proc.run()
-            self.simulations += 1
-            source, loop_used = "simulated", proc.loop_used
-            spec_s = proc.spec_seconds
-            if disk_key is not None:
-                self.cache.put(
-                    disk_key, stats, meta={"policy": _ST_POLICY, "bench": bench}
-                )
-        self._memo[memo_key] = stats
-        self._record_cell(
-            _ST_POLICY, bench, 1, None, None, source, loop_used,
-            time.perf_counter() - t0, spec_s,
-        )
-        return stats
+        # a simulating baseline is resolved again from its built
+        # bundle, which replaced whatever the fingerprint index served
+        return self._run_cell(
+            self._single_cell(bench, perfect_memory),
+            rebuild=lambda: self._single_cell(bench, perfect_memory),
+        )[0]
 
     def sweep(
         self,

@@ -28,7 +28,7 @@ from repro.arch.config import (
     get_memory_config,
 )
 from repro.core.policies import ALL_POLICIES, BY_NAME
-from repro.engine import CycleRecorder, QUICK_SCALE, SimulationSession
+from repro.engine import CycleRecorder
 from repro.pipeline.processor import Processor, SimParams
 
 
@@ -228,14 +228,3 @@ def test_force_reference_flag(tiny_traces):
     )
     proc.run()
     assert proc.ff_skipped_cycles == 0
-
-
-# ------------------------------------------------------ engine plumbing
-def test_session_reference_flag_matches_fast_path(tmp_path):
-    """`SimulationSession(reference=True)` runs the reference loop and
-    lands bit-identical stats in the same cache keys."""
-    spec = SimulationSession(QUICK_SCALE).run("CCSI AS", ("mcf",), 1)
-    ref = SimulationSession(QUICK_SCALE, reference=True).run(
-        "CCSI AS", ("mcf",), 1
-    )
-    assert spec.to_dict() == ref.to_dict()

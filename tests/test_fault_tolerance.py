@@ -102,9 +102,9 @@ def test_crash_refunds_cells_queued_behind_running_ones(monkeypatch):
     adopted = {}
     real = runner._MatrixRun.adopt
 
-    def spy(self, spec, stats, attempt, telemetry):
-        adopted[spec] = attempt
-        return real(self, spec, stats, attempt, telemetry)
+    def spy(self, cell, stats, attempt, telemetry):
+        adopted[cell.spec] = attempt
+        return real(self, cell, stats, attempt, telemetry)
 
     monkeypatch.setattr(runner._MatrixRun, "adopt", spy)
     s = SimulationSession(

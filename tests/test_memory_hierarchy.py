@@ -603,14 +603,12 @@ def test_memory_stats_json_roundtrip(session):
 
 
 def test_distinct_disk_cache_keys_per_preset(session):
-    params = session.params()
-    members = session.workload_members("llll")
     keys = set()
     from repro.engine.cache import cache_key
 
     for preset in ("paper", "l2", "l2+prefetch"):
-        cfg = session.resolve_cfg(preset)
-        keys.add(cache_key(cfg, params, "SMT", members,
+        cell = session.cell("SMT", "llll", 2, memory=preset)
+        keys.add(cache_key(cell.cfg, cell.params, "SMT", cell.members,
                            ("f1", "f2", "f3", "f4"), 2))
     assert len(keys) == 3
 

@@ -266,8 +266,8 @@ def test_rejected_generation_ships_no_payload(fresh_cache, monkeypatch):
         specialize, "generate_loop_source",
         lambda *a, **k: real(*a, **k) + "    while True:\n        pass\n",
     )
-    session = SimulationSession(QUICK_SCALE)
-    assert session.prewarm_specialization("CCSI AS", ("mcf",), 2) is None
+    cell = SimulationSession(QUICK_SCALE).cell("CCSI AS", ("mcf",), 2)
+    assert cell.prewarm_specialization() is None
     assert specialize.cache_info()["rejected"] == 1
 
 
@@ -322,11 +322,11 @@ def test_broken_generation_falls_back_to_reference(fresh_cache, monkeypatch):
 
 # ------------------------------------------------------ engine plumbing
 def test_session_prewarm_payload_roundtrip(fresh_cache):
-    """``prewarm_specialization`` returns the picklable payload the
-    pool runner ships; adopting it on a cold cache reproduces the
+    """``Cell.prewarm_specialization`` returns the picklable payload
+    the pool runner ships; adopting it on a cold cache reproduces the
     session's own results."""
     session = SimulationSession(QUICK_SCALE)
-    payload = session.prewarm_specialization("CCSI AS", ("mcf",), 2)
+    payload = session.cell("CCSI AS", ("mcf",), 2).prewarm_specialization()
     assert payload is not None
     key, src, verified = payload
     assert isinstance(src, str) and specialize.LOOP_NAME in src
@@ -337,11 +337,6 @@ def test_session_prewarm_payload_roundtrip(fresh_cache):
     specialize.adopt_source(key, src)
     fresh = SimulationSession(QUICK_SCALE)
     assert fresh.run("CCSI AS", ("mcf",), 2).to_dict() == stats.to_dict()
-
-    # a session that never specialises ships no payload
-    assert SimulationSession(
-        QUICK_SCALE, reference=True
-    ).prewarm_specialization("CCSI AS", ("mcf",), 2) is None
 
 
 # ------------------------------------------------- inlined L1 hit path
@@ -382,11 +377,9 @@ def _quick_cells():
 
 
 def _quick_processor(session, policy, workload, nt, **kw):
-    members = session.workload_members(workload)
-    bundles = session._bundles(members)
+    cell = session.cell(policy, workload, nt)
     return Processor(
-        BY_NAME[policy], bundles, nt, session.resolve_cfg(None, None),
-        session.params(), **kw,
+        cell.policy, cell.bundles(), nt, cell.cfg, cell.params, **kw,
     )
 
 

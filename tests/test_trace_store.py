@@ -219,17 +219,17 @@ def test_memory_presets_share_one_entry(tmp_path, recordings):
 # ----------------------------------------------------------- sessions
 def test_result_keys_identical_with_and_without_store(filled, tmp_path):
     session = SimulationSession(TINY, cache_dir=copy_store(filled, tmp_path))
-    spec = ("CCSI AS", "llhh", 2)
-    indexed_key = session.journal_key(spec)
+    cell = session.cell("CCSI AS", "llhh", 2)
+    indexed_key = session._disk_key(cell)
     info = session.cache_stats()
     assert (info["traces_indexed"], info["traces_loaded"]) == (4, 0)
     suite.clear_trace_cache()
-    wl = session.workload_members("llhh")
     prints = tuple(
-        suite.get_trace(n, TINY.kernel_scale).fingerprint() for n in wl
+        suite.get_trace(n, TINY.kernel_scale).fingerprint()
+        for n in cell.members
     )
     recorded_key = cache_key(
-        session.cfg, session.params(), "CCSI AS", wl, prints, 2
+        session.cfg, cell.params, "CCSI AS", cell.members, prints, 2
     )
     assert indexed_key == recorded_key
 
@@ -589,7 +589,7 @@ def test_pooled_sweep_over_partly_warm_store_records_nothing(
     pending = [("CCSI AS", "llll", 2), ("SMT", "llhh", 2)]
     session = SimulationSession(TINY, cache_dir=root)
     for spec in pending:
-        os.unlink(session.cache._path(session.journal_key(spec)))
+        os.unlink(session.cache._path(session._disk_key(session.cell(*spec))))
     suite.clear_trace_cache()
 
     log = tmp_path / "recorded.txt"
@@ -620,7 +620,7 @@ def test_pooled_sweep_over_partly_warm_store_records_nothing(
     assert info["traces_loaded"] == len(members())
     needed = {
         suite._memo_key(n, TINY.kernel_scale, session.cfg, 5_000_000)
-        for spec in pending for n in session.workload_members(spec[1])
+        for spec in pending for n in session.cell(*spec).members
     }
     assert memo_at_fork and needed <= memo_at_fork[0]
 
