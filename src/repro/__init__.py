@@ -27,11 +27,7 @@ Quickstart
 True
 """
 
-from .arch import PAPER_MACHINE, MachineConfig
-from .core.policies import ALL_POLICIES, Policy, get_policy
-from .engine import ExperimentScale, SimulationSession
-from .kernels.suite import SUITE, get_trace
-from .pipeline.processor import Processor, SimParams, run_single_thread
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
@@ -51,9 +47,18 @@ __all__ = [
     "quick_demo",
 ]
 
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".arch.config": ("PAPER_MACHINE", "MachineConfig"),
+    ".core.policies": ("ALL_POLICIES", "Policy", "get_policy"),
+    ".engine.session": ("ExperimentScale", "SimulationSession"),
+    ".kernels.suite": ("SUITE", "get_trace"),
+    ".pipeline.params": ("SimParams",),
+    ".pipeline.processor": ("Processor", "run_single_thread"),
+})
+
 
 def quick_demo(policy: str = "CCSI AS", workload: str = "llhh"):
     """Run one small multithreaded simulation and return its stats."""
-    from .engine import QUICK_SCALE
+    from .engine.session import QUICK_SCALE, SimulationSession
 
     return SimulationSession(QUICK_SCALE).run(policy, workload, 4)

@@ -42,7 +42,7 @@ from ..arch.config import PAPER_MACHINE
 from ..core.policies import ALL_POLICIES
 from ..pipeline import processor as processor_mod
 from ..pipeline import specialize
-from ..pipeline.processor import SimParams
+from ..pipeline.params import SimParams
 
 ORIGIN = "counterflow"
 

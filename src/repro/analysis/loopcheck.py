@@ -58,7 +58,7 @@ from ..arch.scenarios import MACHINE_PRESETS, get_scenario
 from ..core.policies import ALL_POLICIES, Policy
 from ..core.priority import make_priority
 from ..pipeline import specialize
-from ..pipeline.processor import SimParams
+from ..pipeline.params import SimParams
 
 #: builtins the generated loop may call (everything else it needs is
 #: bound from ``proc`` attributes in its own setup block)

@@ -1,40 +1,6 @@
 """Machine model: configuration and packed resource arithmetic."""
 
-from .config import (
-    MEMORY_PRESETS,
-    PAPER_MACHINE,
-    CacheConfig,
-    ClusterConfig,
-    DramConfig,
-    MachineConfig,
-    MemoryConfig,
-    get_memory_config,
-    small_machine,
-)
-from .scenarios import (
-    MACHINE_PRESETS,
-    ScenarioSpec,
-    get_scenario,
-    machine_fingerprint,
-    machine_from_dict,
-    machine_to_dict,
-    scenario_names,
-)
-from .resources import (
-    CLUSTER_BITS,
-    OFF_ALU,
-    OFF_MEM,
-    OFF_MUL,
-    OFF_SLOTS,
-    capacity_packed,
-    cluster_lane_mask,
-    fits_packed,
-    guards_mask,
-    pack_cluster,
-    pack_usage,
-    unpack_usage,
-    usage_of_ops,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "MACHINE_PRESETS",
@@ -67,3 +33,21 @@ __all__ = [
     "unpack_usage",
     "usage_of_ops",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": (
+        "MEMORY_PRESETS", "PAPER_MACHINE", "CacheConfig", "ClusterConfig",
+        "DramConfig", "MachineConfig", "MemoryConfig", "get_memory_config",
+        "small_machine",
+    ),
+    ".scenarios": (
+        "MACHINE_PRESETS", "ScenarioSpec", "get_scenario",
+        "machine_fingerprint", "machine_from_dict", "machine_to_dict",
+        "scenario_names",
+    ),
+    ".resources": (
+        "CLUSTER_BITS", "OFF_ALU", "OFF_MEM", "OFF_MUL", "OFF_SLOTS",
+        "capacity_packed", "cluster_lane_mask", "fits_packed", "guards_mask",
+        "pack_cluster", "pack_usage", "unpack_usage", "usage_of_ops",
+    ),
+})

@@ -39,6 +39,7 @@ default) the session runs at.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -80,6 +81,9 @@ def machine_from_dict(d: dict) -> MachineConfig:
     return MachineConfig(**kw)
 
 
+# memoised by value (the config is frozen and hashable); ``typed``
+# keeps a factor of ``1`` apart from ``1.0``, which serialise apart
+@functools.lru_cache(maxsize=None, typed=True)
 def machine_fingerprint(
     cfg: MachineConfig, timeslice_factor: float = 1.0
 ) -> str:
@@ -89,7 +93,8 @@ def machine_fingerprint(
     nested config plus the timeslice factor — but *not* cosmetic names
     (``MemoryConfig.name`` is dropped), so a hand-built config that is
     field-for-field identical to a preset shares its fingerprint and
-    its cached results.
+    its cached results.  Derived once per distinct
+    ``(cfg, timeslice_factor)`` value in a process.
     """
     doc = machine_to_dict(cfg)
     doc["memory"].pop("name", None)

@@ -1,24 +1,6 @@
 """The paper's contribution: SMT merging + split-issue for clustered VLIWs."""
 
-from .buffers import RollbackToken, SplitVM
-from .merging import MergeEngine
-from .policies import (
-    ALL_POLICIES,
-    BY_NAME,
-    CCSI_AS,
-    CCSI_NS,
-    COSI_AS,
-    COSI_NS,
-    CSMT,
-    OOSI_AS,
-    OOSI_NS,
-    SMT,
-    Policy,
-    get_policy,
-)
-from .priority import FixedPriority, RoundRobinPriority, make_priority
-from .renaming import renaming_value, renaming_vector
-from .splitstate import PendingInstruction
+from .._lazy import lazy_exports
 
 __all__ = [
     "RollbackToken",
@@ -43,3 +25,15 @@ __all__ = [
     "renaming_vector",
     "PendingInstruction",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".buffers": ("RollbackToken", "SplitVM"),
+    ".merging": ("MergeEngine",),
+    ".policies": (
+        "ALL_POLICIES", "BY_NAME", "CCSI_AS", "CCSI_NS", "COSI_AS", "COSI_NS",
+        "CSMT", "OOSI_AS", "OOSI_NS", "SMT", "Policy", "get_policy",
+    ),
+    ".priority": ("FixedPriority", "RoundRobinPriority", "make_priority"),
+    ".renaming": ("renaming_value", "renaming_vector"),
+    ".splitstate": ("PendingInstruction",),
+})

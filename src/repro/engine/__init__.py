@@ -13,25 +13,7 @@ package (except unit tests) constructs a
 True
 """
 
-from .cache import CACHE_VERSION, ResultCache, cache_key
-from .faults import FaultPlan, InjectedCrash
-from .hooks import CycleRecorder, RetireLog, SimHook
-from .journal import SweepJournal
-from .runner import (
-    CellFailure,
-    RetryPolicy,
-    SweepAborted,
-    cell_label,
-    run_matrix,
-)
-from .session import (
-    DEFAULT_SCALE,
-    Cell,
-    QUICK_SCALE,
-    ExperimentScale,
-    SimulationSession,
-)
-from ..obs.telemetry import TelemetryLedger
+from .._lazy import lazy_exports
 
 __all__ = [
     "CACHE_VERSION",
@@ -55,3 +37,19 @@ __all__ = [
     "SimulationSession",
     "TelemetryLedger",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": ("CACHE_VERSION", "ResultCache", "cache_key"),
+    ".faults": ("FaultPlan", "InjectedCrash"),
+    ".hooks": ("CycleRecorder", "RetireLog", "SimHook"),
+    ".journal": ("SweepJournal",),
+    ".runner": (
+        "CellFailure", "RetryPolicy", "SweepAborted", "cell_label",
+        "run_matrix",
+    ),
+    ".session": (
+        "DEFAULT_SCALE", "Cell", "QUICK_SCALE", "ExperimentScale",
+        "SimulationSession",
+    ),
+    "..obs.telemetry": ("TelemetryLedger",),
+})

@@ -8,7 +8,7 @@ the *content* that determines the result bit-for-bit:
   :class:`~repro.arch.config.MachineConfig`, recursively, minus
   cosmetic names, so two identically-shaped machines share entries
   regardless of what preset name they travel under);
-* the :class:`~repro.pipeline.processor.SimParams` (seed included —
+* the :class:`~repro.pipeline.params.SimParams` (seed included —
   the context-switch schedule is part of the result);
 * the policy name;
 * the workload's member names **and** per-member trace fingerprints
@@ -75,13 +75,16 @@ from typing import IO, TYPE_CHECKING, Any, Iterator, NamedTuple
 
 from ..arch.config import MachineConfig
 from ..arch.scenarios import machine_fingerprint
-from ..isa.program import Program
-from ..pipeline.processor import SimParams
 from ..pipeline.stats import SimStats
-from ..pipeline.trace import TraceBundle
 from . import faults
 
 if TYPE_CHECKING:
+    # the program, its parameters and its bundles are only annotated
+    # here: a command served from the store loads none of their layers
+    from ..isa.program import Program
+    from ..pipeline.params import SimParams
+    from ..pipeline.trace import TraceBundle
+
     # numpy is imported where bundles are read or written: a command
     # served from the fingerprint index never imports it
     import numpy.typing as npt
@@ -531,6 +534,8 @@ class ResultCache:
         its fingerprint from content, and served only if that equals
         the stored fingerprint.  A torn file or a mismatch is
         quarantined and reads as a miss."""
+        from ..pipeline.trace import TraceBundle
+
         path = self._trace_path(key)
         try:
             stored, idx, taken, addrs = _read_bundle(path)

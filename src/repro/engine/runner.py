@@ -59,7 +59,6 @@ import time
 import traceback as tb_module
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from ..pipeline.stats import SimStats
@@ -142,15 +141,6 @@ def cell_label(spec: tuple) -> str:
 #: cell's label, ``attempt`` and ``fault_plan`` drive deterministic
 #: fault injection (:mod:`repro.engine.faults`).
 _CellPayload = tuple
-
-
-def _pool_warm_init() -> None:
-    """Pool-worker initializer: pre-import the heavy modules (numpy,
-    the simulator, the specialiser) so the first task a worker
-    receives pays no import tax."""
-    import numpy  # noqa: F401
-
-    from ..pipeline import processor, specialize  # noqa: F401
 
 
 def _simulate_cell(payload: _CellPayload) -> dict:
@@ -360,12 +350,15 @@ def _run_pooled(run: _MatrixRun, pending: list, jobs: int,
                 bundles: list) -> None:
     """Drive ``pending`` cells, whose trace bundles are ``bundles``,
     through a self-healing process pool."""
+    # multiprocessing is loaded only by a sweep that has cells to ship
+    from concurrent.futures.process import BrokenProcessPool
+
     session, retry = run.session, run.retry
     queue: deque = deque(pending)
     # the pool is session-owned and survives this sweep: consecutive
-    # sweep() calls on one session reuse warm workers (numpy + the
-    # simulator pre-imported by _pool_warm_init), unless they were
-    # forked without one of this sweep's bundles
+    # sweep() calls on one session reuse warm workers (forked with the
+    # simulator already imported), unless they were forked without one
+    # of this sweep's bundles
     if session._pool_forked_without(bundles):
         session.close()
     pool = session._ensure_pool(jobs)

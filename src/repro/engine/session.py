@@ -28,19 +28,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from ..arch.config import MachineConfig, PAPER_MACHINE, get_memory_config
 from ..arch.scenarios import get_scenario
 from ..core.policies import ALL_POLICIES, SMT, Policy, get_policy
 from ..kernels.suite import get_fingerprint, get_trace, trace_identity
 from ..obs.telemetry import TelemetryLedger
-from ..pipeline.processor import Processor, SimParams
+from ..pipeline.params import SimParams
 from ..pipeline.stats import SimStats
-from ..pipeline.trace import TraceBundle
 from .cache import ResultCache, cache_key
 from .faults import FaultPlan
 from .journal import SweepJournal
 from .runner import DEFAULT_RETRY, RetryPolicy, cell_label
+
+if TYPE_CHECKING:
+    # the simulator is imported where a cell simulates: a command whose
+    # every cell is a store hit never loads it
+    from ..pipeline.processor import Processor
+    from ..pipeline.trace import TraceBundle
 
 #: Policy-name stand-in for single-thread (ST) baseline runs in cache
 #: keys and telemetry; the run itself uses op-level merging with one
@@ -137,6 +143,8 @@ class Cell:
     ) -> tuple[SimStats, Processor]:
         """Run the cell cycle by cycle; returns its stats and the
         processor (which reports the run-loop tier it took)."""
+        from ..pipeline.processor import Processor
+
         proc = Processor(
             self.policy, self.bundles(store), self.n_threads, self.cfg,
             self.params, hooks=hooks, attribute=attribute,
@@ -144,31 +152,23 @@ class Cell:
         return proc.run(), proc
 
     def prewarm_specialization(self) -> tuple | None:
-        """Generate, verify + compile the cell's specialised run loop
-        in *this* process and return the picklable ``(key, source,
-        verified)`` payload a pool worker installs with
+        """Generate and verify the cell's specialised run loop in
+        *this* process, without compiling it, and return the picklable
+        ``(key, source, verified)`` payload a pool worker installs with
         :func:`repro.pipeline.specialize.adopt_source` — workers then
         compile shipped source instead of re-deriving it (code objects
-        do not pickle), and skip ``loopcheck`` when ``verified`` says
-        the parent already ran it on this text.  Returns ``None`` when
-        generation failed or was rejected, so a worker never receives
-        source the parent would not execute (it falls back exactly like
-        the parent would)."""
+        do not pickle), and skip ``loopcheck`` because ``verified``
+        says the parent already ran it on this text.  Returns ``None``
+        when generation failed or was rejected, so a worker never
+        receives source the parent would not execute (it falls back
+        exactly like the parent would)."""
         from ..pipeline import specialize
 
-        shape = (
+        shipped = specialize.verified_source(
             self.policy, self.cfg, self.params, self.n_threads,
             len(self.members),
         )
-        try:
-            key, src = specialize.source_for(*shape)
-            if specialize.get_specialized_loop(*shape) is None:
-                return None
-        except Exception:
-            if specialize.STRICT:
-                raise
-            return None
-        return key, src, True
+        return None if shipped is None else (*shipped, True)
 
     def telemetry(
         self, source: str, loop_used: str | None = None,
@@ -234,8 +234,8 @@ class SimulationSession:
         #: session's sweeps (:class:`~repro.engine.runner.CellFailure`)
         self.failures: list = []
         #: session-owned worker pool, created lazily by sweeps and
-        #: reused across them (workers pre-import numpy + the
-        #: simulator); ``close()`` releases it
+        #: reused across them (workers inherit the simulator's modules
+        #: at fork); ``close()`` releases it
         self._pool = None
         self._pool_jobs = 0
         #: the trace bundles the pool's workers inherited
@@ -255,20 +255,23 @@ class SimulationSession:
     def _ensure_pool(self, jobs: int):
         """The session's worker pool, spawned on first use and reused
         by every subsequent sweep (a respawn per sweep would pay worker
-        startup + numpy import for each one).  A pool sized differently
-        from the request is replaced."""
+        startup for each one).  A pool sized differently from the
+        request is replaced.
+
+        The simulator is imported here, before the workers fork, so
+        they inherit its modules instead of importing them each; the
+        bundles the cells need are built by now, and with them numpy
+        and the trace layer."""
         from concurrent.futures import ProcessPoolExecutor
 
         from ..kernels.suite import memoised_traces
-        from .runner import _pool_warm_init
+        from ..pipeline import processor  # noqa: F401
 
         if self._pool is not None and self._pool_jobs != jobs:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=jobs, initializer=_pool_warm_init
-            )
+            self._pool = ProcessPoolExecutor(max_workers=jobs)
             self._pool_jobs = jobs
             # the workers fork at the first submit, so they hold at
             # least these

@@ -2,30 +2,7 @@
 regenerators, each computed through a
 :class:`repro.engine.SimulationSession`."""
 
-from .claims import Claim, evaluate_claims, render_claims
-from .machreport import (
-    MachineRow,
-    machine_sensitivity,
-    render_machine_report,
-    render_scenarios,
-)
-from .memreport import (
-    MemRow,
-    memory_sensitivity,
-    render_memory_levels,
-    render_memory_report,
-)
-from .figures import (
-    FIG16_POLICIES,
-    fig13a,
-    fig14,
-    fig15,
-    fig16,
-    render_fig13a,
-    render_fig16,
-    render_speedup_table,
-)
-from .workloads import WORKLOAD_ORDER, WORKLOADS, validate_workloads
+from .._lazy import lazy_exports
 
 __all__ = [
     "Claim",
@@ -51,3 +28,20 @@ __all__ = [
     "render_machine_report",
     "render_scenarios",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".claims": ("Claim", "evaluate_claims", "render_claims"),
+    ".machreport": (
+        "MachineRow", "machine_sensitivity", "render_machine_report",
+        "render_scenarios",
+    ),
+    ".memreport": (
+        "MemRow", "memory_sensitivity", "render_memory_levels",
+        "render_memory_report",
+    ),
+    ".figures": (
+        "FIG16_POLICIES", "fig13a", "fig14", "fig15", "fig16", "render_fig13a",
+        "render_fig16", "render_speedup_table",
+    ),
+    ".workloads": ("WORKLOAD_ORDER", "WORKLOADS", "validate_workloads"),
+})

@@ -1,17 +1,6 @@
 """Benchmark kernels standing in for the paper's Fig. 13a suite."""
 
-from .common import KernelMeta, prng_words
-from .suite import (
-    BENCH_ORDER,
-    BY_CLASS,
-    SUITE,
-    build_program,
-    clear_trace_cache,
-    get_fingerprint,
-    get_meta,
-    get_trace,
-    trace_identity,
-)
+from .._lazy import lazy_exports
 
 __all__ = [
     "KernelMeta",
@@ -26,3 +15,12 @@ __all__ = [
     "get_trace",
     "trace_identity",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".common": ("prng_words",),
+    ".suite": (
+        "KernelMeta", "BENCH_ORDER", "BY_CLASS", "SUITE", "build_program",
+        "clear_trace_cache", "get_fingerprint", "get_meta", "get_trace",
+        "trace_identity",
+    ),
+})

@@ -13,15 +13,8 @@ Character reproduced:
 from __future__ import annotations
 
 from ..compiler.builder import KernelBuilder, Value
-from .common import KernelMeta, prng_words, scaled
+from .common import prng_words, scaled
 
-META = KernelMeta(
-    name="blowfish",
-    ilp_class="l",
-    description="Blowfish encryption (16-round Feistel)",
-    paper_ipcr=1.11,
-    paper_ipcp=1.47,
-)
 
 N_ROUNDS = 16
 #: plaintext buffer: 8 KB (cache resident)

@@ -15,15 +15,8 @@ from __future__ import annotations
 
 from ..compiler.builder import KernelBuilder
 from ..isa.opcodes import Opcode
-from .common import KernelMeta, prng_words, scaled
+from .common import prng_words, scaled
 
-META = KernelMeta(
-    name="bzip2",
-    ilp_class="l",
-    description="Bzip2 Compression (RLE + MTF byte loop)",
-    paper_ipcr=0.81,
-    paper_ipcp=0.83,
-)
 
 #: input block: 24 KB of bytes, alphabet of 4 symbols (runs are common)
 N_IN = 24 * 1024

@@ -15,15 +15,8 @@ and the most cache-sensitive of the high group):
 from __future__ import annotations
 
 from ..compiler.builder import KernelBuilder, Value
-from .common import KernelMeta, prng_words, scaled
+from .common import prng_words, scaled
 
-META = KernelMeta(
-    name="colorspace",
-    ilp_class="h",
-    description="Colorspace conversion (3x3 matrix, 8-pixel unroll)",
-    paper_ipcr=5.47,
-    paper_ipcp=8.88,
-)
 
 N_IMG_WORDS = 128 * 1024  # 512 KB streaming image
 UNROLL = 8

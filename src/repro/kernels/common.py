@@ -1,9 +1,12 @@
 """Shared helpers for benchmark kernels.
 
-Each kernel module exposes::
+Each kernel module exposes a builder (``build`` unless the module
+holds two kernels)::
 
-    META = KernelMeta(name=..., ilp_class=..., paper_ipcr=..., paper_ipcp=...)
     def build(scale: float = 1.0) -> KernelBuilder
+
+and :data:`repro.kernels.suite.SUITE` pairs it with the kernel's
+Fig. 13a row (:class:`~repro.kernels.suite.KernelMeta`).
 
 ``scale`` multiplies the main loop trip counts so tests can run tiny
 versions while the experiment harness runs full-size traces.
@@ -15,25 +18,8 @@ across runs and machines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..compiler.builder import KernelBuilder, Value
 from ..isa.opcodes import Opcode
-
-
-@dataclass(frozen=True)
-class KernelMeta:
-    """Descriptor mirroring one row of the paper's Fig. 13a."""
-
-    name: str
-    ilp_class: str  # 'l' | 'm' | 'h'
-    description: str
-    paper_ipcr: float
-    paper_ipcp: float
-
-    def __post_init__(self) -> None:
-        if self.ilp_class not in ("l", "m", "h"):
-            raise ValueError(f"bad ILP class {self.ilp_class!r}")
 
 
 def prng_words(n: int, seed: int = 0x9E3779B9, lo: int = 0, hi: int = 1 << 32):

@@ -15,23 +15,8 @@ from the quantised codes.
 from __future__ import annotations
 
 from ..compiler.builder import KernelBuilder
-from .common import KernelMeta, emit_clamp, emit_sat_add, prng_words, scaled
+from .common import emit_clamp, emit_sat_add, prng_words, scaled
 
-META_ENCODE = KernelMeta(
-    name="g721encode",
-    ilp_class="m",
-    description="G.721 ADPCM encoder (adaptive predictor)",
-    paper_ipcr=1.75,
-    paper_ipcp=1.76,
-)
-
-META_DECODE = KernelMeta(
-    name="g721decode",
-    ilp_class="m",
-    description="G.721 ADPCM decoder (adaptive predictor)",
-    paper_ipcr=1.75,
-    paper_ipcp=1.76,
-)
 
 N_TAPS = 4
 N_SAMPLES = 2048  # 8 KB, cache resident

@@ -13,15 +13,8 @@ Character reproduced:
 from __future__ import annotations
 
 from ..compiler.builder import KernelBuilder
-from .common import KernelMeta, emit_sat_add, prng_words, scaled
+from .common import emit_sat_add, prng_words, scaled
 
-META = KernelMeta(
-    name="gsmencode",
-    ilp_class="l",
-    description="GSM 06.10 encoder (saturating lattice filter)",
-    paper_ipcr=1.07,
-    paper_ipcp=1.07,
-)
 
 N_STAGES = 12
 #: sample window: 4 KB (cache resident)

@@ -13,16 +13,9 @@ Character reproduced (paper: 4.79 / 5.27 — high ILP):
 from __future__ import annotations
 
 from ..compiler.builder import KernelBuilder
-from .common import KernelMeta, prng_words, scaled
+from .common import prng_words, scaled
 from .dctlib import idct8
 
-META = KernelMeta(
-    name="idct",
-    ilp_class="h",
-    description="Inverse DCT (fully unrolled 8x8, fixed point)",
-    paper_ipcr=4.79,
-    paper_ipcp=5.27,
-)
 
 N_COEF_WORDS = 12 * 1024  # 48 KB coefficient buffer (mostly resident)
 

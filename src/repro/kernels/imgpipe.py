@@ -16,15 +16,8 @@ sensitivity):
 from __future__ import annotations
 
 from ..compiler.builder import KernelBuilder, Value
-from .common import KernelMeta, prng_words, scaled
+from .common import prng_words, scaled
 
-META = KernelMeta(
-    name="imgpipe",
-    ilp_class="h",
-    description="Printer imaging pipeline (interpolate+correct+dither)",
-    paper_ipcr=3.81,
-    paper_ipcp=4.05,
-)
 
 N_IMG_WORDS = 6 * 1024  # 24 KB band buffer (printer pipelines are banded)
 UNROLL = 4

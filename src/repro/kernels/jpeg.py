@@ -14,24 +14,9 @@ Character reproduced (paper: cjpeg 1.12/1.66, djpeg 1.76/1.77):
 from __future__ import annotations
 
 from ..compiler.builder import KernelBuilder
-from .common import KernelMeta, prng_words, scaled
+from .common import prng_words, scaled
 from .dctlib import dct8, idct8
 
-META_CJPEG = KernelMeta(
-    name="cjpeg",
-    ilp_class="m",
-    description="JPEG encoder (8x8 fDCT + quantise, streaming input)",
-    paper_ipcr=1.12,
-    paper_ipcp=1.66,
-)
-
-META_DJPEG = KernelMeta(
-    name="djpeg",
-    ilp_class="m",
-    description="JPEG decoder (dequantise + 8x8 iDCT, resident buffers)",
-    paper_ipcr=1.76,
-    paper_ipcp=1.77,
-)
 
 #: cjpeg streams 64 K words = 256 KB of raw samples
 N_IMG_WORDS = 64 * 1024

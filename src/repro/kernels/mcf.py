@@ -15,15 +15,8 @@ Character reproduced:
 from __future__ import annotations
 
 from ..compiler.builder import KernelBuilder
-from .common import KernelMeta, prng_words, scaled
+from .common import prng_words, scaled
 
-META = KernelMeta(
-    name="mcf",
-    ilp_class="l",
-    description="Minimum Cost Flow (pointer-chasing network simplex)",
-    paper_ipcr=0.96,
-    paper_ipcp=1.34,
-)
 
 #: hot node pool: 2048 nodes x 16 B = 32 KB (cache resident)
 N_NODES = 2048

@@ -1,6 +1,11 @@
 """Benchmark registry and trace cache (the paper's Fig. 13a suite).
 
 ``SUITE`` maps benchmark name -> (:class:`KernelMeta`, build function).
+The metadata table lives here; a kernel's builder module, the compiler
+and the functional VM are imported the first time a kernel is built or
+its trace recorded, so a command that only reads results loads none of
+them.
+
 :func:`get_trace` compiles and functionally executes a kernel once per
 (process, scale, machine, instruction cap) and memoises the resulting
 :class:`~repro.pipeline.trace.TraceBundle`, so the 150-run experiment
@@ -15,44 +20,90 @@ builds a bundle only for a cell it actually simulates.
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Callable
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from ..arch.config import MachineConfig, MemoryConfig, PAPER_MACHINE
-from ..compiler.builder import KernelBuilder
-from ..compiler.pipeline import compile_kernel
-from ..pipeline.trace import TraceBundle, record_trace
-from . import (
-    blowfish,
-    bzip2,
-    colorspace,
-    g721,
-    gsmencode,
-    idct,
-    imgpipe,
-    jpeg,
-    mcf,
-    x264,
-)
-from .common import KernelMeta
 
 if TYPE_CHECKING:
+    from ..compiler.builder import KernelBuilder
+    from ..compiler.pipeline import CompileResult
     from ..engine.cache import ResultCache, TraceIdentity
+    from ..isa.program import Program
+    from ..pipeline.trace import TraceBundle
+
+
+@dataclass(frozen=True)
+class KernelMeta:
+    """Descriptor mirroring one row of the paper's Fig. 13a."""
+
+    name: str
+    ilp_class: str  # 'l' | 'm' | 'h'
+    description: str
+    paper_ipcr: float
+    paper_ipcp: float
+
+    def __post_init__(self) -> None:
+        if self.ilp_class not in ("l", "m", "h"):
+            raise ValueError(f"bad ILP class {self.ilp_class!r}")
+
+
+def _builder(module: str, function: str) -> Callable[[float], KernelBuilder]:
+    """The kernel builder ``module.function``, imported on first call."""
+
+    def build(scale: float = 1.0) -> KernelBuilder:
+        mod = importlib.import_module(f".{module}", __package__)
+        return getattr(mod, function)(scale)
+
+    return build
+
+
+#: Fig. 13a, in the paper's order: each row and the builder
+#: (``module``, ``function``) of the kernel standing in for it
+_FIG13A = (
+    (KernelMeta("mcf", "l",
+                "Minimum Cost Flow (pointer-chasing network simplex)",
+                0.96, 1.34), "mcf", "build"),
+    (KernelMeta("bzip2", "l",
+                "Bzip2 Compression (RLE + MTF byte loop)",
+                0.81, 0.83), "bzip2", "build"),
+    (KernelMeta("blowfish", "l",
+                "Blowfish encryption (16-round Feistel)",
+                1.11, 1.47), "blowfish", "build"),
+    (KernelMeta("gsmencode", "l",
+                "GSM 06.10 encoder (saturating lattice filter)",
+                1.07, 1.07), "gsmencode", "build"),
+    (KernelMeta("g721encode", "m",
+                "G.721 ADPCM encoder (adaptive predictor)",
+                1.75, 1.76), "g721", "build_encode"),
+    (KernelMeta("g721decode", "m",
+                "G.721 ADPCM decoder (adaptive predictor)",
+                1.75, 1.76), "g721", "build_decode"),
+    (KernelMeta("cjpeg", "m",
+                "JPEG encoder (8x8 fDCT + quantise, streaming input)",
+                1.12, 1.66), "jpeg", "build_cjpeg"),
+    (KernelMeta("djpeg", "m",
+                "JPEG decoder (dequantise + 8x8 iDCT, resident buffers)",
+                1.76, 1.77), "jpeg", "build_djpeg"),
+    (KernelMeta("imgpipe", "h",
+                "Printer imaging pipeline (interpolate+correct+dither)",
+                3.81, 4.05), "imgpipe", "build"),
+    (KernelMeta("x264", "h",
+                "H.264 encoder (16x16 SAD motion estimation)",
+                3.89, 4.04), "x264", "build"),
+    (KernelMeta("idct", "h",
+                "Inverse DCT (fully unrolled 8x8, fixed point)",
+                4.79, 5.27), "idct", "build"),
+    (KernelMeta("colorspace", "h",
+                "Colorspace conversion (3x3 matrix, 8-pixel unroll)",
+                5.47, 8.88), "colorspace", "build"),
+)
 
 SUITE: dict[str, tuple[KernelMeta, Callable[[float], KernelBuilder]]] = {
-    "mcf": (mcf.META, mcf.build),
-    "bzip2": (bzip2.META, bzip2.build),
-    "blowfish": (blowfish.META, blowfish.build),
-    "gsmencode": (gsmencode.META, gsmencode.build),
-    "g721encode": (g721.META_ENCODE, g721.build_encode),
-    "g721decode": (g721.META_DECODE, g721.build_decode),
-    "cjpeg": (jpeg.META_CJPEG, jpeg.build_cjpeg),
-    "djpeg": (jpeg.META_DJPEG, jpeg.build_djpeg),
-    "imgpipe": (imgpipe.META, imgpipe.build),
-    "x264": (x264.META, x264.build),
-    "idct": (idct.META, idct.build),
-    "colorspace": (colorspace.META, colorspace.build),
+    meta.name: (meta, _builder(module, function))
+    for meta, module, function in _FIG13A
 }
 
 #: Fig. 13a order
@@ -80,10 +131,25 @@ def get_meta(name: str) -> KernelMeta:
     return SUITE[name][0]
 
 
-def build_program(name: str, scale: float = 1.0, cfg: MachineConfig = PAPER_MACHINE):
+def build_program(
+    name: str, scale: float = 1.0, cfg: MachineConfig = PAPER_MACHINE
+) -> CompileResult:
     """Compile one benchmark; returns its CompileResult."""
+    from ..compiler.pipeline import compile_kernel
+
     meta, build = SUITE[name]
     return compile_kernel(build(scale), cfg)
+
+
+def record_trace(
+    program: Program, cfg: MachineConfig, max_instructions: int
+) -> TraceBundle:
+    """Functionally execute one compiled kernel into a bundle
+    (:func:`repro.pipeline.trace.record_trace`, imported on first
+    use)."""
+    from ..pipeline import trace
+
+    return trace.record_trace(program, cfg, max_instructions)
 
 
 def _memo_key(

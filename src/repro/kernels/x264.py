@@ -15,15 +15,8 @@ sensitivity):
 from __future__ import annotations
 
 from ..compiler.builder import KernelBuilder, Value
-from .common import KernelMeta, emit_sat_add, prng_words, scaled
+from .common import emit_sat_add, prng_words, scaled
 
-META = KernelMeta(
-    name="x264",
-    ilp_class="h",
-    description="H.264 encoder (16x16 SAD motion estimation)",
-    paper_ipcr=3.89,
-    paper_ipcp=4.04,
-)
 
 #: two 6 K-word (24 KB) search windows (motion search works on cached
 #: windows around the current macroblock, hence x264's mild IPCr gap)

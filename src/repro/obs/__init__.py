@@ -18,23 +18,7 @@ bit-identical to the specialised tier — tests enforce it).
 See ``docs/observability.md``.
 """
 
-from .attribution import (
-    CATEGORY_GLYPHS,
-    CATEGORY_LABELS,
-    attribution_bar,
-    attribution_fractions,
-    check_attribution,
-    render_why,
-    why_rows,
-)
-from .logcfg import setup_logging
-from .telemetry import (
-    TelemetryLedger,
-    load_jsonl,
-    render_summary,
-    summarize,
-)
-from .tracing import TraceExporter, validate_trace_document
+from .._lazy import lazy_exports
 
 __all__ = [
     "CATEGORY_GLYPHS",
@@ -52,3 +36,15 @@ __all__ = [
     "TraceExporter",
     "validate_trace_document",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".attribution": (
+        "CATEGORY_GLYPHS", "CATEGORY_LABELS", "attribution_bar",
+        "attribution_fractions", "check_attribution", "render_why", "why_rows",
+    ),
+    ".logcfg": ("setup_logging",),
+    ".telemetry": (
+        "TelemetryLedger", "load_jsonl", "render_summary", "summarize",
+    ),
+    ".tracing": ("TraceExporter", "validate_trace_document"),
+})

@@ -1,8 +1,6 @@
 """Cycle-accurate SMT timing simulator and trace infrastructure."""
 
-from .processor import Processor, SimParams, run_single_thread
-from .stats import BenchStats, SimStats
-from .trace import StaticTable, TraceBundle, build_static_table, record_trace
+from .._lazy import lazy_exports
 
 __all__ = [
     "Processor",
@@ -15,3 +13,12 @@ __all__ = [
     "build_static_table",
     "record_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".params": ("SimParams",),
+    ".processor": ("Processor", "run_single_thread"),
+    ".stats": ("BenchStats", "SimStats"),
+    ".trace": (
+        "StaticTable", "TraceBundle", "build_static_table", "record_trace",
+    ),
+})

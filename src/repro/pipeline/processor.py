@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..arch.config import MachineConfig, PAPER_MACHINE
 from ..core.merging import MergeEngine
@@ -38,25 +38,16 @@ from ..core.priority import make_priority
 from ..core.renaming import renaming_vector
 from ..core.splitstate import PendingInstruction
 from ..memory.hierarchy import MemorySystem
+from .params import SimParams as SimParams  # re-exported
 from .specialize import get_specialized_loop
 from .stats import ATTRIBUTION_CATEGORIES, BenchStats, SimStats
-from .trace import TraceBundle
+
+if TYPE_CHECKING:
+    # a processor only replays bundles the caller built
+    from .trace import TraceBundle
 
 #: sentinel: specialised loop not yet resolved for this processor
 _UNRESOLVED = object()
-
-
-@dataclass
-class SimParams:
-    """Scaling and policy knobs (paper values in comments)."""
-
-    target_instructions: int = 200_000  # paper: 200 M
-    timeslice: int = 50_000  # paper: 5 M cycles
-    max_cycles: int = 50_000_000
-    perfect_memory: bool = False
-    renaming: bool = True
-    priority: str = "round-robin"
-    seed: int = 12345
 
 
 class _Bench:

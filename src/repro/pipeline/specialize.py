@@ -68,9 +68,10 @@ logging tree (set ``REPRO_SPECIALIZE_STRICT=1`` to re-raise instead,
 e.g. in CI — a bad generation is then rejected before it executes).
 
 Process-pool sweeps cannot pickle code objects, so workers ship
-*source*: the parent pre-warms :func:`source_for` per distinct cell,
-verifies it once, and the worker installs the text together with that
-verdict with :func:`adopt_source` before its first ``run()`` (see
+*source*: the parent generates and verifies it once per distinct loop
+key with :func:`verified_source` (compiling nothing: the parent runs
+no loop), and the worker installs the text together with that verdict
+with :func:`adopt_source` before its first ``run()`` (see
 ``repro.engine.runner``).  Verified source compiles without a second
 check; source adopted without a verdict is checked like a fresh
 generation.
@@ -98,8 +99,8 @@ LOOP_NAME = "__specialized_loop"
 STRICT = bool(os.environ.get("REPRO_SPECIALIZE_STRICT"))
 
 _sources: dict[tuple, str] = {}
-#: keys whose ``_sources`` text arrived with another process's
-#: passing ``loopcheck`` verdict
+#: keys whose ``_sources`` text passed ``loopcheck``, here or in the
+#: process that shipped it
 _verified: set[tuple] = set()
 _loops: dict[tuple, object] = {}
 _stats = {"hits": 0, "misses": 0, "failures": 0, "rejected": 0}
@@ -145,35 +146,86 @@ def loop_key(
     )
 
 
-def source_for(
-    policy: Policy,
-    cfg: MachineConfig,
-    params,
-    n_threads: int,
-    n_benches: int,
-) -> tuple[tuple, str]:
-    """``(key, source)`` for one cell, generating and memoising the
-    source if needed.  This is the pool-payload entry point: the tuple
-    is picklable and the worker side installs it with
-    :func:`adopt_source`."""
-    key = loop_key(policy, cfg, params, n_threads, n_benches)
-    src = _sources.get(key)
-    if src is None:
-        src = generate_loop_source(policy, cfg, params, n_threads, n_benches)
-        _sources[key] = src
-    return key, src
-
-
 def adopt_source(key, source: str, verified: bool = False) -> None:
     """Install pre-generated source shipped from another process.
 
-    ``verified=True`` says the sender's :func:`get_specialized_loop`
+    ``verified=True`` says the sender's :func:`verified_source`
     already passed this exact text through ``loopcheck``; it then
     compiles here without a second check.  The verdict is dropped if
     this process already holds other text for ``key``."""
     key = tuple(key)
     if _sources.setdefault(key, source) == source and verified:
         _verified.add(key)
+
+
+def _cell_name(policy: Policy, cfg: MachineConfig, n_threads: int) -> str:
+    return (
+        f"{policy.merge}-merge/{policy.split}-split"
+        f" nt={n_threads} machine={machine_fingerprint(cfg)[:12]}"
+    )
+
+
+def _reject(key: tuple, cell: str, e: Exception) -> None:
+    """Memoise a failed generation, verification or compilation as
+    ``None`` and log it (under :data:`STRICT`, re-raise instead)."""
+    if STRICT:
+        raise e
+    rules = sorted({f.rule for f in getattr(e, "findings", ())})
+    if rules:
+        _stats["rejected"] += 1
+        _log.warning(
+            "specialised loop rejected before exec for %s "
+            "(rules: %s); falling back to the reference loop",
+            cell, ", ".join(rules),
+        )
+    else:
+        _stats["failures"] += 1
+        _log.warning(
+            "specialised-loop generation failed for %s "
+            "(%s: %s); falling back to the reference loop",
+            cell, type(e).__name__, e,
+        )
+    _loops[key] = None
+
+
+def verified_source(
+    policy: Policy,
+    cfg: MachineConfig,
+    params,
+    n_threads: int,
+    n_benches: int,
+) -> tuple[tuple, str] | None:
+    """``(key, source)`` of one cell's loop once the source passed
+    :func:`repro.analysis.loopcheck.check_source`, or ``None`` if
+    generation failed or was rejected (memoised and logged like
+    :func:`get_specialized_loop`'s failures).  Generates and verifies
+    each key once and compiles nothing: this is what a pool parent
+    ships, as ``(key, source, True)``, to workers that run the loop."""
+    key = loop_key(policy, cfg, params, n_threads, n_benches)
+    if key in _loops and _loops[key] is None:
+        return None
+    try:
+        src = _sources.get(key)
+        if src is None:
+            src = generate_loop_source(
+                policy, cfg, params, n_threads, n_benches
+            )
+            _sources[key] = src
+        if key not in _verified:
+            # imported late: analysis.loopcheck imports this module
+            from ..analysis import loopcheck
+
+            findings = loopcheck.check_source(
+                policy, cfg, params, n_threads, n_benches, src,
+                label=f"<specialized {_cell_name(policy, cfg, n_threads)}>",
+            )
+            if findings:
+                raise loopcheck.LoopVerificationError(findings)
+            _verified.add(key)
+    except Exception as e:
+        _reject(key, _cell_name(policy, cfg, n_threads), e)
+        return None
+    return key, src
 
 
 def get_specialized_loop(
@@ -204,56 +256,21 @@ def get_specialized_loop(
         _stats["hits"] += 1
         return _loops[key]
     _stats["misses"] += 1
-    fingerprint = machine_fingerprint(cfg)[:12]
-    cell = (
-        f"{policy.merge}-merge/{policy.split}-split"
-        f" nt={n_threads} machine={fingerprint}"
+    shipped = verified_source(policy, cfg, params, n_threads, n_benches)
+    if shipped is None:
+        return None
+    src = shipped[1]
+    label = (
+        f"<specialized {policy.merge}-merge/{policy.split}-split"
+        f" nt={n_threads}>"
     )
     try:
-        src = _sources.get(key)
-        if src is None:
-            src = generate_loop_source(
-                policy, cfg, params, n_threads, n_benches
-            )
-            _sources[key] = src
-        if key not in _verified:
-            # imported late: analysis.loopcheck imports this module
-            from ..analysis import loopcheck
-
-            findings = loopcheck.check_source(
-                policy, cfg, params, n_threads, n_benches, src,
-                label=f"<specialized {cell}>",
-            )
-            if findings:
-                raise loopcheck.LoopVerificationError(findings)
-        label = (
-            f"<specialized {policy.merge}-merge/{policy.split}-split"
-            f" nt={n_threads}>"
-        )
         ns: dict = {}
         exec(compile(src, label, "exec"), ns)
         fn = ns[LOOP_NAME]
     except Exception as e:
-        if STRICT:
-            raise
-        rules = sorted(
-            {f.rule for f in getattr(e, "findings", ())}
-        )
-        if rules:
-            _stats["rejected"] += 1
-            _log.warning(
-                "specialised loop rejected before exec for %s "
-                "(rules: %s); falling back to the reference loop",
-                cell, ", ".join(rules),
-            )
-        else:
-            _stats["failures"] += 1
-            _log.warning(
-                "specialised-loop generation failed for %s "
-                "(%s: %s); falling back to the reference loop",
-                cell, type(e).__name__, e,
-            )
-        fn = None
+        _reject(key, _cell_name(policy, cfg, n_threads), e)
+        return None
     _loops[key] = fn
     return fn
 

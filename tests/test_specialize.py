@@ -22,7 +22,12 @@ from repro.arch.config import get_memory_config
 from repro.arch.scenarios import MACHINE_PRESETS
 from repro.compiler.pipeline import compile_kernel
 from repro.core.policies import ALL_POLICIES, BY_NAME
-from repro.engine import CycleRecorder, QUICK_SCALE, SimulationSession
+from repro.engine import (
+    CycleRecorder,
+    ExperimentScale,
+    QUICK_SCALE,
+    SimulationSession,
+)
 from repro.pipeline import specialize
 from repro.pipeline.processor import Processor, SimParams
 from repro.pipeline.trace import record_trace
@@ -154,7 +159,7 @@ def test_adopted_source_skips_generation(fresh_cache, monkeypatch):
     traces = traces_for("paper")
     cfg = MACHINE_PRESETS["paper"].machine
     params = SimParams(target_instructions=500, timeslice=200, seed=1)
-    key, src = specialize.source_for(
+    key, src = specialize.verified_source(
         BY_NAME["CCSI AS"], cfg, params, 2, len(traces)
     )
 
@@ -177,7 +182,7 @@ def _shipped(policy="CCSI AS"):
     traces = traces_for("paper")
     cfg = MACHINE_PRESETS["paper"].machine
     params = SimParams(target_instructions=500, timeslice=200, seed=1)
-    key, src = specialize.source_for(
+    key, src = specialize.verified_source(
         BY_NAME[policy], cfg, params, 2, len(traces)
     )
     specialize.clear_cache()
@@ -337,6 +342,42 @@ def test_session_prewarm_payload_roundtrip(fresh_cache):
     specialize.adopt_source(key, src)
     fresh = SimulationSession(QUICK_SCALE)
     assert fresh.run("CCSI AS", ("mcf",), 2).to_dict() == stats.to_dict()
+
+
+def test_pooled_parent_verifies_but_compiles_no_loop(
+    fresh_cache, monkeypatch
+):
+    """A ``--jobs 2`` parent runs no loop: it generates and verifies
+    each distinct loop key once, ships the text, and compiles none."""
+    calls = _count_checks(monkeypatch)
+    tiny = ExperimentScale(
+        kernel_scale=0.06, target_instructions=1_200, timeslice=700
+    )
+    policies = ["SMT", "CSMT", "CCSI AS"]
+    workloads = ["llll", "hhhh"]
+    threads = (2, 4)
+    session = SimulationSession(tiny, jobs=2)
+    try:
+        results = session.sweep(
+            policies=policies, workloads=workloads, n_threads=threads
+        )
+    finally:
+        session.close()
+    assert len(results) == session.simulations == 12
+    keys = {
+        specialize.loop_key(
+            c.policy, c.cfg, c.params, c.n_threads, len(c.members)
+        )
+        for c in (
+            session.cell(p, w, nt)
+            for p in policies for w in workloads for nt in threads
+        )
+    }
+    assert len(keys) == 6
+    info = specialize.cache_info()
+    assert info["compiled"] == 0
+    assert info["sources"] == len(keys)
+    assert len(calls) == len(keys)
 
 
 # ------------------------------------------------- inlined L1 hit path
