@@ -93,8 +93,9 @@ def _find(
 #: unrolled per-cluster scan (data probe, bundle merge, op count)
 _ARM_MASKS = frozenset({"mem", "pm", "avail"})
 
-#: per-cluster rows an arm indexes with its own cluster number
-_CLUSTER_ROWS = frozenset({"b_packed", "b_nops", "row"})
+#: per-cluster rows (bundle tables, address columns) an arm indexes
+#: with its own cluster number
+_CLUSTER_ROWS = frozenset({"b_packed", "b_nops", "cols"})
 
 
 #: fields that hold only operator/context tokens, never a subtree

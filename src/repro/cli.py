@@ -223,12 +223,10 @@ def cmd_sweep(args) -> int:
         f"{info['failures']} failed"
     )
     if session.cache is not None:
-        # scripts grep " 0 recorded" / " 0 loaded" on warm reruns
+        # scripts grep " 0 recorded" on warm reruns
         _log.info(
             f"# traces: {info['traces_recorded']} recorded, "
-            f"{info['traces_loaded']} loaded, "
-            f"{info['traces_indexed']} indexed, "
-            f"{info['traces_quarantined']} quarantined"
+            f"{info['traces_indexed']} indexed"
         )
     _sweep_digest(session)
     # recorded failures are tolerated (the sweep completed) but the
@@ -507,40 +505,31 @@ def cmd_cache(args) -> int:
     cache = ResultCache(args.cache_dir)
     if args.action == "verify":
         report = cache.verify()
-        # the trace part says "in quarantine", so scripts grepping
+        # the index part says "in quarantine", so scripts grepping
         # "<n> quarantined" keep reading the result store's count
         print(
             f"{report['ok']} ok, {report['stale']} stale, "
             f"{report['corrupt']} corrupt, "
             f"{report['quarantine']} quarantined, "
             f"{report['tmp_files']} tmp file(s), "
-            f"{report['shadowed']} shadowed shard path(s); traces: "
-            f"{report['traces_ok']} ok, {report['traces_corrupt']} corrupt, "
-            f"{report['trace_quarantine']} in quarantine; index: "
+            f"{report['shadowed']} shadowed shard path(s); index: "
             f"{report['index_ok']} ok, {report['index_corrupt']} corrupt, "
             f"{report['index_stale']} stale, "
-            f"{report['index_quarantine']} in quarantine"
+            f"{report['index_quarantine']} in quarantine; "
+            f"{report['stale_bundles']} stale trace bundle(s)"
         )
         for key in report["corrupt_entries"]:
             _log.error(f"# corrupt: {key}")
-        for key in report["corrupt_traces"]:
-            _log.error(f"# corrupt trace bundle: {key}")
         for key in report["corrupt_index"]:
             _log.error(f"# corrupt index entry: {key}")
-        corrupt = (
-            report["corrupt"] + report["traces_corrupt"]
-            + report["index_corrupt"]
-        )
-        return 1 if corrupt else 0
+        return 1 if report["corrupt"] + report["index_corrupt"] else 0
     if args.action == "repair":
         report = cache.repair()
         print(
-            f"kept {report['ok']} + {report['traces_ok']} trace(s) + "
-            f"{report['index_ok']} index entries, "
+            f"kept {report['ok']} + {report['index_ok']} index entries, "
             f"quarantined {report['corrupt']} + "
-            f"{report['traces_corrupt']} trace(s) + "
             f"{report['index_corrupt']} index entries (now "
-            f"{report['quarantine']} + {report['trace_quarantine']} + "
+            f"{report['quarantine']} + "
             f"{report['index_quarantine']} in quarantine), dropped "
             f"{report['removed_stale']} stale, "
             f"swept {report['swept_tmp']} tmp file(s)"
@@ -551,22 +540,21 @@ def cmd_cache(args) -> int:
         journal = SweepJournal.for_cache_dir(args.cache_dir)
         journal.compact()
         print(
-            f"kept {report['ok']} + {report['traces_ok']} trace(s) + "
-            f"{report['index_ok']} index entries, "
+            f"kept {report['ok']} + {report['index_ok']} index entries, "
             f"dropped {report['removed_stale']} stale + "
             f"{report['dropped_quarantine']} + "
-            f"{report['dropped_trace_quarantine']} trace(s) + "
             f"{report['dropped_index_quarantine']} index entries "
             f"quarantined + {report['dropped_stale_index']} stale index "
-            f"entr(ies), swept {report['swept_tmp']} tmp file(s); "
+            f"entr(ies) + {report['dropped_stale_bundles']} stale trace "
+            f"bundle(s), swept {report['swept_tmp']} tmp file(s); "
             "journal compacted"
         )
         return 0
     # clear
-    n, t, i = len(cache), cache.trace_count(), cache.index_count()
+    n, i = len(cache), cache.index_count()
     cache.clear()
     print(
-        f"cleared {n} entr{'y' if n == 1 else 'ies'} + {t} trace(s) + "
+        f"cleared {n} entr{'y' if n == 1 else 'ies'} + "
         f"{i} index entr{'y' if i == 1 else 'ies'}"
     )
     return 0

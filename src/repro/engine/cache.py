@@ -34,27 +34,18 @@ disk or torn write stays diagnosable while the sweep re-simulates and
 heals the store.  ``repro cache verify|repair|gc`` expose
 :meth:`ResultCache.verify` / :meth:`repair` / :meth:`gc` from the CLI.
 
-The same root holds the **trace store**: one ``.npz`` per
-:class:`~repro.pipeline.trace.TraceBundle` under
-``<root>/traces/<key[:2]>/<key[2:]>.npz`` (``idx``, ``taken``,
-``addrs`` and the bundle fingerprint), keyed by
-:func:`trace_key` over the compiled program, the machine shape and the
-instruction cap.  A process with a store loads a bundle instead of
-re-running the functional VM.  A loaded bundle is rebuilt from its
-arrays and the caller's compiled program, which recomputes its
-fingerprint; it is served only if that equals the stored one, so a
-result key never hashes an unchecked stored string.
-
-Result keys need only each bundle's fingerprint (and, for single-thread
-baselines, its length), so the trace store also keeps a **fingerprint
-index**: ``<root>/traces/index/<key[:2]>/<key[2:]>.json`` maps
-:func:`index_key` — the kernel name and scale, the machine shape, the
-instruction cap and the :func:`source_identity` of the running code —
-to ``{"source", "fingerprint", "length", "checksum"}``.  A warm command
-derives every result key from the index without compiling a kernel or
-opening a bundle.  Any source edit changes the identity, so the index
-misses and the caller falls back to compiling and loading (or
-recording) the bundle, which rewrites the entry.
+Result keys need only each trace bundle's fingerprint (and, for
+single-thread baselines, its length), so the same root also keeps a
+**fingerprint index**: ``<root>/traces/index/<key[:2]>/<key[2:]>.json``
+maps :func:`index_key` — the kernel name and scale, the machine shape,
+the instruction cap and the :func:`source_identity` of the running
+code — to ``{"source", "fingerprint", "length", "checksum"}``.  A warm
+command derives every result key from the index without compiling a
+kernel or running the functional VM.  Any source edit changes the
+identity, so the index misses and the caller compiles the kernel and
+records its trace, which rewrites the entry.  The store holds no trace
+bundles; ``traces/<key[:2]>/*.npz`` bundles that older versions of it
+wrote are reported as stale and deleted by :meth:`ResultCache.gc`.
 """
 
 from __future__ import annotations
@@ -66,7 +57,6 @@ import logging
 import os
 import re
 import sys
-import zipfile
 from collections.abc import Callable
 from contextlib import contextmanager
 from functools import cache
@@ -79,17 +69,9 @@ from ..pipeline.stats import SimStats
 from . import faults
 
 if TYPE_CHECKING:
-    # the program, its parameters and its bundles are only annotated
-    # here: a command served from the store loads none of their layers
-    from ..isa.program import Program
+    # the parameters are only annotated here: a command served from
+    # the store loads no simulator layer
     from ..pipeline.params import SimParams
-    from ..pipeline.trace import TraceBundle
-
-    # numpy is imported where bundles are read or written: a command
-    # served from the fingerprint index never imports it
-    import numpy.typing as npt
-
-    _Array = npt.NDArray[Any]
 
 try:  # advisory cross-process locking; absent on some platforms
     import fcntl
@@ -122,14 +104,14 @@ _SHARD_RE = re.compile(r"^[0-9a-f]{2}$")
 #: shard: "qu" would match the hex pattern, "quarantine" does not).
 QUARANTINE_DIR = "quarantine"
 
-#: Subdirectory holding the trace store's own hex shards (not a shard
-#: name itself, so result scans and ``len()`` never descend into it).
+#: Subdirectory holding the fingerprint index and, in stores older
+#: versions wrote, trace bundles in hex shards (not a shard name
+#: itself, so result scans and ``len()`` never descend into it).
 TRACE_DIR = "traces"
 
-#: Bump when the trace-bundle file layout or the functional VM's
-#: semantics change: a bundle is keyed on the program it traces, not
-#: on the VM that traced it.
-TRACE_STORE_VERSION = 1
+#: Hashed into every :func:`index_key`; bump when the index entry
+#: format changes.
+INDEX_VERSION = 1
 
 #: Subdirectory of :data:`TRACE_DIR` holding the fingerprint index
 #: (not a hex shard name, so bundle scans never descend into it).
@@ -140,13 +122,6 @@ INDEX_DIR = "index"
 _INDEX_QUARANTINE_PREFIX = "index-"
 
 _HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
-
-#: What reading a torn or garbled ``.npz`` raises (numpy and zipfile
-#: errors, missing members, arrays that disagree in shape).
-_TORN_BUNDLE = (
-    ValueError, KeyError, IndexError, TypeError, EOFError,
-    zipfile.BadZipFile,
-)
 
 
 class TraceIdentity(NamedTuple):
@@ -188,37 +163,6 @@ def payload_checksum(stats_dict: dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def trace_key(
-    program: Program, cfg: MachineConfig, max_instructions: int
-) -> str:
-    """Deterministic content hash of one trace bundle: everything the
-    functional VM and the static tables see — every operation, the
-    initial data image, the cluster count and name of the compiled
-    program, the machine shape, and the instruction cap.  ``cfg``
-    should carry the flat memory block: neither the compiler nor the
-    VM sees the memory hierarchy."""
-    ops = tuple(
-        tuple(
-            (int(op.opcode), op.cluster, op.dst, op.srcs, op.imm,
-             op.target, op.use_imm, op.xfer_id, op.cmp_kind)
-            for op in ins.ops
-        )
-        for ins in program.instructions
-    )
-    data = program.data
-    blob = repr((
-        TRACE_STORE_VERSION,
-        program.name,
-        program.n_clusters,
-        ops,
-        sorted(data.words.items()),
-        data.size,
-        machine_fingerprint(cfg),
-        max_instructions,
-    ))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _source_digest(package: Path) -> str | None:
     """SHA-256 over the Python minor version and every ``*.py`` file
     under ``package`` (sorted relative POSIX path plus bytes); ``None``
@@ -253,13 +197,14 @@ def index_key(
     name: str, scale: float, cfg: MachineConfig, max_instructions: int
 ) -> str | None:
     """Key of one fingerprint-index entry (``None`` when the source
-    identity is unknown).  ``cfg`` should carry the flat memory block,
-    as for :func:`trace_key`."""
+    identity is unknown).  ``cfg`` should carry the flat memory block:
+    neither the compiler nor the functional VM sees the memory
+    hierarchy."""
     source = source_identity()
     if source is None:
         return None
     blob = repr((
-        TRACE_STORE_VERSION,
+        INDEX_VERSION,
         name,
         repr(scale),
         machine_fingerprint(cfg),
@@ -303,24 +248,6 @@ def _read_index_entry(path: Path) -> tuple[str, TraceIdentity]:
     return source, ident
 
 
-def _read_bundle(path: Path) -> tuple[str, _Array, _Array, _Array]:
-    """``(fingerprint, idx, taken, addrs)`` of one stored bundle;
-    raises one of :data:`_TORN_BUNDLE` when it is torn."""
-    import numpy as np
-
-    with np.load(path, allow_pickle=False) as npz:
-        fingerprint = str(npz["fingerprint"])
-        idx: _Array = npz["idx"]
-        taken: _Array = npz["taken"]
-        addrs: _Array = npz["addrs"]
-    if (
-        idx.ndim != 1 or taken.shape != idx.shape
-        or addrs.ndim != 2 or len(addrs) != len(idx)
-    ):
-        raise ValueError("trace arrays disagree in shape")
-    return fingerprint, idx, taken, addrs
-
-
 class ResultCache:
     """Disk-backed :class:`SimStats` store keyed by :func:`cache_key`."""
 
@@ -343,12 +270,9 @@ class ResultCache:
         #: corrupt entries moved aside by this process (see
         #: :meth:`quarantine_count` for what is on disk in total)
         self.quarantined = 0
-        #: trace bundles served by :meth:`get_trace`, not found there
-        #: (the caller records each of those), and quarantined by this
-        #: process
-        self.trace_hits = 0
-        self.trace_misses = 0
-        self.trace_quarantined = 0
+        #: trace bundles recorded for a process using this store
+        #: (counted by :func:`repro.kernels.suite.get_trace`)
+        self.traces_recorded = 0
         #: trace identities served by the fingerprint index
         self.index_hits = 0
 
@@ -356,15 +280,12 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key[2:]}.json"
 
-    def _trace_path(self, key: str) -> Path:
-        return self.root / TRACE_DIR / key[:2] / f"{key[2:]}.npz"
-
     def _index_path(self, key: str) -> Path:
         return self.root / TRACE_DIR / INDEX_DIR / key[:2] / f"{key[2:]}.json"
 
     def _shard_dirs(self, parent: Path | None = None) -> list[Path]:
         """Hex shard directories of the result store (or, given
-        ``parent``, of the trace store or the index under it)."""
+        ``parent``, of the old bundle tree or the index under it)."""
         try:
             return sorted(
                 p for p in (parent or self.root).iterdir()
@@ -384,9 +305,13 @@ class ResultCache:
         for shard in self._shard_dirs():
             yield from sorted(shard.glob("*.json"))
 
-    def _trace_entries(self) -> Iterator[Path]:
+    def _old_bundles(self) -> list[Path]:
+        """Trace bundles, live or quarantined, that an older version of
+        this store wrote; nothing reads them."""
+        out = self._quarantined("*.npz")
         for shard in self._shard_dirs(self.root / TRACE_DIR):
-            yield from sorted(shard.glob("*.npz"))
+            out.extend(sorted(shard.glob("*.npz")))
+        return out
 
     def _index_entries(self) -> Iterator[Path]:
         for shard in self._shard_dirs(self.root / TRACE_DIR / INDEX_DIR):
@@ -522,66 +447,7 @@ class ResultCache:
         faults.maybe_tear_entry(path, fault_id)
         return True
 
-    # ----------------------------------------------------------- traces
-    def get_trace(
-        self, key: str, program: Program, cfg: MachineConfig
-    ) -> TraceBundle | None:
-        """Load the bundle stored under :func:`trace_key` ``key`` for
-        the compiled ``program`` on ``cfg``; ``None`` (a miss, which
-        the caller answers by recording the trace) when absent.
-
-        The bundle is rebuilt from the stored arrays, which recomputes
-        its fingerprint from content, and served only if that equals
-        the stored fingerprint.  A torn file or a mismatch is
-        quarantined and reads as a miss."""
-        from ..pipeline.trace import TraceBundle
-
-        path = self._trace_path(key)
-        try:
-            stored, idx, taken, addrs = _read_bundle(path)
-            if addrs.shape[1] != cfg.n_clusters:
-                raise ValueError("cluster count differs from the machine")
-            bundle = TraceBundle(
-                program.name, program, cfg, idx, taken, addrs
-            )
-            if bundle.fingerprint() != stored:
-                raise ValueError("fingerprint mismatch")
-        except FileNotFoundError:
-            self.trace_misses += 1
-            return None
-        except _TORN_BUNDLE as e:
-            self.trace_quarantined += self._quarantine(
-                path, f"trace bundle: {e}"
-            )
-            self.trace_misses += 1
-            return None
-        except OSError:
-            # unreadable, or a shard path shadowed by a stray file
-            self.trace_misses += 1
-            return None
-        self.trace_hits += 1
-        return bundle
-
-    def put_trace(self, key: str, bundle: TraceBundle) -> None:
-        """Best-effort write of one freshly recorded bundle, atomic like
-        :meth:`put`; fault-injectable as ``trace/<bench>``."""
-        import numpy as np
-
-        idx, taken, addrs = bundle.arrays()
-
-        def write(f: IO[bytes]) -> None:
-            np.savez(
-                f,
-                fingerprint=np.array(bundle.fingerprint()),
-                idx=idx,
-                taken=taken,
-                addrs=addrs,
-            )
-
-        self._write(
-            self._trace_path(key), write, key, f"trace/{bundle.name}"
-        )
-
+    # ------------------------------------------------------------ index
     def get_identity(self, key: str | None) -> TraceIdentity | None:
         """The trace identity the fingerprint index holds under
         :func:`index_key` ``key``, or ``None`` (a miss: the caller
@@ -620,7 +486,7 @@ class ResultCache:
 
     # ------------------------------------------------------- quarantine
     def _quarantine(self, path: Path, reason: str, prefix: str = "") -> bool:
-        """Move a corrupt entry, bundle or index entry aside (shard
+        """Move a corrupt entry or index entry aside (shard
         prefix folded back into the filename so the original key stays
         reconstructable, behind ``prefix``); True if it was moved."""
         qdir = self.root / QUARANTINE_DIR
@@ -651,10 +517,6 @@ class ResultCache:
         """Corrupt entries currently held in ``<root>/quarantine/``."""
         return len(self._quarantined("[0-9a-f][0-9a-f]*.json"))
 
-    def trace_quarantine_count(self) -> int:
-        """Corrupt trace bundles currently held in the quarantine."""
-        return len(self._quarantined("*.npz"))
-
     def index_quarantine_count(self) -> int:
         """Corrupt fingerprint-index entries held in the quarantine."""
         return len(self._quarantined(f"{_INDEX_QUARANTINE_PREFIX}*.json"))
@@ -662,31 +524,27 @@ class ResultCache:
     # ------------------------------------------------------ maintenance
     def __len__(self) -> int:
         """Live entries (quarantined entries are counted separately by
-        :meth:`quarantine_count`, and trace bundles by
-        :meth:`trace_count`, never here)."""
+        :meth:`quarantine_count`, and index entries by
+        :meth:`index_count`, never here)."""
         return sum(1 for _ in self._entries())
-
-    def trace_count(self) -> int:
-        """Live trace bundles."""
-        return sum(1 for _ in self._trace_entries())
 
     def index_count(self) -> int:
         """Live fingerprint-index entries."""
         return sum(1 for _ in self._index_entries())
 
     def clear(self) -> int:
-        """Delete every live entry, trace bundle and index entry, sweep
-        leftover ``*.tmp`` files from interrupted writers, and prune
-        emptied shard directories; returns the number of result entries
-        removed.  Quarantined files are kept (they are evidence;
-        ``gc()`` drops them)."""
+        """Delete every live entry and index entry, every old trace
+        bundle and leftover ``*.tmp`` files from interrupted writers,
+        and prune emptied shard directories; returns the number of
+        result entries removed.  Quarantined entries are kept (they are
+        evidence; ``gc()`` drops them)."""
         n = 0
         with self._locked():
             for p in self._entries():
                 p.unlink()
                 n += 1
             for p in [
-                *self._trace_entries(), *self._index_entries(),
+                *self._old_bundles(), *self._index_entries(),
                 *self._tmp_files(),
             ]:
                 p.unlink(missing_ok=True)
@@ -709,17 +567,15 @@ class ResultCache:
         return n
 
     def _scan(self, *, repair: bool) -> dict[str, Any]:
-        """Walk every entry, trace bundle and index entry and classify
-        it; when repairing, also quarantine the corrupt ones and delete
-        stale result entries."""
+        """Walk every entry and index entry and classify it; when
+        repairing, also quarantine the corrupt ones and delete stale
+        result entries."""
         report: dict[str, Any] = {
             "entries": 0, "ok": 0, "corrupt": 0, "stale": 0,
             "shadowed": 0, "tmp_files": len(self._tmp_files()),
             "quarantine": self.quarantine_count(),
             "corrupt_entries": [],
-            "traces_ok": 0, "traces_corrupt": 0,
-            "trace_quarantine": self.trace_quarantine_count(),
-            "corrupt_traces": [],
+            "stale_bundles": len(self._old_bundles()),
             "index_ok": 0, "index_corrupt": 0, "index_stale": 0,
             "index_quarantine": self.index_quarantine_count(),
             "corrupt_index": [], "stale_index": [],
@@ -761,26 +617,6 @@ class ResultCache:
                 )
                 if repair:
                     self.quarantined += self._quarantine(path, reason)
-        # a bundle's fingerprint can only be recomputed against its
-        # compiled program, which a scan does not have; the scan checks
-        # the container (zip CRCs, members, shapes) and the next load
-        # checks the fingerprint
-        for path in list(self._trace_entries()):
-            try:
-                _read_bundle(path)
-            except _TORN_BUNDLE as e:
-                report["traces_corrupt"] += 1
-                report["corrupt_traces"].append(
-                    f"{path.parent.name}{path.stem}"
-                )
-                if repair:
-                    self.trace_quarantined += self._quarantine(
-                        path, f"trace bundle: {e}"
-                    )
-            except OSError:
-                pass  # unreadable right now; not provably corrupt
-            else:
-                report["traces_ok"] += 1
         # an index entry written by other code (stale source) is intact,
         # just never served; gc() drops it
         source = source_identity()
@@ -809,17 +645,17 @@ class ResultCache:
         return report
 
     def verify(self) -> dict[str, Any]:
-        """Read-only integrity scan of every entry, trace bundle and
-        index entry: counts of ok / corrupt (checksum, parse, payload;
-        a torn bundle; a torn, mismatched or malformed index entry) /
-        stale (old schema; index entries of other code) entries,
+        """Read-only integrity scan of every entry and index entry:
+        counts of ok / corrupt (checksum, parse, payload; a torn,
+        mismatched or malformed index entry) / stale (old schema; index
+        entries of other code; trace bundles of older stores) entries,
         leftover tmp files, shadowed shard paths, and the current
         quarantine population.  Touches nothing."""
         return self._scan(repair=False)
 
     def repair(self) -> dict[str, Any]:
-        """Make the store clean: quarantine corrupt entries, bundles
-        and index entries, delete stale-version result entries, sweep
+        """Make the store clean: quarantine corrupt entries and index
+        entries, delete stale-version result entries, sweep
         leftover tmp files, prune emptied shard directories.  Returns
         the scan report plus what was removed."""
         with self._locked():
@@ -833,7 +669,6 @@ class ResultCache:
                 swept_tmp=swept,
                 pruned_dirs=self._prune_empty_shards(),
                 quarantine=self.quarantine_count(),
-                trace_quarantine=self.trace_quarantine_count(),
                 index_quarantine=self.index_quarantine_count(),
             )
         return report
@@ -841,15 +676,15 @@ class ResultCache:
     def gc(self) -> dict[str, Any]:
         """:meth:`repair`, then drop the quarantine (the point of the
         quarantine is diagnosis; gc is the explicit "I am done looking"
-        step) and the index entries of other code versions, and report
-        what was reclaimed."""
+        step), the index entries of other code versions and the trace
+        bundles of older stores, and report what was reclaimed."""
         report = self.repair()
         with self._locked():
             entries = self._quarantined("[0-9a-f][0-9a-f]*.json")
-            bundles = self._quarantined("*.npz")
             index = self._quarantined(f"{_INDEX_QUARANTINE_PREFIX}*.json")
             stale = [self._index_path(k) for k in report["stale_index"]]
-            for p in entries + bundles + index + stale:
+            bundles = self._old_bundles()
+            for p in entries + index + stale + bundles:
                 p.unlink(missing_ok=True)
             try:
                 (self.root / QUARANTINE_DIR).rmdir()
@@ -858,11 +693,10 @@ class ResultCache:
             self._prune_empty_shards()
         report.update(
             dropped_quarantine=len(entries),
-            dropped_trace_quarantine=len(bundles),
             dropped_index_quarantine=len(index),
             dropped_stale_index=len(stale),
+            dropped_stale_bundles=len(bundles),
             quarantine=0,
-            trace_quarantine=0,
             index_quarantine=0,
         )
         return report

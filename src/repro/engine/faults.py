@@ -22,9 +22,8 @@ A plan is a ``;``-separated list of fault specs::
 * ``cell-pattern`` — matched with :func:`fnmatch.fnmatch` against the
   cell's id ``policy/workload/nT[/memory][/machine]`` (e.g.
   ``CSMT/llll/2`` or ``*/hhhh/*``).  ``enospc``/``corrupt`` also match
-  trace-bundle writes under the id ``trace/<bench>`` (e.g.
-  ``corrupt@trace/mcf``) and fingerprint-index writes under
-  ``index/<bench>``, which count as attempt 1.
+  fingerprint-index writes under the id ``index/<bench>`` (e.g.
+  ``corrupt@index/mcf``), which count as attempt 1.
 * ``attempts`` — comma-separated attempt numbers the fault fires on
   (1-based); default ``1`` (fail the first try, let retries succeed).
   ``*`` fires on every attempt (a persistent fault that must exhaust
@@ -217,9 +216,9 @@ def maybe_crash_or_hang(cell_id: str, attempt: int) -> None:
 
 def _store_fault(kind: str, item: str | None) -> bool:
     """True if a ``kind`` store fault fires for this write.  ``item``
-    names a write that is not a cell's result (``trace/<bench>`` for a
-    trace bundle, ``index/<bench>`` for an index entry, always attempt
-    1); ``None`` means the cell currently executing."""
+    names a write that is not a cell's result (``index/<bench>`` for an
+    index entry, always attempt 1); ``None`` means the cell currently
+    executing."""
     plan = _state.plan
     if not plan:
         return False

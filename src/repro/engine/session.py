@@ -260,8 +260,8 @@ class SimulationSession:
 
         The simulator is imported here, before the workers fork, so
         they inherit its modules instead of importing them each; the
-        bundles the cells need are built by now, and with them numpy
-        and the trace layer."""
+        bundles the cells need are built by now, and with them the
+        trace layer."""
         from concurrent.futures import ProcessPoolExecutor
 
         from ..kernels.suite import memoised_traces
@@ -657,10 +657,9 @@ class SimulationSession:
 
     def cache_stats(self) -> dict[str, int]:
         """Memo, store and simulation counters.  The ``traces_*``
-        counters are the trace store's (0 without a cache dir): bundles
-        the functional VM recorded because the store had none, bundles
-        loaded, trace identities the fingerprint index served, and torn
-        or mismatched bundles quarantined."""
+        counters are 0 without a cache dir: traces the functional VM
+        recorded in this process, and trace identities the store's
+        fingerprint index served."""
         c = self.cache
         return {
             "memo_entries": len(self._memo),
@@ -670,10 +669,8 @@ class SimulationSession:
             "disk_stores": c.stores if c else 0,
             "disk_put_errors": c.put_errors if c else 0,
             "quarantined": c.quarantined if c else 0,
-            "traces_recorded": c.trace_misses if c else 0,
-            "traces_loaded": c.trace_hits if c else 0,
+            "traces_recorded": c.traces_recorded if c else 0,
             "traces_indexed": c.index_hits if c else 0,
-            "traces_quarantined": c.trace_quarantined if c else 0,
             "simulations": self.simulations,
             "failures": len(self.failures),
         }

@@ -9,13 +9,13 @@ them.
 :func:`get_trace` compiles and functionally executes a kernel once per
 (process, scale, machine, instruction cap) and memoises the resulting
 :class:`~repro.pipeline.trace.TraceBundle`, so the 150-run experiment
-matrix reuses twelve functional runs.  Given a result store, it loads
-bundles an earlier process recorded instead of re-running the VM.
+matrix reuses twelve functional runs.  Bundles are never stored: a
+new process records the traces it needs again.
 
 Result keys need only a bundle's fingerprint and length:
 :func:`get_fingerprint` / :func:`trace_identity` serve those from the
 store's fingerprint index, so a warm command compiles nothing and
-builds a bundle only for a cell it actually simulates.
+records a trace only for a cell it actually simulates.
 """
 
 from __future__ import annotations
@@ -179,28 +179,18 @@ def get_trace(
     (benchmark, machine shape) once per process, whatever memory
     presets ride on it.
 
-    With a ``store`` (a :class:`~repro.engine.cache.ResultCache`), a
-    memo miss still compiles, then loads the bundle from the store's
-    trace directory and only runs the functional VM (and persists its
-    trace) when the store has no valid bundle for this program.  The
-    built bundle's identity replaces whatever the fingerprint index
-    served for it, and rewrites the index entry if they differ.
+    With a ``store`` (a :class:`~repro.engine.cache.ResultCache`), the
+    recording is counted in its ``traces_recorded``, and the bundle's
+    identity replaces whatever the store's fingerprint index served for
+    it, rewriting the index entry if they differ.
     """
     key = _memo_key(name, scale, cfg, max_instructions)
     bundle = _trace_cache.get(key)
     if bundle is None:
         program = build_program(name, scale, cfg).program
-        if store is None:
-            bundle = record_trace(program, cfg, max_instructions)
-        else:
-            # deferred: repro.engine imports this module
-            from ..engine.cache import trace_key
-
-            store_key = trace_key(program, key[2], max_instructions)
-            bundle = store.get_trace(store_key, program, cfg)
-            if bundle is None:
-                bundle = record_trace(program, cfg, max_instructions)
-                store.put_trace(store_key, bundle)
+        bundle = record_trace(program, cfg, max_instructions)
+        if store is not None:
+            store.traces_recorded += 1
             _note_identity(key, bundle, store)
         _trace_cache[key] = bundle
     return bundle
@@ -233,8 +223,8 @@ def trace_identity(
     the bundle when the store's fingerprint index has them.
 
     Looked up in the process memo, then in the index, then through
-    :func:`get_trace` (compile, then load and verify or record), which
-    writes the index entry."""
+    :func:`get_trace` (compile and record), which writes the index
+    entry."""
     key = _memo_key(name, scale, cfg, max_instructions)
     ident = _identity_cache.get(key)
     if ident is not None:

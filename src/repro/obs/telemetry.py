@@ -90,7 +90,7 @@ def load_jsonl(path: str | Path) -> list[dict]:
 
 
 def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile (q in [0, 100]) — no numpy dependency."""
+    """Nearest-rank percentile (q in [0, 100]), in pure Python."""
     if not values:
         return 0.0
     ordered = sorted(values)

@@ -69,7 +69,7 @@ class _Thread:
         "rotation",
         "bench",
         "table",
-        "addr_rows",
+        "addr_cols",
         "taken",
         "idx",
         "pend",
@@ -84,7 +84,7 @@ class _Thread:
         self.rotation = rotation
         self.bench: _Bench | None = None
         self.table = None
-        self.addr_rows = None
+        self.addr_cols = None
         self.taken = None
         self.idx = None
         self.pend: PendingInstruction | None = None
@@ -101,9 +101,7 @@ class _Thread:
         self.pend = None
         self.last_iline = -1
         if bench is not None:
-            table, rows = bench.bundle.rotated(self.rotation)
-            self.table = table
-            self.addr_rows = rows
+            self.table, self.addr_cols = bench.bundle.rotated(self.rotation)
             self.taken = bench.bundle.taken
             self.idx = bench.bundle.idx
         else:
@@ -286,7 +284,8 @@ class Processor:
         Non-blocking caches (``mshr > 0``): every miss issues at
         ``cycle`` into its own MSHR and the fills overlap — the thread
         stalls only until the slowest one completes."""
-        row = th.addr_rows[th.bench.pos]
+        cols = th.addr_cols
+        pos = th.bench.pos
         store_mask = th.table.store_cmask[th.pend.static_index]
         nonblocking = self._nonblocking
         penalty = 0
@@ -294,7 +293,7 @@ class Processor:
         c = 0
         while m:
             if m & 1:
-                addr = row[c]
+                addr = cols[c][pos]
                 if addr >= 0:
                     self.stats.dcache_accesses += 1
                     # the DRAM bank model must see each miss's real

@@ -426,7 +426,7 @@ def generate_loop_source(
         probe_blocks.append(
             _dd(f"""
             if mem & {bit}:
-                addr = row[{c}]
+                addr = cols[{c}][pos]
                 if addr >= 0:
                     dcache_accesses += 1
 {_block(miss, 20)}
@@ -434,7 +434,8 @@ def generate_loop_source(
         )
     dprobe = "\n".join(
         [
-            "row = th.addr_rows[bench.pos]",
+            "cols = th.addr_cols",
+            "pos = bench.pos",
             "store_mask = table.store_cmask[i]",
             "penalty = 0",
             *probe_blocks,

@@ -22,18 +22,23 @@ hoist work out of hot loops):
   n_clusters x FU-class distinct pairs exist, so they are interned;
 * ``pc``            — byte address for the ICache model.
 
+The dynamic trace keeps its memory addresses as ``n_clusters``
+per-cluster columns (``addr_cols[c][pos]`` is cluster ``c``'s address
+at trace position ``pos``, -1 for none).
+
 **Cluster renaming** (paper §IV, from the CSMT paper) statically rotates
 each thread's cluster assignment; :meth:`TraceBundle.rotated` returns a
-table with all per-cluster data rolled by the renaming value, at zero
-per-cycle cost.
+static table rotated by the renaming value and the address columns
+permuted by reference (no address is copied), at zero per-cycle cost.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..arch.config import MachineConfig
 from ..arch.resources import op_usage_table, usage_of_ops
@@ -41,10 +46,8 @@ from ..isa.opcodes import FUClass, Opcode
 from ..isa.program import Program
 from ..vm.machine import VM, TraceRecorder
 
-if TYPE_CHECKING:
-    # imported where arrays are built or read, so a command whose
-    # result keys come from the fingerprint index never imports numpy
-    import numpy as np
+#: per-cluster address columns of one rotation
+AddrCols = tuple[list[int], ...]
 
 
 @dataclass
@@ -144,6 +147,13 @@ def _rot_mask(mask: int, r: int, n: int) -> int:
     return ((mask << r) | (mask >> (n - r))) & full if r else mask
 
 
+def _roll(row: Sequence, r: int) -> list:
+    """Per-cluster ``row`` under renaming ``r``: entry ``c`` is
+    ``row[(c - r) % n]``, so cluster c's data moves to cluster c + r."""
+    n = len(row)
+    return [row[(c - r) % n] for c in range(n)]
+
+
 def _rot_static(st: StaticTable, r: int) -> StaticTable:
     """Apply cluster renaming rotation r to a static table."""
     if r == 0:
@@ -156,9 +166,6 @@ def _rot_static(st: StaticTable, r: int) -> StaticTable:
         shift = lane * r
         return ((p << shift) | (p >> (lane * n - shift))) & full
 
-    def roll(row: list) -> list:
-        return [row[(c - r) % n] for c in range(n)]
-
     ops_desc = [
         tuple(((c + r) % n, fu, m) for (c, fu, m) in desc)
         for desc in st.ops_desc
@@ -168,8 +175,8 @@ def _rot_static(st: StaticTable, r: int) -> StaticTable:
         n_clusters=n,
         packed=[rot_packed(p) for p in st.packed],
         cmask=[_rot_mask(m, r, n) for m in st.cmask],
-        bundle_packed=[roll(b) for b in st.bundle_packed],
-        bundle_nops=[roll(b) for b in st.bundle_nops],
+        bundle_packed=[_roll(b, r) for b in st.bundle_packed],
+        bundle_nops=[_roll(b, r) for b in st.bundle_nops],
         # rolling reorders the bundles but does not lane-shift their
         # usage, so the sum is the unrotated one (ROADMAP item 5)
         bundle_sum=st.bundle_sum,
@@ -183,13 +190,6 @@ def _rot_static(st: StaticTable, r: int) -> StaticTable:
     )
 
 
-def _rows(addrs: np.ndarray) -> list[tuple[int, ...]]:
-    """Rows of a 2-D array as tuples of Python ints; zipping the
-    columns builds them in C, several times faster than a tuple() per
-    row on traces of 10^5 instructions."""
-    return list(zip(*addrs.T.tolist()))
-
-
 class TraceBundle:
     """Everything the timing model needs about one benchmark."""
 
@@ -198,65 +198,54 @@ class TraceBundle:
         name: str,
         program: Program,
         cfg: MachineConfig,
-        idx: np.ndarray,
-        taken: np.ndarray,
-        addrs: np.ndarray,
+        idx: list[int],
+        taken: list[bool],
+        addrs: list[int],
     ):
+        """``addrs`` is the flat row-major address matrix the
+        :class:`~repro.vm.machine.TraceRecorder` records,
+        ``cfg.n_clusters`` entries per instruction."""
+        n = cfg.n_clusters
         self.name = name
         self.program = program
         self.cfg = cfg
         self.static = build_static_table(program, cfg)
-        # hot-loop friendly copies
-        self.idx = idx.tolist()
-        self.taken = taken.tolist()
-        self.addr_rows = _rows(addrs)
-        self.length = len(self.idx)
-        self.total_ops = sum(self.static.nops[i] for i in self.idx)
-        self._rot_cache: dict[int, tuple[StaticTable, list]] = {
-            0: (self.static, self.addr_rows)
+        self.idx = idx
+        self.taken = taken
+        self.addr_cols: AddrCols = tuple(addrs[c::n] for c in range(n))
+        self.length = len(idx)
+        self.total_ops = sum(self.static.nops[i] for i in idx)
+        self._rot_cache: dict[int, tuple[StaticTable, AddrCols]] = {
+            0: (self.static, self.addr_cols)
         }
-        self._addrs_np = addrs
-        # computed eagerly while the numpy arrays are in hand, so the
-        # bundle does not retain a second copy of idx/taken for a lazy
-        # hash (bundles live for the process in the suite memo)
-        self._fingerprint = self._compute_fingerprint(idx, taken, addrs)
+        # computed eagerly while the flat address list is in hand, so
+        # the bundle does not retain it for a lazy hash (bundles live
+        # for the process in the suite memo)
+        self._fingerprint = self._compute_fingerprint(addrs)
 
-    def rotated(self, r: int) -> tuple[StaticTable, list]:
-        """Static table and address rows under cluster renaming ``r``."""
+    def rotated(self, r: int) -> tuple[StaticTable, AddrCols]:
+        """Static table and address columns under cluster renaming
+        ``r``: rotated column ``c`` is column ``(c - r) % n``, the same
+        list object."""
         r %= self.cfg.n_clusters
         if r not in self._rot_cache:
-            import numpy as np
-
-            st = _rot_static(self.static, r)
-            rolled = np.roll(self._addrs_np, r, axis=1)
-            self._rot_cache[r] = (st, _rows(rolled))
+            self._rot_cache[r] = (
+                _rot_static(self.static, r),
+                tuple(_roll(self.addr_cols, r)),
+            )
         return self._rot_cache[r]
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The dynamic trace as ``(idx, taken, addrs)`` arrays, with
-        the dtypes :meth:`TraceRecorder.arrays` records."""
-        import numpy as np
-
-        return (
-            np.asarray(self.idx, dtype=np.int32),
-            np.asarray(self.taken, dtype=bool),
-            self._addrs_np,
-        )
 
     @property
     def avg_ops_per_instr(self) -> float:
         return self.total_ops / max(1, self.length)
 
-    def _compute_fingerprint(
-        self, idx: np.ndarray, taken: np.ndarray, addrs: np.ndarray
-    ) -> str:
-        import numpy as np
-
+    def _compute_fingerprint(self, addrs: list[int]) -> str:
         h = hashlib.sha256()
         h.update(self.name.encode())
-        h.update(np.ascontiguousarray(idx, np.int64).tobytes())
-        h.update(np.ascontiguousarray(taken, np.int8).tobytes())
-        h.update(np.ascontiguousarray(addrs, np.int64).tobytes())
+        # native-endian int64 / int8 / int64 bytes of the trace lists
+        h.update(array("q", self.idx).tobytes())
+        h.update(array("b", self.taken).tobytes())
+        h.update(array("q", addrs).tobytes())
         st = self.static
         # ops_desc is order-sensitive: op-level split issues ops in
         # this order under resource pressure, so a reorder changes
@@ -298,5 +287,6 @@ def record_trace(
     vm = VM(program)
     rec = TraceRecorder(cfg.n_clusters)
     vm.run(max_instructions=max_instructions, recorder=rec)
-    idx, taken, addrs = rec.arrays()
-    return TraceBundle(program.name, program, cfg, idx, taken, addrs)
+    return TraceBundle(
+        program.name, program, cfg, rec.indices, rec.taken, rec.addrs
+    )

@@ -30,14 +30,10 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING
 
 from ..isa.opcodes import COMPARES, LOADS, STORES, Opcode
 from ..isa.operation import Operation
 from ..isa.program import Program
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MASK32 = 0xFFFFFFFF
 
@@ -165,17 +161,6 @@ class TraceRecorder:
         self.indices.append(idx)
         self.taken.append(taken)
         self.addrs.extend(addr_row)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        import numpy as np
-
-        return (
-            np.asarray(self.indices, dtype=np.int32),
-            np.asarray(self.taken, dtype=bool),
-            np.asarray(self.addrs, dtype=np.int32).reshape(
-                len(self.indices), self.n_clusters
-            ),
-        )
 
 
 # -- pre-decoding ----------------------------------------------------------

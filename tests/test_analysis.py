@@ -264,7 +264,7 @@ INLINED_SITES = [
     ("CCSI NS", "avail & 1"),       # unrolled op-count arm bit
     ("CCSI NS", "avail & 8"),
     ("CCSI NS", "b_nops[0]"),
-    ("OOSI AS", "row[1]"),          # data-probe address column
+    ("OOSI AS", "cols[1]"),         # data-probe address column
     ("SMT", "store_mask & 2"),      # data-probe store bit
 ]
 

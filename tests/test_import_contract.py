@@ -4,9 +4,9 @@ Package ``__init__`` modules re-export their public names lazily
 (``repro._lazy``), and the engine imports the simulator, the compiler,
 the functional VM and multiprocessing only where it uses them.  These
 tests pin that contract from outside: a subprocess running a warm
-command must not load those layers, every ``__all__`` name must still
-resolve, and every wrap point the end-to-end tracer instruments must
-still exist.
+command must not load those layers, a cold one must not load numpy,
+every ``__all__`` name must still resolve, and every wrap point the
+end-to-end tracer instruments must still exist.
 """
 
 from __future__ import annotations
@@ -70,6 +70,22 @@ def cli_logging():
     log.handlers[:] = saved[2]
 
 
+def _run_in_subprocess(tmp_path: Path, args: list[str]) -> tuple[str, set]:
+    """Stdout and final ``sys.modules`` of ``repro ARGS`` in a fresh
+    interpreter."""
+    dump = tmp_path / "modules.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", _DUMP_MODULES, str(dump), *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout, set(json.loads(dump.read_text()))
+
+
 def test_warm_run_loads_no_simulation_layer(tmp_path, capsys, cli_logging):
     args = [
         "--quick", "--cache-dir", str(tmp_path / "store"), "run",
@@ -80,18 +96,8 @@ def test_warm_run_loads_no_simulation_layer(tmp_path, capsys, cli_logging):
     assert cli_main(args) == 0
     cold_out = capsys.readouterr().out
 
-    dump = tmp_path / "modules.json"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC), *filter(None, [env.get("PYTHONPATH")])]
-    )
-    warm = subprocess.run(
-        [sys.executable, "-c", _DUMP_MODULES, str(dump), *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert warm.returncode == 0, warm.stderr
-    assert warm.stdout == cold_out
-    loaded = set(json.loads(dump.read_text()))
+    warm_out, loaded = _run_in_subprocess(tmp_path, args)
+    assert warm_out == cold_out
     heavy = sorted(
         m for m in loaded
         if any(m == h or m.startswith(h + ".") for h in HEAVY)
@@ -101,6 +107,26 @@ def test_warm_run_loads_no_simulation_layer(tmp_path, capsys, cli_logging):
     # kernels: no builder module is imported
     kernels = sorted(m for m in loaded if m.startswith("repro.kernels."))
     assert kernels == ["repro.kernels.suite"]
+
+
+def test_cold_run_never_imports_numpy(tmp_path, capsys, cli_logging):
+    """A cold run on an empty store compiles, records and simulates
+    without numpy, and prints what the same run prints in-process."""
+    run = ["run", "--policy", "CCSI AS", "--workload", "llhh",
+           "--threads", "4"]
+    assert cli_main(
+        ["--quick", "--cache-dir", str(tmp_path / "here"), *run]
+    ) == 0
+    here_out = capsys.readouterr().out
+    assert '"cycles"' in here_out
+
+    cold_out, loaded = _run_in_subprocess(
+        tmp_path, ["--quick", "--cache-dir", str(tmp_path / "cold"), *run]
+    )
+    assert cold_out == here_out
+    # it did the cold work: recorded traces and simulated the cell
+    assert {"repro.vm.machine", "repro.pipeline.processor"} <= loaded
+    assert sorted(m for m in loaded if m.split(".")[0] == "numpy") == []
 
 
 @pytest.mark.parametrize("package", _packages())

@@ -55,7 +55,7 @@ def test_kernel_trace_deterministic(name):
     a = record_trace(build_program(name, SCALE).program, PAPER_MACHINE)
     b = record_trace(build_program(name, SCALE).program, PAPER_MACHINE)
     assert a.idx == b.idx
-    assert a.addr_rows == b.addr_rows
+    assert a.addr_cols == b.addr_cols
     assert a.taken == b.taken
 
 
@@ -97,7 +97,7 @@ def test_kernel_branches_present(name, small_traces):
 @pytest.mark.parametrize("name", BENCH_ORDER)
 def test_kernel_memory_traffic(name, small_traces):
     tr = small_traces[name]
-    n_mem = sum(1 for row in tr.addr_rows for a in row if a >= 0)
+    n_mem = sum(1 for col in tr.addr_cols for a in col if a >= 0)
     assert n_mem > 0
 
 

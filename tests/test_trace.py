@@ -64,15 +64,17 @@ def test_pcs_increasing(axpy_program):
 def test_trace_records_dynamic_stream(axpy_trace):
     assert axpy_trace.length > 0
     assert axpy_trace.total_ops > axpy_trace.length  # >1 op/instr avg
-    assert len(axpy_trace.addr_rows) == axpy_trace.length
+    cols = axpy_trace.addr_cols
+    assert len(cols) == PAPER_MACHINE.n_clusters
+    assert all(len(col) == axpy_trace.length for col in cols)
 
 
 @given(st.integers(0, 3))
 @settings(max_examples=4, deadline=None)
 def test_rotation_preserves_totals(r):
     tr = record_trace(compile_kernel(make_wide()).program, PAPER_MACHINE)
-    st0, rows0 = tr.rotated(0)
-    str_, rows_r = tr.rotated(r)
+    st0, cols0 = tr.rotated(0)
+    str_, cols_r = tr.rotated(r)
     for i in range(len(st0.nops)):
         assert st0.nops[i] == str_.nops[i]
         assert sorted(st0.bundle_nops[i]) == sorted(str_.bundle_nops[i])
@@ -81,8 +83,29 @@ def test_rotation_preserves_totals(r):
             unpack_usage(str_.packed[i], 4)
         )
     # address rows are rolled, never lost
+    rows0, rows_r = list(zip(*cols0)), list(zip(*cols_r))
+    assert len(rows0) == len(rows_r) == tr.length
     for a, b in zip(rows0, rows_r):
         assert sorted(a) == sorted(b)
+
+
+def test_rotation_shares_address_columns(wide_trace):
+    """Renaming permutes references to the address columns: rotated
+    column ``c`` is the unrotated column ``(c - r) % n`` itself, so no
+    address is copied, and every rebuilt row is the unrotated row
+    rolled by ``r``."""
+    n = PAPER_MACHINE.n_clusters
+    _, cols0 = wide_trace.rotated(0)
+    rows0 = list(zip(*cols0))
+    assert any(a >= 0 for row in rows0 for a in row)
+    for r in range(n):
+        _, cols_r = wide_trace.rotated(r)
+        assert len(cols_r) == n
+        for c in range(n):
+            assert cols_r[c] is cols0[(c - r) % n]
+        assert list(zip(*cols_r)) == [
+            tuple(row[(c - r) % n] for c in range(n)) for row in rows0
+        ]
 
 
 def test_rotation_by_cluster_count_is_identity(wide_trace):
@@ -167,9 +190,9 @@ _GOLDEN = json.loads(
     [(m, n) for m in sorted(_GOLDEN["fingerprints"]) for n in BENCH_ORDER],
 )
 def test_trace_fingerprint_golden(machine, name):
-    """The functional VM's traces are pinned: trace-store keys and
-    result keys derive from these fingerprints, so drift would also
-    orphan every store filled earlier."""
+    """The functional VM's traces are pinned: result keys and the
+    fingerprint index derive from these fingerprints, so drift would
+    also orphan every store filled earlier."""
     assert QUICK_SCALE.kernel_scale == _GOLDEN["kernel_scale"]
     cfg = get_scenario(machine).machine
     bundle = get_trace(name, QUICK_SCALE.kernel_scale, cfg)

@@ -1,10 +1,9 @@
-"""Content-addressed trace store (repro.engine.cache trace bundles +
-repro.kernels.suite.get_trace) and its fingerprint index
-(repro.kernels.suite.get_fingerprint): a warm process derives result
-keys from the index without compiling or loading anything, a process
-that simulates loads bundles instead of re-running the functional VM,
-result keys stay byte-identical, and torn bundles or bad index entries
-are never served."""
+"""Trace recording against a result store (repro.kernels.suite.get_trace)
+and the store's fingerprint index (repro.kernels.suite.get_fingerprint):
+a warm process derives result keys from the index without compiling or
+recording anything, a process that simulates records each trace once,
+result keys stay byte-identical, bad index entries are never served,
+and trace bundles older stores wrote are only ever cleaned up."""
 
 import json
 import os
@@ -14,7 +13,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.arch.config import PAPER_MACHINE, get_memory_config
@@ -24,13 +22,12 @@ from repro.engine import cache as cache_mod
 from repro.engine.cache import (
     INDEX_DIR,
     TRACE_DIR,
+    QUARANTINE_DIR,
     cache_key,
     index_key,
-    trace_key,
 )
 from repro.harness.claims import evaluate_claims
 from repro.kernels import suite
-from repro.pipeline.trace import record_trace
 from repro.vm.machine import VMError
 
 TINY = ExperimentScale(
@@ -94,7 +91,7 @@ def compiles(monkeypatch):
 @pytest.fixture(scope="module")
 def filled(tmp_path_factory):
     """A store a cold ``claims`` filled: every cell of the matrix and
-    all twelve trace bundles, plus the claims it produced."""
+    all twelve index entries, plus the claims it produced."""
     saved = suite._trace_cache, suite._identity_cache
     suite._trace_cache, suite._identity_cache = {}, {}
     try:
@@ -131,62 +128,20 @@ def write_entry(path, source, fingerprint, length):
     ))
 
 
-# ------------------------------------------------------------ bundles
-def test_round_trip_is_exact(tmp_path):
-    program = suite.build_program("mcf", TINY.kernel_scale).program
-    recorded = record_trace(program, PAPER_MACHINE)
-    store = ResultCache(tmp_path / "c")
-    key = trace_key(program, PAPER_MACHINE, 5_000_000)
-    store.put_trace(key, recorded)
-    loaded = store.get_trace(key, program, PAPER_MACHINE)
-    assert loaded is not None and loaded is not recorded
-    assert loaded.idx == recorded.idx
-    assert loaded.taken == recorded.taken
-    assert loaded.addr_rows == recorded.addr_rows
-    assert loaded.static == recorded.static
-    assert loaded.rotated(1) == recorded.rotated(1)
-    assert loaded.fingerprint() == recorded.fingerprint()
-    assert (store.trace_hits, store.trace_misses) == (1, 0)
-    assert store.trace_count() == 1 and len(store) == 0
-
-
+# ------------------------------------------------------------- layout
 def test_store_layout(tmp_path):
+    """A run stores its result and one index entry per member trace,
+    and no trace bundle."""
     store = ResultCache(tmp_path / "c")
     SimulationSession(TINY, cache_dir=str(store.root)).run(
         "SMT", "llll", 2
     )
-    bundles = sorted((store.root / TRACE_DIR).glob("*/*.npz"))
-    assert len(bundles) == 4
+    assert [p.name for p in (store.root / TRACE_DIR).iterdir()] == [
+        INDEX_DIR
+    ]
+    assert not list(store.root.rglob("*.npz"))
     # results still count only result entries
-    assert len(store) == 1 and store.trace_count() == 4
-
-
-@pytest.mark.parametrize("foreign", [False, True])
-def test_fingerprint_mismatch_is_quarantined(tmp_path, foreign):
-    """A well-formed bundle whose arrays do not hash to its stored
-    fingerprint — bit rot that keeps the container valid, or another
-    program's trace under this key — is never served."""
-    mcf = suite.build_program("mcf", TINY.kernel_scale).program
-    store = ResultCache(tmp_path / "c")
-    key = trace_key(mcf, PAPER_MACHINE, 5_000_000)
-    if foreign:
-        idct = suite.build_program("idct", TINY.kernel_scale).program
-        store.put_trace(key, record_trace(idct, PAPER_MACHINE))
-    else:
-        bundle = record_trace(mcf, PAPER_MACHINE)
-        idx, taken, addrs = bundle.arrays()
-        rotten = addrs.copy()
-        rotten[-1, 0] += 4
-        path = store._trace_path(key)
-        path.parent.mkdir(parents=True)
-        np.savez(
-            path, fingerprint=np.array(bundle.fingerprint()),
-            idx=idx, taken=taken, addrs=rotten,
-        )
-    assert store.get_trace(key, mcf, PAPER_MACHINE) is None
-    assert store.trace_quarantined == 1 and store.trace_misses == 1
-    assert store.trace_quarantine_count() == 1
-    assert store.quarantine_count() == 0  # result quarantine untouched
+    assert len(store) == 1 and store.index_count() == 4
 
 
 def test_memo_respects_max_instructions():
@@ -203,17 +158,19 @@ def test_memo_respects_max_instructions():
 def test_memory_presets_share_one_entry(tmp_path, recordings):
     store = ResultCache(tmp_path / "c")
     l2 = replace(PAPER_MACHINE, memory=get_memory_config("l2"))
-    suite.get_trace("mcf", TINY.kernel_scale, PAPER_MACHINE, store=store)
+    a = suite.get_trace("mcf", TINY.kernel_scale, PAPER_MACHINE, store=store)
+    b = suite.get_trace("mcf", TINY.kernel_scale, l2, store=store)
+    assert a is b and recordings == ["mcf"]
+    assert store.traces_recorded == 1 and store.index_count() == 1
     suite.clear_trace_cache()
-    suite.get_trace("mcf", TINY.kernel_scale, l2, store=store)
-    assert recordings == ["mcf"]
-    assert store.trace_count() == 1 and store.trace_hits == 1
+    ident = suite.trace_identity("mcf", TINY.kernel_scale, l2, store=store)
+    assert ident == (a.fingerprint(), a.length) and store.index_hits == 1
     # another scale or machine shape is another program: a miss
     suite.get_trace("mcf", 0.05, PAPER_MACHINE, store=store)
     narrow = get_scenario("narrow").machine
     suite.get_trace("mcf", TINY.kernel_scale, narrow, store=store)
     assert recordings == ["mcf"] * 3
-    assert store.trace_count() == 3
+    assert store.index_count() == 3
 
 
 # ----------------------------------------------------------- sessions
@@ -222,7 +179,7 @@ def test_result_keys_identical_with_and_without_store(filled, tmp_path):
     cell = session.cell("CCSI AS", "llhh", 2)
     indexed_key = session._disk_key(cell)
     info = session.cache_stats()
-    assert (info["traces_indexed"], info["traces_loaded"]) == (4, 0)
+    assert (info["traces_indexed"], info["traces_recorded"]) == (4, 0)
     suite.clear_trace_cache()
     prints = tuple(
         suite.get_trace(n, TINY.kernel_scale).fingerprint()
@@ -234,42 +191,29 @@ def test_result_keys_identical_with_and_without_store(filled, tmp_path):
     assert indexed_key == recorded_key
 
 
-def test_store_without_traces_still_hits(filled, tmp_path, recordings):
-    """A store filled before it held trace bundles (or their index):
-    every result entry is still a hit, and the traces are recorded and
-    indexed into it once."""
+def test_store_without_traces_still_hits(
+    filled, tmp_path, recordings, compiles
+):
+    """A store filled before it held the fingerprint index: every
+    result entry is still a hit (keys are byte-identical), and the
+    traces are recorded and indexed into it once; the next warm run
+    compiles and records nothing."""
     root = copy_store(filled, tmp_path)
     shutil.rmtree(f"{root}/{TRACE_DIR}")
     session = SimulationSession(TINY, cache_dir=root)
     assert evaluate_claims(session) == filled[1]
     info = session.cache_stats()
     assert info["simulations"] == 0 and info["disk_hits"] == 144
-    assert (info["traces_loaded"], info["traces_indexed"]) == (0, 0)
+    assert (info["traces_recorded"], info["traces_indexed"]) == (12, 0)
     assert sorted(recordings) == sorted(suite.BENCH_ORDER)
-    store = ResultCache(root)
-    assert store.trace_count() == 12 and store.index_count() == 12
-
-
-def test_store_without_index_loads_once(
-    filled, tmp_path, recordings, compiles
-):
-    """A store filled before the fingerprint index existed: the first
-    warm run loads every bundle (keys are byte-identical, so every
-    result hits) and writes the index; the next one loads nothing."""
-    root = copy_store(filled, tmp_path)
-    shutil.rmtree(f"{root}/{TRACE_DIR}/{INDEX_DIR}")
-    session = SimulationSession(TINY, cache_dir=root)
-    assert evaluate_claims(session) == filled[1]
-    info = session.cache_stats()
-    assert info["simulations"] == 0 and info["disk_hits"] == 144
-    assert (info["traces_loaded"], info["traces_indexed"]) == (12, 0)
     assert ResultCache(root).index_count() == 12
     suite.clear_trace_cache()
+    recordings.clear()
     compiles.clear()
     session = SimulationSession(TINY, cache_dir=root)
     assert evaluate_claims(session) == filled[1]
     info = session.cache_stats()
-    assert (info["traces_loaded"], info["traces_indexed"]) == (0, 12)
+    assert (info["traces_recorded"], info["traces_indexed"]) == (0, 12)
     assert info["simulations"] == 0
     assert recordings == [] and compiles == []
 
@@ -278,26 +222,14 @@ def test_warm_claims_records_nothing(
     filled, tmp_path, recordings, compiles
 ):
     """A warm run takes every trace identity from the index: nothing is
-    recorded, compiled or loaded."""
+    recorded or compiled."""
     session = SimulationSession(TINY, cache_dir=copy_store(filled, tmp_path))
     assert evaluate_claims(session) == filled[1]
     info = session.cache_stats()
     assert recordings == [] and compiles == []
     assert info["traces_indexed"] == 12
-    assert info["traces_loaded"] == 0 and info["traces_recorded"] == 0
+    assert info["traces_recorded"] == 0
     assert info["simulations"] == 0
-
-
-def test_index_hit_never_opens_a_bundle(filled, tmp_path, monkeypatch):
-    def no_bundle_reads(path):
-        raise AssertionError(f"bundle opened: {path}")
-
-    monkeypatch.setattr(cache_mod, "_read_bundle", no_bundle_reads)
-    session = SimulationSession(TINY, cache_dir=copy_store(filled, tmp_path))
-    small_sweep(session)
-    info = session.cache_stats()
-    assert info["simulations"] == 0
-    assert info["traces_indexed"] == len(members())
 
 
 def test_warm_sweep_records_nothing(filled, tmp_path, recordings):
@@ -328,74 +260,70 @@ def test_cold_pooled_sweep_records_each_once(tmp_path, monkeypatch):
 
 
 # -------------------------------------------------------- robustness
-def test_torn_bundle_is_quarantined_and_rerecorded(
-    tmp_path, monkeypatch, recordings
-):
-    root = str(tmp_path / "c")
-    monkeypatch.setenv("REPRO_FAULTS", "corrupt@trace/mcf")
-    torn = small_sweep(SimulationSession(TINY, cache_dir=root))
-    monkeypatch.delenv("REPRO_FAULTS")
-    assert sorted(recordings) == members()
-    suite.clear_trace_cache()
-    recordings.clear()
-    session = SimulationSession(TINY, cache_dir=root)
-    warm = small_sweep(session)
-    # result keys come from the index: the torn bundle is not opened
-    info = session.cache_stats()
-    assert recordings == [] and info["simulations"] == 0
-    assert info["traces_quarantined"] == 0
-    assert {k: s.to_dict() for k, s in warm.items()} == {
-        k: s.to_dict() for k, s in torn.items()
-    }
-    # a cell that simulates needs mcf's bundle: quarantined, re-recorded
-    healed = session.run("CSMT", "llll", 2)
-    info = session.cache_stats()
-    assert recordings == ["mcf"]
-    assert info["traces_quarantined"] == 1
-    assert info["traces_recorded"] == 1 and info["traces_loaded"] == 3
-    assert info["simulations"] == 1
-    suite.clear_trace_cache()
-    assert healed.to_dict() == SimulationSession(TINY).run(
-        "CSMT", "llll", 2
-    ).to_dict()
-    store = ResultCache(root)
-    assert store.trace_quarantine_count() == 1
-    assert store.verify()["traces_corrupt"] == 0
-
-
 def test_enospc_trace_write_degrades(tmp_path):
+    """A trace's index entry that cannot be written (fault target
+    ``index/<bench>``) costs a put error, not the trace."""
     from repro.engine import faults
 
     store = ResultCache(tmp_path / "c")
-    faults.install("enospc@trace/*")
+    faults.install("enospc@index/*")
     try:
         bundle = suite.get_trace("mcf", TINY.kernel_scale, store=store)
     finally:
         faults.install(None)
-    assert bundle.length > 0
-    assert store.put_errors == 1 and store.trace_count() == 0
+    assert bundle.length > 0 and store.traces_recorded == 1
+    assert store.put_errors == 1 and store.index_count() == 0
 
 
-def test_maintenance_covers_traces(tmp_path):
+def old_bundle_tree(root):
+    """``.npz`` trace bundles where older stores kept them: two live
+    ones in hex shards under ``traces/`` and a quarantined one."""
+    paths = [
+        root / TRACE_DIR / "3f" / f"{'a' * 62}.npz",
+        root / TRACE_DIR / "c0" / f"{'b' * 62}.npz",
+        root / QUARANTINE_DIR / f"e1{'c' * 62}.npz",
+    ]
+    for i, path in enumerate(paths):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"PK\x03\x04" + bytes(i))  # not a valid zip
+    return paths
+
+
+def test_maintenance_covers_traces(tmp_path, capsys):
+    """A leftover bundle tree is stale, not corrupt: verify reports it
+    and exits 0, repair keeps it, gc deletes it."""
+    from repro.cli import main
+
     store = ResultCache(tmp_path / "c")
     SimulationSession(TINY, cache_dir=str(store.root)).run(
         "SMT", "llll", 2
     )
-    bundles = sorted((store.root / TRACE_DIR).glob("*/*.npz"))
-    bundles[0].write_bytes(bundles[0].read_bytes()[:100])  # torn
+    bundles = old_bundle_tree(store.root)
     report = store.verify()
-    assert (report["traces_ok"], report["traces_corrupt"]) == (3, 1)
-    assert report["ok"] == 1 and report["corrupt"] == 0
-    assert store.trace_count() == 4  # verify is read-only
-    report = store.repair()
-    assert report["trace_quarantine"] == 1 and store.trace_count() == 3
-    assert store.quarantine_count() == 0
-    report = store.gc()
-    assert report["dropped_trace_quarantine"] == 1
-    assert store.trace_quarantine_count() == 0
+    assert report["stale_bundles"] == 3
+    assert (report["ok"], report["corrupt"], report["stale"]) == (1, 0, 0)
+    assert (report["index_ok"], report["index_corrupt"]) == (4, 0)
+    assert report["quarantine"] == 0 and report["index_quarantine"] == 0
+    argv = ["cache", "verify", "--cache-dir", str(store.root)]
+    assert main(argv) == 0
+    assert "; 3 stale trace bundle(s)" in capsys.readouterr().out
+    assert main(["cache", "repair", "--cache-dir", str(store.root)]) == 0
+    assert all(p.exists() for p in bundles)
+    assert len(store) == 1 and store.index_count() == 4
+    assert main(["cache", "gc", "--cache-dir", str(store.root)]) == 0
+    assert "+ 3 stale trace bundle(s)" in capsys.readouterr().out
+    assert not any(p.exists() for p in bundles)
+    assert sorted(p.name for p in (store.root / TRACE_DIR).iterdir()) == [
+        INDEX_DIR
+    ]
+    assert not (store.root / QUARANTINE_DIR).exists()
+    assert len(store) == 1 and store.index_count() == 4
+    assert store.verify()["stale_bundles"] == 0
+    old_bundle_tree(store.root)
     store.clear()
-    assert store.trace_count() == 0 and len(store) == 0
+    assert len(store) == 0 and store.index_count() == 0
     assert not (store.root / TRACE_DIR).exists()
+    assert not list(store.root.rglob("*.npz"))
 
 
 def test_cli_sweep_reports_trace_counters(tmp_path, capsys):
@@ -405,12 +333,12 @@ def test_cli_sweep_reports_trace_counters(tmp_path, capsys):
             "--policies", "SMT", "--workloads", "llll", "--threads", "2"]
     assert main(argv) == 0
     err = capsys.readouterr().err
-    assert "# traces: 4 recorded, 0 loaded, 0 indexed, 0 quarantined" in err
+    assert "# traces: 4 recorded, 0 indexed\n" in err
     suite.clear_trace_cache()
     assert main(argv) == 0
     err = capsys.readouterr().err
     assert " 0 simulated" in err
-    assert "# traces: 0 recorded, 0 loaded, 4 indexed, 0 quarantined" in err
+    assert "# traces: 0 recorded, 4 indexed\n" in err
 
 
 # -------------------------------------------------- fingerprint index
@@ -419,10 +347,10 @@ def test_bad_index_entry_never_serves_a_result(
     filled, tmp_path, recordings, fault
 ):
     """A torn entry, a checksum mismatch or an entry of other code reads
-    as an index miss (the bundle is loaded instead); a well-formed entry
-    with a wrong fingerprint reads as a result-store miss, and the cells
-    that simulate store their results under the keys of the loaded,
-    verified bundle.  Every fault is healed."""
+    as an index miss (the trace is recorded instead); a well-formed
+    entry with a wrong fingerprint reads as a result-store miss, and
+    the cells that simulate store their results under the keys of the
+    recorded bundles.  Every fault is healed."""
     expected = results(small_sweep(SimulationSession(
         TINY, cache_dir=copy_store(filled, tmp_path, "pristine")
     )))
@@ -444,15 +372,18 @@ def test_bad_index_entry_never_serves_a_result(
     session = SimulationSession(TINY, cache_dir=root)
     assert results(small_sweep(session)) == expected
     info = session.cache_stats()
-    assert recordings == []
+    assert info["traces_recorded"] == len(recordings)
     if fault == "wrong":
         # the first cell (SMT/llll runs mcf) misses and simulates; the
-        # bundles it loads replace the bad identity, so the rest hit
+        # bundles it records replace the bad identity, so the rest hit
         assert info["traces_indexed"] == len(members())
-        assert info["simulations"] == 1 and info["traces_loaded"] == 4
+        assert info["simulations"] == 1
+        assert sorted(recordings) == sorted(session.cell(
+            "SMT", "llll", 2
+        ).members)
     else:
         assert info["traces_indexed"] == len(members()) - 1
-        assert info["simulations"] == 0 and info["traces_loaded"] == 1
+        assert info["simulations"] == 0 and recordings == ["mcf"]
     # healed: the entry is the bundle's again, and no result was stored
     # under a key derived from the bad entry
     assert json.loads(path.read_text()) == good
@@ -464,7 +395,7 @@ def test_bad_index_entry_never_serves_a_result(
     session = SimulationSession(TINY, cache_dir=root)
     assert results(small_sweep(session)) == expected
     info = session.cache_stats()
-    assert info["simulations"] == 0 and info["traces_loaded"] == 0
+    assert info["simulations"] == 0 and info["traces_recorded"] == 0
 
 
 def test_wrong_index_entry_single_thread_run_keys_by_the_bundle(
@@ -472,7 +403,7 @@ def test_wrong_index_entry_single_thread_run_keys_by_the_bundle(
 ):
     """Fig. 13a's single-thread runs key on the trace length too: a bad
     entry makes them simulate, and the result lands under the key the
-    loaded bundle gives."""
+    recorded bundle gives."""
     expected = SimulationSession(TINY).run_single("mcf").to_dict()
     suite.clear_trace_cache()
     root = copy_store(filled, tmp_path)
@@ -491,7 +422,7 @@ def test_wrong_index_entry_single_thread_run_keys_by_the_bundle(
 
 def test_source_edit_misses_the_index(filled, tmp_path, monkeypatch):
     """Other code (any edit to the package) never reads this code's
-    entries: it loads the bundles, hits every result (keys are the
+    entries: it records the traces, hits every result (keys are the
     same) and writes entries of its own."""
     root = copy_store(filled, tmp_path)
     monkeypatch.setattr(cache_mod, "source_identity", lambda: "f" * 64)
@@ -499,7 +430,7 @@ def test_source_edit_misses_the_index(filled, tmp_path, monkeypatch):
     small_sweep(session)
     info = session.cache_stats()
     assert info["traces_indexed"] == 0
-    assert info["traces_loaded"] == len(members())
+    assert info["traces_recorded"] == len(members())
     assert info["simulations"] == 0
     assert ResultCache(root).verify()["index_stale"] == 12
 
@@ -514,7 +445,7 @@ def test_no_source_files_turns_the_index_off(filled, tmp_path, monkeypatch):
         small_sweep(session)
         info = session.cache_stats()
         assert info["traces_indexed"] == 0 and info["simulations"] == 0
-        assert info["traces_loaded"] == len(members())
+        assert info["traces_recorded"] == len(members())
     assert ResultCache(root).index_count() == 0
 
 
@@ -553,7 +484,7 @@ def test_maintenance_covers_index(tmp_path, capsys):
     report = store.verify()
     assert (report["index_ok"], report["index_corrupt"]) == (2, 1)
     assert report["index_stale"] == 1 and report["tmp_files"] == 1
-    assert report["ok"] == 1 and report["traces_ok"] == 4
+    assert report["ok"] == 1 and report["stale_bundles"] == 0
     assert store.index_count() == 4  # verify is read-only
     argv = ["cache", "verify", "--cache-dir", str(store.root)]
     assert main(argv) == 1
@@ -572,7 +503,7 @@ def test_maintenance_covers_index(tmp_path, capsys):
     assert main(argv) == 0
     assert "index: 2 ok, 0 corrupt, 0 stale" in capsys.readouterr().out
     store.clear()
-    assert store.index_count() == 0 and store.trace_count() == 0
+    assert store.index_count() == 0 and len(store) == 0
     assert not (store.root / TRACE_DIR).exists()
 
 
@@ -580,8 +511,8 @@ def test_pooled_sweep_over_partly_warm_store_records_nothing(
     filled, tmp_path, monkeypatch
 ):
     """A --jobs 2 sweep whose result keys come from the index: the
-    parent loads the pending cells' bundles before the pool forks, so no
-    worker re-runs the functional VM."""
+    parent records the pending cells' traces once before the pool
+    forks, so no worker re-runs the functional VM."""
     expected = results(small_sweep(SimulationSession(
         TINY, cache_dir=copy_store(filled, tmp_path, "pristine")
     )))
@@ -615,12 +546,18 @@ def test_pooled_sweep_over_partly_warm_store_records_nothing(
     finally:
         session.close()
     info = session.cache_stats()
-    assert info["traces_recorded"] == 0 and not log.exists()
+    names = sorted(
+        {n for spec in pending for n in session.cell(*spec).members}
+    )
+    # the log also collects what workers record: each name once, all
+    # in the parent
+    assert sorted(log.read_text().split()) == names
+    assert info["traces_recorded"] == len(names)
     assert info["simulations"] == len(pending)
-    assert info["traces_loaded"] == len(members())
+    assert info["traces_indexed"] == len(members())
     needed = {
         suite._memo_key(n, TINY.kernel_scale, session.cfg, 5_000_000)
-        for spec in pending for n in session.cell(*spec).members
+        for n in names
     }
     assert memo_at_fork and needed <= memo_at_fork[0]
 
