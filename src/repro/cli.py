@@ -53,11 +53,11 @@ presets and sweeps them as a fourth matrix axis.  They likewise take
 names, or ``<machine>+<memory>`` compositions like ``narrow+l2``);
 ``sweep --machine`` sweeps machines as a matrix axis of their own.
 
-Global flags ``--jobs N`` (process-pool width for sweeps) and
-``--cache-dir DIR`` (content-hashed on-disk result cache; a rerun with
-an unchanged machine/scale re-simulates nothing) apply to every
-command; all simulations flow through
-:class:`repro.engine.SimulationSession`.
+Global flags ``--jobs N`` (process-pool width: a sweep, and every
+harness function for the cells it reads) and ``--cache-dir DIR``
+(content-hashed on-disk result cache; a rerun with an unchanged
+machine/scale re-simulates nothing) apply to every command; all
+simulations flow through :class:`repro.engine.SimulationSession`.
 
 Diagnostics go through the ``repro`` :mod:`logging` tree on stderr
 (stdout stays machine-parseable): ``-v/--verbose`` for debug detail
@@ -78,8 +78,7 @@ from .core.policies import BY_NAME
 from .engine.session import DEFAULT_SCALE, QUICK_SCALE, SimulationSession
 from .harness.claims import evaluate_claims, render_claims
 from .harness.figures import (
-    FIG14_POLICIES,
-    FIG15_POLICIES,
+    FIG_MACHINE_PRESETS,
     fig13a,
     fig14,
     fig15,
@@ -87,6 +86,7 @@ from .harness.figures import (
     render_fig13a,
     render_fig16,
     render_speedup_table,
+    sensitivity,
 )
 from .harness.waste import render_waste, waste_breakdown
 from .harness.workloads import WORKLOADS
@@ -235,21 +235,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mem(args) -> int:
-    from .harness.memreport import memory_sensitivity, render_memory_report
+    from .harness.memreport import render_memory_report
 
-    session = _session(args)
-    presets = args.memory or list(MEMORY_PRESETS)
-    if args.jobs > 1:
-        # fan cold preset cells over the pool; memory_sensitivity then
-        # reads them from the memo
-        session.sweep(
-            policies=[args.policy],
-            workloads=[args.workload],
-            n_threads=(args.threads,),
-            memory=tuple(presets),
-        )
-    rows = memory_sensitivity(
-        session, args.policy, args.workload, args.threads, presets
+    rows = sensitivity(
+        _session(args), args.policy, args.workload, args.threads,
+        "memory", args.memory or list(MEMORY_PRESETS),
     )
     print(render_memory_report(rows, args.policy, args.workload,
                                args.threads))
@@ -257,32 +247,14 @@ def cmd_mem(args) -> int:
 
 
 def cmd_machine(args) -> int:
-    from .harness.figures import FIG_MACHINE_PRESETS
-    from .harness.machreport import (
-        machine_sensitivity,
-        render_machine_report,
-    )
+    from .harness.machreport import render_machine_report
 
-    # the paper machine leads (it is the IPC-delta baseline), then the
-    # canonical figure order, then any preset the figure list misses
-    machines = args.machines or (
-        [m for m in FIG_MACHINE_PRESETS if m in MACHINE_PRESETS]
-        + sorted(set(MACHINE_PRESETS) - set(FIG_MACHINE_PRESETS))
-    )
+    machines = args.machines or FIG_MACHINE_PRESETS
     if (rc := _check_machines(machines)):
         return rc
-    session = _session(args)
-    if args.jobs > 1:
-        # fan cold scenario cells over the pool; machine_sensitivity
-        # then reads them from the memo
-        session.sweep(
-            policies=[args.policy],
-            workloads=[args.workload],
-            n_threads=(args.threads,),
-            machine=tuple(machines),
-        )
-    rows = machine_sensitivity(
-        session, args.policy, args.workload, args.threads, machines
+    rows = sensitivity(
+        _session(args), args.policy, args.workload, args.threads,
+        "machine", machines,
     )
     print(render_machine_report(rows, args.policy, args.workload,
                                 args.threads))
@@ -296,72 +268,24 @@ def cmd_scenarios(args) -> int:
     return 0
 
 
-def _prewarm(session: SimulationSession, args, policies=None) -> None:
-    """With ``--jobs N``, fill the needed slice of the matrix through
-    the parallel sweep first so figure/claim generation reads from the
-    memo."""
-    if args.jobs > 1:
-        session.sweep(policies=policies, n_threads=(2, 4))
-
-
-#: Policies each figure actually touches (prewarm slice)
-_FIG_POLICIES = {
-    14: FIG14_POLICIES,
-    15: FIG15_POLICIES,
-    16: None,  # all eight
-}
-
-
 def cmd_fig(args) -> int:
     session = _session(args)
     if args.number == "why":
         from .harness.figures import fig_why, render_fig_why
 
-        # attribution pins the reference loop and bypasses the pool —
-        # no --jobs prewarm applies
+        # attribution pins the reference loop and bypasses the pool
         print(render_fig_why(
             fig_why(session, workload=args.workload,
                     n_threads=args.threads)
         ))
         return 0
-    if args.number == "machine":
-        from .harness.figures import (
-            FIG_MACHINE_PRESETS,
-            fig_machine,
-            render_fig_machine,
-        )
+    if args.number in ("mem", "machine"):
+        from .harness.figures import FIG_AXES, fig_axis, render_fig_axis
 
-        if args.jobs > 1:
-            # fan the full policy x workload x machine matrix over the
-            # pool; fig_machine then reads every cell from the memo
-            session.sweep(
-                n_threads=(2, 4),
-                machine=tuple(
-                    m for m in FIG_MACHINE_PRESETS if m in MACHINE_PRESETS
-                ),
-            )
-        print(render_fig_machine(fig_machine(session)))
-        return 0
-    if args.number == "mem":
-        from .harness.figures import fig_mem, render_fig_mem
-
-        if args.jobs > 1:
-            # fan the full policy x workload x preset matrix over the
-            # pool (same preset filter fig_mem applies); fig_mem then
-            # reads every cell from the memo
-            from .harness.figures import FIG_MEM_PRESETS
-
-            session.sweep(
-                n_threads=(2, 4),
-                memory=tuple(
-                    p for p in FIG_MEM_PRESETS if p in MEMORY_PRESETS
-                ),
-            )
-        print(render_fig_mem(fig_mem(session)))
+        axis, values, title = FIG_AXES[args.number]
+        print(render_fig_axis(fig_axis(session, axis, values), title))
         return 0
     number = int(args.number)
-    if number in _FIG_POLICIES:
-        _prewarm(session, args, _FIG_POLICIES[number])
     if number == 13:
         print(render_fig13a(fig13a(session)))
     elif number == 14:
@@ -379,9 +303,7 @@ def cmd_fig(args) -> int:
 
 
 def cmd_claims(args) -> int:
-    session = _session(args)
-    _prewarm(session, args)
-    claims = evaluate_claims(session)
+    claims = evaluate_claims(_session(args))
     print(render_claims(claims))
     return 0 if all(c.holds for c in claims) else 1
 
@@ -570,33 +492,18 @@ def cmd_profile(args) -> int:
     """
     import cProfile
     import pstats
-    from dataclasses import replace as _replace
 
-    from .arch.config import get_memory_config
-    from .core.policies import get_policy
-    from .kernels.suite import get_trace
-    from .pipeline.processor import Processor, SimParams
+    from .pipeline.processor import Processor
 
     if (rc := _check_machines([args.machine])):
         return rc
-    scale = QUICK_SCALE
-    spec = get_scenario(args.machine)
-    cfg = spec.machine
-    if args.memory is not None:
-        cfg = _replace(cfg, memory=get_memory_config(args.memory))
-    bundles = [
-        get_trace(name, scale.kernel_scale, cfg)
-        for name in WORKLOADS[args.workload]
-    ]
-    params = SimParams(
-        target_instructions=scale.target_instructions,
-        timeslice=spec.timeslice(scale.timeslice),
-        max_cycles=scale.max_cycles,
-        seed=scale.seed,
+    cell = SimulationSession(QUICK_SCALE).cell(
+        args.policy, args.workload, args.threads,
+        memory=args.memory, machine=args.machine,
     )
     proc = Processor(
-        get_policy(args.policy), bundles, args.threads, cfg, params,
-        force_reference=args.reference,
+        cell.policy, cell.bundles(), cell.n_threads, cell.cfg,
+        cell.params, force_reference=args.reference,
     )
     prof = cProfile.Profile()
     prof.enable()
@@ -604,7 +511,7 @@ def cmd_profile(args) -> int:
     prof.disable()
     header = (
         f"# {args.policy} / {args.workload} / {args.threads}T / "
-        f"{args.machine} / {args.memory or cfg.memory.name} — "
+        f"{args.machine} / {cell.cfg.memory.name} — "
         f"{proc.loop_used} loop"
     )
     print(header)
@@ -629,24 +536,11 @@ def cmd_profile(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from .harness.report import render_report
+    from .harness.report import render_report, report_results
 
-    session = _session(args)
-    _prewarm(session, args)
-    results = {
-        "fig13a": fig13a(session),
-        "fig14": fig14(session),
-        "fig15": fig15(session),
-        "fig16": fig16(session),
-        "claims": [
-            {"name": c.name, "paper": c.paper, "measured": c.measured,
-             "holds": c.holds}
-            for c in evaluate_claims(session)
-        ],
-    }
     note = ("Quick scale." if args.quick else
             "Default scale (kernel scale 1.0, 40k-instruction runs).")
-    text = render_report(results, note)
+    text = render_report(report_results(_session(args)), note)
     with open(args.output, "w") as f:
         f.write(text)
     print(f"wrote {args.output}")

@@ -37,15 +37,16 @@ heals the store.  ``repro cache verify|repair|gc`` expose
 Result keys need only each trace bundle's fingerprint (and, for
 single-thread baselines, its length), so the same root also keeps a
 **fingerprint index**: ``<root>/traces/index/<key[:2]>/<key[2:]>.json``
-maps :func:`index_key` — the kernel name and scale, the machine shape,
-the instruction cap and the :func:`source_identity` of the running
-code — to ``{"source", "fingerprint", "length", "checksum"}``.  A warm
-command derives every result key from the index without compiling a
-kernel or running the functional VM.  Any source edit changes the
-identity, so the index misses and the caller compiles the kernel and
-records its trace, which rewrites the entry.  The store holds no trace
-bundles; ``traces/<key[:2]>/*.npz`` bundles that older versions of it
-wrote are reported as stale and deleted by :meth:`ResultCache.gc`.
+maps :func:`index_key` — the kernel name and scale, the machine shape
+and the instruction cap — to ``{"source", "fingerprint", "length",
+"checksum"}``, where ``source`` is the :func:`source_identity` of the
+code that wrote it.  A warm command derives every result key from the
+index without compiling a kernel or running the functional VM.  Any
+source edit changes the identity, so the entry is not served: the
+caller compiles the kernel and records its trace, which rewrites the
+same entry in place.  The store holds no trace bundles;
+``traces/<key[:2]>/*.npz`` bundles that older versions of it wrote are
+reported as stale and deleted by :meth:`ResultCache.gc`.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ QUARANTINE_DIR = "quarantine"
 TRACE_DIR = "traces"
 
 #: Hashed into every :func:`index_key`; bump when the index entry
-#: format changes.
-INDEX_VERSION = 1
+#: format or the key's inputs change.
+INDEX_VERSION = 2
 
 #: Subdirectory of :data:`TRACE_DIR` holding the fingerprint index
 #: (not a hex shard name, so bundle scans never descend into it).
@@ -188,8 +189,9 @@ def source_identity() -> str | None:
     bytecode-only install), which turns the fingerprint index off.
 
     A trace fingerprint is a pure function of this identity and the
-    inputs :func:`index_key` hashes, so an index entry can never map
-    edited code to an old fingerprint."""
+    inputs :func:`index_key` hashes; every index entry stores the
+    identity that wrote it and is served only to the same identity, so
+    the index can never map edited code to an old fingerprint."""
     return _source_digest(Path(__file__).resolve().parent.parent)
 
 
@@ -197,11 +199,13 @@ def index_key(
     name: str, scale: float, cfg: MachineConfig, max_instructions: int
 ) -> str | None:
     """Key of one fingerprint-index entry (``None`` when the source
-    identity is unknown).  ``cfg`` should carry the flat memory block:
-    neither the compiler nor the functional VM sees the memory
-    hierarchy."""
-    source = source_identity()
-    if source is None:
+    identity is unknown, which turns the index off).  ``cfg`` should
+    carry the flat memory block: neither the compiler nor the
+    functional VM sees the memory hierarchy.  The source identity is
+    not hashed in: code of another identity misses on the entry's
+    stored ``source`` and rewrites the same file, so a source edit
+    does not grow the index."""
+    if source_identity() is None:
         return None
     blob = repr((
         INDEX_VERSION,
@@ -209,7 +213,6 @@ def index_key(
         repr(scale),
         machine_fingerprint(cfg),
         max_instructions,
-        source,
     ))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -585,6 +585,42 @@ class SimulationSession:
         (``docs/robustness.md``)."""
         from .runner import run_matrix
 
+        return run_matrix(
+            self, self._specs(policies, workloads, n_threads, memory, machine),
+            self.jobs if jobs is None else jobs, resume=resume,
+        )
+
+    def prefetch(
+        self,
+        policies=None,
+        workloads=None,
+        n_threads=(2, 4),
+        memory=None,
+        machine=None,
+    ) -> None:
+        """Resolve the slice a harness function is about to read, so
+        its serial loop finds every cell in the memo.  With ``jobs >
+        1`` the slice's cells that are not memoised go through
+        :func:`~repro.engine.runner.run_matrix` on the pool (arguments
+        as :meth:`sweep`'s); with one job it returns at once and the
+        loop resolves each cell itself."""
+        if self.jobs <= 1:
+            return
+        from .runner import run_matrix
+
+        specs = [
+            s for s in self._specs(
+                policies, workloads, n_threads, memory, machine
+            )
+            if self.cell(*s).memo_key not in self._memo
+        ]
+        if specs:
+            run_matrix(self, specs, self.jobs)
+
+    def _specs(self, policies, workloads, n_threads, memory, machine):
+        """The sweep specs of a policy × workload × thread-count
+        matrix, with the memory and machine axes :meth:`sweep`
+        describes."""
         if policies is None:
             policies = [p.name for p in ALL_POLICIES]
         policies = [
@@ -598,29 +634,24 @@ class SimulationSession:
             else tuple(memory)
         )
         if machine is None:
-            specs = [
+            return [
                 (p, w, nt) if m is None else (p, w, nt, m)
                 for m in mem_axis
                 for nt in n_threads
                 for p in policies
                 for w in workloads
             ]
-        else:
-            machines = (
-                (machine,) if isinstance(machine, str) else tuple(machine)
-            )
-            specs = [
-                (p, w, nt, m, mach)
-                for mach in machines
-                for m in mem_axis
-                for nt in n_threads
-                for p in policies
-                for w in workloads
-            ]
-        return run_matrix(
-            self, specs, self.jobs if jobs is None else jobs,
-            resume=resume,
+        machines = (
+            (machine,) if isinstance(machine, str) else tuple(machine)
         )
+        return [
+            (p, w, nt, m, mach)
+            for mach in machines
+            for m in mem_axis
+            for nt in n_threads
+            for p in policies
+            for w in workloads
+        ]
 
     # ----------------------------------------------------- conveniences
     def ipc(

@@ -10,30 +10,27 @@ paper-formatted text table.  The mapping to the paper:
 * :func:`fig16`  — absolute average IPC of all eight multithreading
   configurations for 2T and 4T.
 
-Beyond the paper: :func:`fig_mem` (``repro fig mem``) is the
-memory-sensitivity figure the hierarchy subsystem opens — average IPC
-of every policy under every memory preset, i.e. Fig. 16 with the
-memory system as a second axis — and :func:`fig_machine`
-(``repro fig machine``) is its machine-scenario sibling: average IPC
-of every policy on every machine preset, the cross-machine scaling
-study the paper's single fixed machine could not express.
+Beyond the paper: :func:`fig_axis` is Fig. 16 with a scenario as a
+second axis — average IPC of every policy under every memory preset
+(``repro fig mem``) or on every machine preset (``repro fig machine``,
+the cross-machine scaling study the paper's single fixed machine could
+not express) — and :func:`sensitivity` runs one cell under every value
+of such an axis (``repro mem``, ``repro machine``).
 :func:`fig_why` (``repro fig why``) is the observability layer's
 cycle-attribution figure: a stacked bar per policy of where every
 issue slot of every cycle went (``docs/observability.md``).
+
+Every function that reads matrix cells first hands their slice to
+:meth:`SimulationSession.prefetch`, which fans the missing cells over
+the pool under ``--jobs N``; its loop then reads them from the memo.
 """
 
 from __future__ import annotations
 
-from ..arch.config import MEMORY_PRESETS
-from ..arch.scenarios import MACHINE_PRESETS
 from ..engine.session import SimulationSession
 from ..kernels.suite import BENCH_ORDER, get_meta
+from ..pipeline.stats import SimStats
 from .workloads import WORKLOAD_ORDER
-
-#: Policies each figure touches (single source of truth for the CLI's
-#: ``--jobs`` prewarm slice — keep in sync with the fig* bodies below)
-FIG14_POLICIES = ["CSMT", "CCSI NS", "CCSI AS"]
-FIG15_POLICIES = ["SMT", "COSI NS", "COSI AS", "OOSI NS", "OOSI AS"]
 
 #: Fig. 16 bar order (the paper's legend order)
 FIG16_POLICIES = [
@@ -84,8 +81,8 @@ def render_fig13a(rows) -> str:
 
 
 def fig14(session: SimulationSession):
-    """CCSI speedup over CSMT (%), {NS, AS} x {2T, 4T} per workload
-    (policies: FIG14_POLICIES)."""
+    """CCSI speedup over CSMT (%), {NS, AS} x {2T, 4T} per workload."""
+    session.prefetch(["CSMT", "CCSI NS", "CCSI AS"])
     rows = []
     for nt in (2, 4):
         for w in WORKLOAD_ORDER:
@@ -109,8 +106,8 @@ def fig14(session: SimulationSession):
 
 
 def fig15(session: SimulationSession):
-    """COSI and OOSI speedups over SMT (%), per workload
-    (policies: FIG15_POLICIES)."""
+    """COSI and OOSI speedups over SMT (%), per workload."""
+    session.prefetch(["SMT", "COSI NS", "COSI AS", "OOSI NS", "OOSI AS"])
     rows = []
     for nt in (2, 4):
         for w in WORKLOAD_ORDER:
@@ -139,6 +136,7 @@ def fig15(session: SimulationSession):
 
 def fig16(session: SimulationSession):
     """Average IPC of every multithreading technique, 2T and 4T."""
+    session.prefetch(FIG16_POLICIES)
     rows = []
     for nt in (2, 4):
         for pol in FIG16_POLICIES:
@@ -166,52 +164,6 @@ FIG_MEM_PRESETS = [
 ]
 
 
-def fig_mem(
-    session: SimulationSession,
-    presets=None,
-    n_threads=(2, 4),
-):
-    """Memory-sensitivity figure: average IPC (over all nine workloads)
-    of every multithreading technique under every memory preset."""
-    if presets is None:
-        presets = [p for p in FIG_MEM_PRESETS if p in MEMORY_PRESETS]
-    rows = []
-    for nt in n_threads:
-        for pol in FIG16_POLICIES:
-            rows.append(
-                {
-                    "threads": nt,
-                    "policy": pol,
-                    "ipc": {
-                        m: session.average_ipc(pol, nt, memory=m)
-                        for m in presets
-                    },
-                }
-            )
-    return rows
-
-
-def render_fig_mem(rows) -> str:
-    """Policy x preset average-IPC table, one block per thread count."""
-    out = ["Fig. mem: average IPC per policy x memory preset"]
-    if not rows:
-        return out[0]
-    presets = list(rows[0]["ipc"])
-    header = "  " + " ".join(f"{m:>11s}" for m in presets)
-    for nt in sorted({r["threads"] for r in rows}):
-        out.append(f"--- {nt}-Thread ---")
-        out.append(f"  {'policy':8s}" + header)
-        for r in rows:
-            if r["threads"] == nt:
-                out.append(
-                    f"  {r['policy']:8s}  "
-                    + " ".join(
-                        f"{r['ipc'][m]:11.2f}" for m in presets
-                    )
-                )
-    return "\n".join(out)
-
-
 #: Machine column order of the machine-sensitivity figure: the paper's
 #: machine first, then shape variations.
 FIG_MACHINE_PRESETS = [
@@ -223,40 +175,40 @@ FIG_MACHINE_PRESETS = [
 ]
 
 
-def fig_machine(
+def fig_axis(
     session: SimulationSession,
-    machines=None,
+    axis: str,
+    values,
     n_threads=(2, 4),
 ):
-    """Machine-sensitivity figure: average IPC (over all nine
-    workloads) of every multithreading technique on every machine
-    scenario — the cross-machine scaling study no single-machine axis
-    can produce."""
-    if machines is None:
-        machines = [m for m in FIG_MACHINE_PRESETS if m in MACHINE_PRESETS]
-    rows = []
-    for nt in n_threads:
-        for pol in FIG16_POLICIES:
-            rows.append(
-                {
-                    "threads": nt,
-                    "policy": pol,
-                    "ipc": {
-                        m: session.average_ipc(pol, nt, machine=m)
-                        for m in machines
-                    },
-                }
-            )
-    return rows
+    """Scenario-sensitivity figure: average IPC (over all nine
+    workloads) of every multithreading technique under every value of
+    one scenario axis — ``axis`` is ``"memory"`` (presets of
+    :data:`~repro.arch.config.MEMORY_PRESETS`) or ``"machine"``
+    (scenarios of :data:`~repro.arch.scenarios.MACHINE_PRESETS`)."""
+    session.prefetch(FIG16_POLICIES, n_threads=n_threads, **{axis: values})
+    return [
+        {
+            "threads": nt,
+            "policy": pol,
+            "ipc": {
+                v: session.average_ipc(pol, nt, **{axis: v})
+                for v in values
+            },
+        }
+        for nt in n_threads
+        for pol in FIG16_POLICIES
+    ]
 
 
-def render_fig_machine(rows) -> str:
-    """Policy x machine average-IPC table, one block per thread count."""
-    out = ["Fig. machine: average IPC per policy x machine scenario"]
+def render_fig_axis(rows, title: str) -> str:
+    """Policy x axis-value average-IPC table, one block per thread
+    count."""
+    out = [title]
     if not rows:
-        return out[0]
-    machines = list(rows[0]["ipc"])
-    header = "  " + " ".join(f"{m:>11s}" for m in machines)
+        return title
+    values = list(rows[0]["ipc"])
+    header = "  " + " ".join(f"{v:>11s}" for v in values)
     for nt in sorted({r["threads"] for r in rows}):
         out.append(f"--- {nt}-Thread ---")
         out.append(f"  {'policy':8s}" + header)
@@ -264,11 +216,42 @@ def render_fig_machine(rows) -> str:
             if r["threads"] == nt:
                 out.append(
                     f"  {r['policy']:8s}  "
-                    + " ".join(
-                        f"{r['ipc'][m]:11.2f}" for m in machines
-                    )
+                    + " ".join(f"{r['ipc'][v]:11.2f}" for v in values)
                 )
     return "\n".join(out)
+
+
+#: ``repro fig mem`` / ``repro fig machine``: the scenario axis, its
+#: column order and the figure's title
+FIG_AXES = {
+    "mem": (
+        "memory", FIG_MEM_PRESETS,
+        "Fig. mem: average IPC per policy x memory preset",
+    ),
+    "machine": (
+        "machine", FIG_MACHINE_PRESETS,
+        "Fig. machine: average IPC per policy x machine scenario",
+    ),
+}
+
+
+def sensitivity(
+    session: SimulationSession,
+    policy: str,
+    workload: str,
+    n_threads: int,
+    axis: str,
+    values,
+) -> list[tuple[str, SimStats]]:
+    """``(value, stats)`` of one cell under every value of one
+    scenario axis (``"memory"`` or ``"machine"``, as for
+    :func:`fig_axis`): the rows of ``repro mem`` and ``repro
+    machine``."""
+    session.prefetch([policy], [workload], (n_threads,), **{axis: values})
+    return [
+        (v, session.run(policy, workload, n_threads, **{axis: v}))
+        for v in values
+    ]
 
 
 def fig_why(

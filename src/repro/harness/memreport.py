@@ -1,50 +1,16 @@
 """Memory-sensitivity report (`repro mem`).
 
-Runs one matrix cell under each requested memory-scenario preset and
-tabulates how the split-issue policies react to the memory system: IPC,
-per-level miss rates, prefetch usefulness, and DRAM bank conflicts —
-the new experiment dimension the hierarchy subsystem opens on top of
-the paper's fixed §VI-A memory model.
+Tabulates one matrix cell under each requested memory-scenario preset
+(the rows :func:`repro.harness.figures.sensitivity` returns for the
+``"memory"`` axis) to show how the split-issue policies react to the
+memory system: IPC, per-level miss rates, prefetch usefulness, and
+DRAM bank conflicts — the new experiment dimension the hierarchy
+subsystem opens on top of the paper's fixed §VI-A memory model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..arch.config import MEMORY_PRESETS
-from ..engine.session import SimulationSession
 from ..pipeline.stats import SimStats
-
-
-@dataclass
-class MemRow:
-    """One preset's outcome for the probed cell."""
-
-    preset: str
-    stats: SimStats
-
-    @property
-    def ipc(self) -> float:
-        return self.stats.ipc
-
-    def level(self, name: str) -> dict | None:
-        return self.stats.memory.get("levels", {}).get(name)
-
-
-def memory_sensitivity(
-    session: SimulationSession,
-    policy: str,
-    workload: str,
-    n_threads: int,
-    presets=None,
-) -> list[MemRow]:
-    """Simulate ``(policy, workload, n_threads)`` under each preset."""
-    if presets is None:
-        presets = list(MEMORY_PRESETS)
-    return [
-        MemRow(p, session.run(policy, workload, n_threads, memory=p))
-        for p in presets
-    ]
 
 
 def _pct(misses: int, accesses: int) -> str:
@@ -52,19 +18,19 @@ def _pct(misses: int, accesses: int) -> str:
 
 
 def render_memory_report(
-    rows: list[MemRow], policy: str, workload: str, n_threads: int
+    rows: list[tuple[str, SimStats]], policy: str, workload: str,
+    n_threads: int,
 ) -> str:
-    """Fixed-width comparison table across presets."""
+    """Fixed-width comparison table across ``(preset, stats)`` rows."""
     out = [
         f"Memory sensitivity: {policy} x {workload} x {n_threads}T",
         f"{'preset':>12s} {'IPC':>6s} {'cycles':>9s} {'L1I':>6s} "
         f"{'L1D':>6s} {'L2':>6s} {'pf-useful':>10s} {'dram-wait':>9s} "
         f"{'merges':>6s} {'wb':>5s}",
     ]
-    base = rows[0].ipc if rows else 0.0
-    for r in rows:
-        s = r.stats
-        l2 = r.level("l2")
+    base = rows[0][1].ipc if rows else 0.0
+    for preset, s in rows:
+        l2 = s.memory.get("levels", {}).get("l2")
         l2_col = _pct(l2["misses"], l2["accesses"]) if l2 else "     -"
         pf = s.memory.get("prefetch")
         pf_col = (
@@ -76,9 +42,9 @@ def render_memory_report(
         mshr_col = f"{mshr['merges']:6d}" if mshr else "     -"
         wb = s.memory.get("writeback")
         wb_col = f"{wb['l1d'] + wb['l2']:5d}" if wb else "    -"
-        delta = f"  ({100.0 * (r.ipc / base - 1.0):+.1f}%)" if base else ""
+        delta = f"  ({100.0 * (s.ipc / base - 1.0):+.1f}%)" if base else ""
         out.append(
-            f"{r.preset:>12s} {s.ipc:6.2f} {s.cycles:9d} "
+            f"{preset:>12s} {s.ipc:6.2f} {s.cycles:9d} "
             f"{_pct(s.icache_misses, s.icache_accesses)} "
             f"{_pct(s.dcache_misses, s.dcache_accesses)} "
             f"{l2_col} {pf_col} {dram_col} {mshr_col} {wb_col}{delta}"

@@ -1,7 +1,8 @@
 """EXPERIMENTS.md generator: paper-vs-measured for every figure.
 
-``python -m repro report`` runs the full matrix and rewrites
-EXPERIMENTS.md; :func:`render_report` can also consume a pre-computed
+``python -m repro report`` runs the full matrix
+(:func:`report_results`) and rewrites EXPERIMENTS.md;
+:func:`render_report` can also consume a pre-computed
 results dict (``results_full.json``) so the document is reproducible
 from archived runs.
 """
@@ -11,16 +12,27 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-#: the paper's Fig. 14 averages (percent speedup of CCSI over CSMT)
-PAPER_FIG14_AVG = {(2, "NS"): 6.1, (2, "AS"): 8.7,
-                   (4, "NS"): 3.5, (4, "AS"): 7.5}
-#: the paper's Fig. 15 averages (percent speedup over SMT)
-PAPER_FIG15_AVG = {
-    (2, "COSI NS"): 7.5, (2, "COSI AS"): 9.8,
-    (2, "OOSI NS"): 8.2, (2, "OOSI AS"): 13.0,
-    (4, "COSI NS"): 6.4, (4, "COSI AS"): 9.4,
-    (4, "OOSI NS"): 7.9, (4, "OOSI AS"): 15.7,
-}
+from .claims import PAPER_FIG14_AVG, PAPER_FIG15_AVG, evaluate_claims
+from .figures import fig13a, fig14, fig15, fig16
+
+
+def report_results(session) -> dict:
+    """The results dict :func:`render_report` consumes, computed
+    through ``session``.  The whole policy x workload x {2, 4} matrix
+    is prefetched first, so under ``--jobs N`` it fills in one pool
+    phase and every figure below reads it from the memo."""
+    session.prefetch()
+    return {
+        "fig13a": fig13a(session),
+        "fig14": fig14(session),
+        "fig15": fig15(session),
+        "fig16": fig16(session),
+        "claims": [
+            {"name": c.name, "paper": c.paper, "measured": c.measured,
+             "holds": c.holds}
+            for c in evaluate_claims(session)
+        ],
+    }
 
 
 def _fig13_section(rows) -> list[str]:

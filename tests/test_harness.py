@@ -1,15 +1,23 @@
 """Experiment harness: workloads, session memoisation, figure structure
 and the paper's figure shapes at quick scale."""
 
+import os
+
 import pytest
 
+from repro.arch.config import MEMORY_PRESETS
+from repro.arch.scenarios import MACHINE_PRESETS
 from repro.engine import ExperimentScale, SimulationSession
 from repro.harness.figures import (
     FIG16_POLICIES,
+    FIG_MACHINE_PRESETS,
+    FIG_MEM_PRESETS,
     fig13a,
     fig14,
     fig15,
     fig16,
+    fig_axis,
+    sensitivity,
 )
 from repro.harness.workloads import (
     WORKLOAD_ORDER,
@@ -128,6 +136,58 @@ def test_smt_beats_csmt_on_average(runner):
 def test_four_threads_beat_two(runner):
     for pol in ("CSMT", "SMT"):
         assert runner.average_ipc(pol, 4) > runner.average_ipc(pol, 2) * 0.95
+
+
+# ------------------------------------------- scenario axes, --jobs fan-out
+def test_figure_lists_cover_the_registries():
+    """``fig mem`` / ``fig machine`` draw one column per preset: a new
+    preset must be placed in the figure's column order."""
+    assert sorted(FIG_MEM_PRESETS) == sorted(MEMORY_PRESETS)
+    assert sorted(FIG_MACHINE_PRESETS) == sorted(MACHINE_PRESETS)
+
+
+def _fan_out(session):
+    return (
+        fig14(session),
+        fig_axis(session, "machine", ["paper", "narrow"], n_threads=(2,)),
+        [
+            (v, s.to_dict()) for v, s in sensitivity(
+                session, "CCSI AS", "llhh", 2, "memory", ["paper", "l2"]
+            )
+        ],
+    )
+
+
+def test_harness_functions_fan_out_their_cells():
+    """Under ``jobs=2`` every harness function sends the cells it reads
+    to the pool itself: each cell is simulated once, in a worker, and
+    the rows equal a serial session's."""
+    serial = _fan_out(SimulationSession(TINY))
+    pooled = SimulationSession(TINY, jobs=2)
+    try:
+        assert _fan_out(pooled) == serial
+        records = pooled.telemetry.records
+        simulated = [r for r in records if r["source"] == "simulated"]
+        assert simulated
+        assert all(r["worker"] != os.getpid() for r in simulated)
+        # no memo key simulated twice (fig14's 2T paper cells are the
+        # machine figure's "paper" column)
+        assert pooled.simulations == len(simulated)
+        assert pooled.simulations == pooled.cache_stats()["memo_entries"]
+        # a memo-warm slice sends nothing to the pool
+        n = len(records)
+        pooled.prefetch(["CSMT", "CCSI NS", "CCSI AS"])
+        assert len(pooled.telemetry.records) == n
+    finally:
+        pooled.close()
+
+
+def test_one_job_prefetch_does_nothing():
+    session = SimulationSession(TINY)
+    session.prefetch()
+    assert session.telemetry.records == []
+    assert session.simulations == 0
+    assert session.cache_stats()["memo_entries"] == 0
 
 
 # --------------------------------------------- paper shapes, quick scale

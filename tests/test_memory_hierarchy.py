@@ -711,18 +711,18 @@ def test_mshr_preset_changes_results_and_reports(session):
 
 # ----------------------------------------------------------- reporting
 def test_memory_sensitivity_report(session):
+    from repro.harness.figures import sensitivity
     from repro.harness.memreport import (
-        memory_sensitivity,
         render_memory_levels,
         render_memory_report,
     )
 
-    rows = memory_sensitivity(session, "SMT", "llll", 2,
-                              presets=["paper", "l2"])
-    assert [r.preset for r in rows] == ["paper", "l2"]
+    rows = sensitivity(session, "SMT", "llll", 2, "memory",
+                       ["paper", "l2"])
+    assert [p for p, _ in rows] == ["paper", "l2"]
     text = render_memory_report(rows, "SMT", "llll", 2)
     assert "paper" in text and "l2" in text and "IPC" in text
-    levels = render_memory_levels(rows[1].stats)
+    levels = render_memory_levels(rows[1][1])
     assert "l2" in levels and "dram" in levels
 
 
@@ -736,12 +736,13 @@ def test_memory_report_renders_mshr_and_writeback(session):
 
 
 def test_fig_mem(session):
-    from repro.harness.figures import fig_mem, render_fig_mem
+    from repro.harness.figures import FIG_AXES, fig_axis, render_fig_axis
 
-    rows = fig_mem(session, presets=["paper", "mshr"], n_threads=(2,))
+    rows = fig_axis(session, "memory", ["paper", "mshr"], n_threads=(2,))
     assert len(rows) == 8  # all eight policies
     assert all(set(r["ipc"]) == {"paper", "mshr"} for r in rows)
     assert all(r["ipc"]["paper"] > 0 for r in rows)
-    text = render_fig_mem(rows)
+    text = render_fig_axis(rows, FIG_AXES["mem"][2])
+    assert text.startswith("Fig. mem: average IPC per policy x memory")
     assert "CCSI AS" in text and "OOSI NS" in text
     assert "mshr" in text and "paper" in text and "2-Thread" in text

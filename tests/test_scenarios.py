@@ -288,14 +288,16 @@ def test_trace_memo_shared_across_memory_presets():
 
 # -------------------------------------------------------------- harness
 def test_machine_report_and_scenarios_render(session):
+    from repro.harness.figures import sensitivity
     from repro.harness.machreport import (
-        machine_sensitivity,
         render_machine_report,
         render_scenarios,
     )
 
-    rows = machine_sensitivity(session, "SMT", "llll", 2,
-                               ["paper", "narrow"])
+    rows = sensitivity(session, "SMT", "llll", 2, "machine",
+                       ["paper", "narrow"])
+    assert [m for m, _ in rows] == ["paper", "narrow"]
+    assert rows[1][1] is session.run("SMT", "llll", 2, machine="narrow")
     text = render_machine_report(rows, "SMT", "llll", 2)
     assert "Machine sensitivity" in text
     assert "narrow" in text and "2x4i" in text
@@ -306,13 +308,13 @@ def test_machine_report_and_scenarios_render(session):
 
 
 def test_fig_machine_rows(session):
-    from repro.harness.figures import fig_machine, render_fig_machine
+    from repro.harness.figures import FIG_AXES, fig_axis, render_fig_axis
 
-    rows = fig_machine(session, machines=["paper", "narrow"],
-                       n_threads=(2,))
+    rows = fig_axis(session, "machine", ["paper", "narrow"],
+                    n_threads=(2,))
     assert len(rows) == 8  # every policy
     assert set(rows[0]["ipc"]) == {"paper", "narrow"}
-    text = render_fig_machine(rows)
+    text = render_fig_axis(rows, FIG_AXES["machine"][2])
     assert "Fig. machine" in text and "narrow" in text
 
 

@@ -423,7 +423,8 @@ def test_wrong_index_entry_single_thread_run_keys_by_the_bundle(
 def test_source_edit_misses_the_index(filled, tmp_path, monkeypatch):
     """Other code (any edit to the package) never reads this code's
     entries: it records the traces, hits every result (keys are the
-    same) and writes entries of its own."""
+    same) and rewrites the entries it used in place; the ones it did
+    not use stay stale."""
     root = copy_store(filled, tmp_path)
     monkeypatch.setattr(cache_mod, "source_identity", lambda: "f" * 64)
     session = SimulationSession(TINY, cache_dir=root)
@@ -432,7 +433,28 @@ def test_source_edit_misses_the_index(filled, tmp_path, monkeypatch):
     assert info["traces_indexed"] == 0
     assert info["traces_recorded"] == len(members())
     assert info["simulations"] == 0
-    assert ResultCache(root).verify()["index_stale"] == 12
+    store = ResultCache(root)
+    assert store.index_count() == 12
+    assert store.verify()["index_stale"] == 12 - len(members())
+
+
+def test_source_edits_rewrite_the_index_in_place(tmp_path, monkeypatch):
+    """The index key leaves the source identity out: a warm run under
+    each of two identities rewrites the same entry per kernel, so the
+    index never grows and nothing is left stale."""
+    root = str(tmp_path / "c")
+    SimulationSession(TINY, cache_dir=root).run("SMT", "llll", 2)
+    for source in ("a" * 64, "b" * 64):
+        monkeypatch.setattr(cache_mod, "source_identity", lambda: source)
+        suite.clear_trace_cache()
+        session = SimulationSession(TINY, cache_dir=root)
+        session.run("SMT", "llll", 2)
+        info = session.cache_stats()
+        assert info["simulations"] == 0 and info["traces_recorded"] == 4
+        store = ResultCache(root)
+        assert store.index_count() == 4
+        report = store.verify()
+        assert (report["index_ok"], report["index_stale"]) == (4, 0)
 
 
 def test_no_source_files_turns_the_index_off(filled, tmp_path, monkeypatch):
