@@ -69,8 +69,10 @@ telemetry per resolved cell (see ``docs/observability.md``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
+import shutil
 
 from .arch.config import MEMORY_PRESETS
 from .arch.scenarios import MACHINE_PRESETS, get_scenario
@@ -548,9 +550,17 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the stock formatter measures the terminal each time it is built,
+    # which argparse does on every add_argument call; this one measures
+    # it once, as the stock one would (width = columns - 2)
+    formatter = functools.partial(
+        argparse.HelpFormatter,
+        width=shutil.get_terminal_size().columns - 2,
+    )
     ap = argparse.ArgumentParser(
         prog="repro",
         description="SMT clustered-VLIW split-issue reproduction",
+        formatter_class=formatter,
     )
     def add_global_flags(parser, defaults: bool) -> None:
         # Registered on the main parser (with real defaults) and again
@@ -591,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_parser(name: str, **kw):
-        p = sub.add_parser(name, **kw)
+        p = sub.add_parser(name, formatter_class=formatter, **kw)
         add_global_flags(p, defaults=False)
         return p
 

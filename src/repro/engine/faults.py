@@ -29,10 +29,11 @@ A plan is a ``;``-separated list of fault specs::
   ``*`` fires on every attempt (a persistent fault that must exhaust
   the retry budget and become a recorded failure).
 
-Plans travel two ways: the ``REPRO_FAULTS`` environment variable
-(inherited by pool workers under both fork and spawn) and explicitly
-via :func:`install` / the worker payload, so tests can scope a plan to
-one session without touching the process environment.  Injection is
+A plan comes from the ``REPRO_FAULTS`` environment variable or
+explicitly from ``SimulationSession(fault_plan=...)``, so tests can
+scope a plan to one session without touching the process environment.
+A sweep installs its session's plan (:func:`install`) before it forks
+its pool, and the workers inherit it.  Injection is
 deterministic — same plan, same matrix, same faults — which is what
 lets the chaos tests assert exact failure counts and exact
 re-simulation counts on resume.
@@ -81,10 +82,6 @@ class FaultSpec:
             return False
         return fnmatch(cell_id, self.cell)
 
-    def encode(self) -> str:
-        att = ",".join(map(str, self.attempts)) if self.attempts else "*"
-        return f"{self.kind}@{self.cell}#{att}"
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -127,9 +124,6 @@ class FaultPlan:
     def from_env(cls) -> "FaultPlan":
         return cls.parse(os.environ.get(ENV_VAR))
 
-    def encode(self) -> str:
-        return ";".join(s.encode() for s in self.specs)
-
     def __bool__(self) -> bool:
         return bool(self.specs)
 
@@ -161,17 +155,19 @@ class _State:
 _state = _State()
 
 
-def install(
-    plan: FaultPlan | str | None, in_worker: bool | None = None
-) -> FaultPlan:
+def install(plan: FaultPlan | str | None) -> FaultPlan:
     """Install ``plan`` (a :class:`FaultPlan`, plan string, or ``None``
     for the empty plan) as this process's active plan."""
     if not isinstance(plan, FaultPlan):
         plan = FaultPlan.parse(plan)
     _state.plan = plan
-    if in_worker is not None:
-        _state.in_worker = in_worker
     return plan
+
+
+def enter_worker() -> None:
+    """Pool-worker initializer: from now on a crash fault exits this
+    process instead of raising."""
+    _state.in_worker = True
 
 
 def active() -> FaultPlan:

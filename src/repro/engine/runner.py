@@ -3,12 +3,16 @@
 Each matrix cell is an independent deterministic simulation (its own
 ``random.Random(seed)``, its own caches), so cells can run on a process
 pool in any order and produce bit-identical counters to a serial sweep.
-Workers receive the cell the parent resolved — a small picklable
+Each sweep forks a pool of its own and shuts it down when it ends.
+Workers get everything by fork: before the first task the parent
+records the pending cells' traces and generates and verifies their
+run loops, and installs the session's fault plan, so each worker
+inherits the trace memo, the verified loop sources and the plan.  A
+task is the cell the parent resolved — a small picklable
 :class:`~repro.engine.session.Cell` carrying policy, benchmark names,
-machine config and simulation parameters — and take its traces from
-the per-process trace memo they inherited at fork; trace bundles
-themselves (megabytes of flattened tables) never cross the process
-boundary.  Results come back as
+machine config and simulation parameters — and its attempt number;
+trace bundles (megabytes of flattened tables) and loop source never
+cross the process boundary.  Results come back as
 ``{"stats": SimStats.to_dict(), "telemetry": <ledger record>}``
 payloads; stats are folded into the parent session's memo and disk
 cache, and the worker's telemetry record (tagged with the worker's
@@ -132,14 +136,10 @@ def cell_label(spec: tuple) -> str:
     )
 
 
-#: One worker task: ``(cell, spec_src, attempt, fault_plan)``.  The
-#: :class:`~repro.engine.session.Cell` is simulated as received;
-#: ``spec_src`` is the parent's pre-warmed ``(loop_key, source,
-#: verified)`` specialisation payload, or ``None`` — compiled code
-#: objects do not pickle, so workers ship *source* and compile it
-#: locally, skipping ``loopcheck`` for text the parent verified; the
-#: cell's label, ``attempt`` and ``fault_plan`` drive deterministic
-#: fault injection (:mod:`repro.engine.faults`).
+#: One worker task: ``(cell, attempt)``.  The
+#: :class:`~repro.engine.session.Cell` is simulated as received; its
+#: label and ``attempt`` drive deterministic fault injection
+#: (:mod:`repro.engine.faults`).
 _CellPayload = tuple
 
 
@@ -152,15 +152,10 @@ def _simulate_cell(payload: _CellPayload) -> dict:
     exception, so the parent can charge the attempt and retry; only a
     real crash (or injected ``os._exit``) breaks the pool.
     """
-    cell, spec_src, attempt, fault_plan = payload
-    faults.install(fault_plan, in_worker=True)
+    cell, attempt = payload
     faults.begin_cell(cell.label, attempt)
     try:
         faults.maybe_crash_or_hang(cell.label, attempt)
-        if spec_src is not None:
-            from ..pipeline import specialize
-
-            specialize.adopt_source(*spec_src)
         t0 = time.perf_counter()
         stats, proc = cell.simulate()
     except Exception as e:
@@ -346,22 +341,41 @@ def _run_serial(run: _MatrixRun, cells: list) -> None:
                 break
 
 
-def _run_pooled(run: _MatrixRun, pending: list, jobs: int,
-                bundles: list) -> None:
-    """Drive ``pending`` cells, whose trace bundles are ``bundles``,
-    through a self-healing process pool."""
+def _run_pooled(run: _MatrixRun, pending: list, jobs: int) -> None:
+    """Drive ``pending`` cells through a self-healing process pool that
+    lives for this call.  Its workers are forked (and respawned) from
+    this process, so they inherit whatever it prepared for them."""
     # multiprocessing is loaded only by a sweep that has cells to ship
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    # imported before the fork, so workers inherit the simulator's
+    # modules instead of importing them each
+    from ..pipeline import processor, specialize  # noqa: F401
+
     session, retry = run.session, run.retry
+    # workers have no store and run no loopcheck: they inherit this
+    # process's trace memo and verified loop sources, so every bundle
+    # and loop they need is built here (once each: both are memoised)
+    for cell in pending:
+        cell.bundles(session.cache)
+        specialize.verified_source(
+            cell.policy, cell.cfg, cell.params, cell.n_threads,
+            len(cell.members),
+        )
+    # fork, not the platform default (forkserver on Linux from Python
+    # 3.14): a worker that did not inherit the parent's traces and
+    # loops would record and verify them again
+    context = multiprocessing.get_context("fork")
+
+    def spawn():
+        return ProcessPoolExecutor(
+            jobs, mp_context=context, initializer=faults.enter_worker
+        )
+
     queue: deque = deque(pending)
-    # the pool is session-owned and survives this sweep: consecutive
-    # sweep() calls on one session reuse warm workers (forked with the
-    # simulator already imported), unless they were forked without one
-    # of this sweep's bundles
-    if session._pool_forked_without(bundles):
-        session.close()
-    pool = session._ensure_pool(jobs)
+    pool = spawn()
     pool_deaths = 0
     # without a deadline to keep honest, one queued cell per worker
     # lets a worker start its next cell while the parent adopts the
@@ -370,7 +384,6 @@ def _run_pooled(run: _MatrixRun, pending: list, jobs: int,
     cap = jobs if retry.cell_timeout is not None else 2 * jobs
     inflight: dict = {}          # future -> cell, in submission order
     deadlines: dict = {}         # future -> monotonic deadline
-    fault_plan = session.fault_plan.encode()
     # the pool phase, first submit to last adoption, and the worker
     # seconds its adopted cells took (the digest's ``pool busy``)
     phase_start: float | None = None
@@ -380,13 +393,8 @@ def _run_pooled(run: _MatrixRun, pending: list, jobs: int,
     def submit(cell) -> bool:
         nonlocal phase_start
         attempt = run.charge(cell)
-        # the parent pre-warms the specialised-loop source (memoised
-        # by loop key, so repeated shapes are free) and ships it as text
-        payload = (
-            cell, cell.prewarm_specialization(), attempt, fault_plan
-        )
         try:
-            fut = pool.submit(_simulate_cell, payload)
+            fut = pool.submit(_simulate_cell, (cell, attempt))
         except BrokenProcessPool:
             run.refund(cell)
             queue.appendleft(cell)
@@ -416,7 +424,6 @@ def _run_pooled(run: _MatrixRun, pending: list, jobs: int,
         nonlocal pool, pool_deaths
         pool_deaths += 1
         _kill_pool(pool)
-        session._discard_pool()
         for cell in culprits:
             run.note_error(
                 cell, kind,
@@ -448,7 +455,7 @@ def _run_pooled(run: _MatrixRun, pending: list, jobs: int,
                 "pool died (%s); respawned (%d/%d deaths tolerated)",
                 kind, pool_deaths, retry.pool_death_limit,
             )
-            pool = session._ensure_pool(jobs)
+            pool = spawn()
 
     def on_crash() -> None:
         """A worker died: the executor dispatches FIFO, so the oldest
@@ -568,12 +575,13 @@ def _run_pooled(run: _MatrixRun, pending: list, jobs: int,
             session.telemetry.note_pool_phase(
                 jobs, phase_end - phase_start, busy_s
             )
-        # a clean exit leaves the warm pool on the session for the
-        # next sweep; an abort/interrupt may strand running workers,
-        # so the pool is killed rather than inherited
-        if not ok and pool is not None:
-            _kill_pool(pool)
-            session._discard_pool()
+        # an abort/interrupt may strand running workers, so the pool
+        # is killed rather than joined
+        if pool is not None:
+            if ok:
+                pool.shutdown()
+            else:
+                _kill_pool(pool)
 
 
 def run_matrix(
@@ -648,20 +656,13 @@ def run_matrix(
                 # effectively zero)
                 session.telemetry.record(**cell.telemetry(source))
                 run.done(cell, stats, key, "cached")
-            # pool workers have no store: they inherit this process's
-            # trace memo at fork, so every bundle they need is loaded
-            # (or recorded) here, or a worker would re-run the
-            # functional VM
-            bundles = [
-                b for cell in pending for b in cell.bundles(session.cache)
-            ]
             log.debug(
                 "matrix: %d cells, %d cached, %d to simulate on %d "
                 "workers",
                 len(cells), len(run.results), len(pending), jobs,
             )
             if pending:
-                _run_pooled(run, pending, jobs, bundles)
+                _run_pooled(run, pending, jobs)
         outcome = "sweep-complete"
     except SweepAborted:
         outcome = "sweep-aborted"

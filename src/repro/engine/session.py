@@ -151,25 +151,6 @@ class Cell:
         )
         return proc.run(), proc
 
-    def prewarm_specialization(self) -> tuple | None:
-        """Generate and verify the cell's specialised run loop in
-        *this* process, without compiling it, and return the picklable
-        ``(key, source, verified)`` payload a pool worker installs with
-        :func:`repro.pipeline.specialize.adopt_source` — workers then
-        compile shipped source instead of re-deriving it (code objects
-        do not pickle), and skip ``loopcheck`` because ``verified``
-        says the parent already ran it on this text.  Returns ``None``
-        when generation failed or was rejected, so a worker never
-        receives source the parent would not execute (it falls back
-        exactly like the parent would)."""
-        from ..pipeline import specialize
-
-        shipped = specialize.verified_source(
-            self.policy, self.cfg, self.params, self.n_threads,
-            len(self.members),
-        )
-        return None if shipped is None else (*shipped, True)
-
     def telemetry(
         self, source: str, loop_used: str | None = None,
         wall_s: float = 0.0, spec_s: float = 0.0, **extra,
@@ -233,13 +214,6 @@ class SimulationSession:
         #: cells that exhausted their retry budget across this
         #: session's sweeps (:class:`~repro.engine.runner.CellFailure`)
         self.failures: list = []
-        #: session-owned worker pool, created lazily by sweeps and
-        #: reused across them (workers inherit the simulator's modules
-        #: at fork); ``close()`` releases it
-        self._pool = None
-        self._pool_jobs = 0
-        #: the trace bundles the pool's workers inherited
-        self._pool_bundles: list = []
         self._memo: dict[tuple, SimStats] = {}
         #: Processor runs actually executed on behalf of this session
         #: (including pool workers); zero on a warm-cache rerun.
@@ -250,56 +224,6 @@ class SimulationSession:
         #: always accumulates in memory; ``telemetry=`` names a JSONL
         #: file every record is also appended to
         self.telemetry = TelemetryLedger(telemetry)
-
-    # ------------------------------------------------------------ pool
-    def _ensure_pool(self, jobs: int):
-        """The session's worker pool, spawned on first use and reused
-        by every subsequent sweep (a respawn per sweep would pay worker
-        startup for each one).  A pool sized differently from the
-        request is replaced.
-
-        The simulator is imported here, before the workers fork, so
-        they inherit its modules instead of importing them each; the
-        bundles the cells need are built by now, and with them the
-        trace layer."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        from ..kernels.suite import memoised_traces
-        from ..pipeline import processor  # noqa: F401
-
-        if self._pool is not None and self._pool_jobs != jobs:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=jobs)
-            self._pool_jobs = jobs
-            # the workers fork at the first submit, so they hold at
-            # least these
-            self._pool_bundles = memoised_traces()
-        return self._pool
-
-    def _pool_forked_without(self, bundles) -> bool:
-        """Whether the pool's workers were forked without one of
-        ``bundles`` (they get bundles only by inheriting this
-        process's trace memo, so they would re-run the functional VM
-        for it)."""
-        held = self._pool_bundles
-        return self._pool is not None and any(
-            not any(b is h for h in held) for b in bundles
-        )
-
-    def _discard_pool(self) -> None:
-        """Forget the pool without joining it (the runner already
-        terminated its workers — a broken pool cannot be reused)."""
-        self._pool = None
-
-    def close(self) -> None:
-        """Release the session's worker pool, if one was ever
-        spawned.  Safe to call repeatedly; the session stays usable
-        (the next sweep spawns a fresh pool)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
 
     # ----------------------------------------------------------- cells
     def _params(self, machine: str | None) -> SimParams:

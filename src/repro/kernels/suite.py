@@ -253,12 +253,6 @@ def get_fingerprint(
     return trace_identity(name, scale, cfg, max_instructions, store).fingerprint
 
 
-def memoised_traces() -> list[TraceBundle]:
-    """Every bundle in this process's trace memo (what a forked child
-    inherits)."""
-    return list(_trace_cache.values())
-
-
 def clear_trace_cache() -> None:
     _trace_cache.clear()
     _identity_cache.clear()

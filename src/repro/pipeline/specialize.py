@@ -67,14 +67,12 @@ the rule names + cell fingerprint logged through the ``repro``
 logging tree (set ``REPRO_SPECIALIZE_STRICT=1`` to re-raise instead,
 e.g. in CI — a bad generation is then rejected before it executes).
 
-Process-pool sweeps cannot pickle code objects, so workers ship
-*source*: the parent generates and verifies it once per distinct loop
-key with :func:`verified_source` (compiling nothing: the parent runs
-no loop), and the worker installs the text together with that verdict
-with :func:`adopt_source` before its first ``run()`` (see
-``repro.engine.runner``).  Verified source compiles without a second
-check; source adopted without a verdict is checked like a fresh
-generation.
+Process-pool workers get their loops by fork: before the pool forks,
+the parent generates and verifies every pending cell's loop, once per
+distinct loop key, with :func:`verified_source` (compiling nothing: the
+parent runs no loop).  Each worker inherits the verified text and the
+memoised rejections, so it only compiles, and never runs ``loopcheck``
+(see ``repro.engine.runner``).
 """
 
 from __future__ import annotations
@@ -98,10 +96,8 @@ LOOP_NAME = "__specialized_loop"
 #: falling back
 STRICT = bool(os.environ.get("REPRO_SPECIALIZE_STRICT"))
 
+#: loop source that passed ``loopcheck``, by loop key
 _sources: dict[tuple, str] = {}
-#: keys whose ``_sources`` text passed ``loopcheck``, here or in the
-#: process that shipped it
-_verified: set[tuple] = set()
 _loops: dict[tuple, object] = {}
 _stats = {"hits": 0, "misses": 0, "failures": 0, "rejected": 0}
 
@@ -113,7 +109,6 @@ def cache_info() -> dict:
 
 def clear_cache() -> None:
     _sources.clear()
-    _verified.clear()
     _loops.clear()
     _stats.update(hits=0, misses=0, failures=0, rejected=0)
 
@@ -144,18 +139,6 @@ def loop_key(
         params.max_cycles,
         bool(params.perfect_memory),
     )
-
-
-def adopt_source(key, source: str, verified: bool = False) -> None:
-    """Install pre-generated source shipped from another process.
-
-    ``verified=True`` says the sender's :func:`verified_source`
-    already passed this exact text through ``loopcheck``; it then
-    compiles here without a second check.  The verdict is dropped if
-    this process already holds other text for ``key``."""
-    key = tuple(key)
-    if _sources.setdefault(key, source) == source and verified:
-        _verified.add(key)
 
 
 def _cell_name(policy: Policy, cfg: MachineConfig, n_threads: int) -> str:
@@ -194,24 +177,22 @@ def verified_source(
     params,
     n_threads: int,
     n_benches: int,
-) -> tuple[tuple, str] | None:
-    """``(key, source)`` of one cell's loop once the source passed
+) -> str | None:
+    """The source of one cell's loop once it passed
     :func:`repro.analysis.loopcheck.check_source`, or ``None`` if
     generation failed or was rejected (memoised and logged like
     :func:`get_specialized_loop`'s failures).  Generates and verifies
-    each key once and compiles nothing: this is what a pool parent
-    ships, as ``(key, source, True)``, to workers that run the loop."""
+    each key once and compiles nothing: a pool parent calls it for
+    every pending cell before it forks the workers that run the loop."""
     key = loop_key(policy, cfg, params, n_threads, n_benches)
     if key in _loops and _loops[key] is None:
         return None
-    try:
-        src = _sources.get(key)
-        if src is None:
+    src = _sources.get(key)
+    if src is None:
+        try:
             src = generate_loop_source(
                 policy, cfg, params, n_threads, n_benches
             )
-            _sources[key] = src
-        if key not in _verified:
             # imported late: analysis.loopcheck imports this module
             from ..analysis import loopcheck
 
@@ -221,11 +202,11 @@ def verified_source(
             )
             if findings:
                 raise loopcheck.LoopVerificationError(findings)
-            _verified.add(key)
-    except Exception as e:
-        _reject(key, _cell_name(policy, cfg, n_threads), e)
-        return None
-    return key, src
+        except Exception as e:
+            _reject(key, _cell_name(policy, cfg, n_threads), e)
+            return None
+        _sources[key] = src
+    return src
 
 
 def get_specialized_loop(
@@ -240,8 +221,7 @@ def get_specialized_loop(
     caller then uses ``_run_reference``).  Both outcomes are memoised by
     :func:`loop_key`.
 
-    Every fresh generation, and every source adopted without a
-    verdict, is verified by
+    Every fresh generation is verified by
     :func:`repro.analysis.loopcheck.check_source` *before* ``exec()``:
     a loop with an unexpected free name, an unprovable exit edge or an
     inlined literal that disagrees with the resolved spec is never
@@ -256,10 +236,9 @@ def get_specialized_loop(
         _stats["hits"] += 1
         return _loops[key]
     _stats["misses"] += 1
-    shipped = verified_source(policy, cfg, params, n_threads, n_benches)
-    if shipped is None:
+    src = verified_source(policy, cfg, params, n_threads, n_benches)
+    if src is None:
         return None
-    src = shipped[1]
     label = (
         f"<specialized {policy.merge}-merge/{policy.split}-split"
         f" nt={n_threads}>"
@@ -663,7 +642,9 @@ def generate_loop_source(
         # exactly what the pending path below would do for it.
         # Operation-level split marks any multi-op instruction split
         # once its first op issues, even when all of them issue
-        # together (ROADMAP item 5), so the whole path counts it too.
+        # together (pinned by tests/test_policies_renaming.py::
+        # test_op_split_whole_issue_in_one_cycle_is_not_split), so the
+        # whole path counts it too.
         whole_tail = _dd(f"""
         ops_this_cycle += n
         threads_contributing += 1

@@ -178,7 +178,8 @@ def _rot_static(st: StaticTable, r: int) -> StaticTable:
         bundle_packed=[_roll(b, r) for b in st.bundle_packed],
         bundle_nops=[_roll(b, r) for b in st.bundle_nops],
         # rolling reorders the bundles but does not lane-shift their
-        # usage, so the sum is the unrotated one (ROADMAP item 5)
+        # usage, so the sum is the unrotated one (pinned by
+        # tests/test_trace.py::test_rotated_bundle_usage_sums_to_packed)
         bundle_sum=st.bundle_sum,
         mem_cmask=[_rot_mask(m, r, n) for m in st.mem_cmask],
         store_cmask=[_rot_mask(m, r, n) for m in st.store_cmask],

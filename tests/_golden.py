@@ -70,10 +70,7 @@ def cell_digests(session: SimulationSession) -> tuple[dict, str]:
 
 if __name__ == "__main__":
     session = SimulationSession(QUICK_SCALE, jobs=2)
-    try:
-        digests, whole = cell_digests(session)
-    finally:
-        session.close()
+    digests, whole = cell_digests(session)
     GOLDEN_PATH.write_text(json.dumps({
         "about": "SHA-256 of SimStats.to_dict() (sort_keys) per quick-scale "
                  "cell; tests/test_golden.py fails on any drift. Regenerate "

@@ -18,8 +18,7 @@ def quick_session():
     workers), shared by the golden-digest and figure-shape tests."""
     session = SimulationSession(QUICK_SCALE, jobs=2)
     session.sweep()
-    yield session
-    session.close()
+    return session
 
 
 @pytest.fixture(scope="session")

@@ -23,10 +23,7 @@ MATRIX = dict(policies=["SMT", "CSMT"], workloads=["llll"], n_threads=(2,))
 
 
 def _sweep(session, **kw):
-    try:
-        return session.sweep(**{**MATRIX, **kw})
-    finally:
-        session.close()
+    return session.sweep(**{**MATRIX, **kw})
 
 
 @pytest.fixture
@@ -107,10 +104,7 @@ def test_pooled_ledger_carries_cell_coordinates():
 
     def coords(jobs):
         session = SimulationSession(TINY, jobs=jobs)
-        try:
-            session.sweep(**matrix)
-        finally:
-            session.close()
+        session.sweep(**matrix)
         return sorted(
             (r["policy"], r["workload"], r["n_threads"], r["memory"],
              r["machine"], r["source"])

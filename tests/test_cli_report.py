@@ -1,6 +1,8 @@
 """CLI, waste decomposition and report generation."""
 
+import argparse
 import json
+import shutil
 
 import pytest
 
@@ -60,6 +62,31 @@ def test_cli_run_quick(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ipc"] > 0
+
+
+def test_parser_measures_the_terminal_once(monkeypatch):
+    """``build_parser`` measures the terminal once, not on every
+    ``add_argument``, and every parser's help reads as the stock
+    formatter's under the same width."""
+    monkeypatch.setenv("COLUMNS", "97")
+    calls = []
+    real = shutil.get_terminal_size
+
+    def counted(*a, **k):
+        calls.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    ap = build_parser()
+    sub, = (
+        a for a in ap._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parsers = [ap, *sub.choices.values()]
+    ours = [p.format_help() for p in parsers]
+    assert len(calls) <= 1
+    for p in parsers:
+        p.formatter_class = argparse.HelpFormatter
+    assert [p.format_help() for p in parsers] == ours
 
 
 def test_parser_memory_flags():

@@ -1,7 +1,6 @@
 """The engine layer: session memoisation, disk cache, parallel sweeps,
 hooks, and stats serialization (repro.engine)."""
 
-import time
 
 import pytest
 
@@ -152,67 +151,54 @@ def test_warm_sweep_runs_zero_simulations(tmp_path):
     assert len(out) == 2
 
 
-def test_pool_reused_across_sweeps():
-    """Consecutive sweeps on one session share one worker pool, and a
-    warm (fully cached) sweep costs almost nothing."""
-    kw = dict(
-        policies=["SMT", "CSMT"],
-        workloads=["llll", "llhh", "hhhh"],
-        n_threads=(2,),
-    )
-    s = SimulationSession(TINY, jobs=2)
-    try:
-        t0 = time.perf_counter()
-        s.sweep(**kw)
-        cold = time.perf_counter() - t0
-        pool = s._pool
-        assert pool is not None
-        # a second sweep with new cells over kernels the workers
-        # already hold must reuse the same executor
-        s.sweep(**dict(kw, policies=["CCSI AS"]))
-        assert s._pool is pool
-        t0 = time.perf_counter()
-        s.sweep(**kw)  # warm: memo hits only
-        warm = time.perf_counter() - t0
-        assert s.simulations == 9  # 6 + 3: nothing re-simulated
-        assert warm < max(cold, 0.05)
-    finally:
-        s.close()
-
-
 def test_pool_respawned_for_new_kernels(tmp_path, monkeypatch):
-    """Workers get trace bundles only by forking: a sweep over kernels
-    the session's workers were forked without respawns the pool, so
-    the new traces are recorded once, in the parent, and never in a
-    worker."""
+    """Each sweep forks a pool of its own, and its workers get trace
+    bundles and verified loops only by fork: in every pooled sweep, a
+    second one over new kernels included, each trace is recorded and
+    each loop verified in the parent, each cell simulates in a forked
+    worker, and no worker outlives its sweep."""
+    import multiprocessing
     import os
 
+    from repro.analysis import loopcheck
+    from repro.engine.session import Cell
     from repro.kernels import suite
+    from repro.pipeline import specialize
 
-    log = tmp_path / "recordings"
-    real = suite.record_trace
+    log = tmp_path / "calls"
 
-    def logged(*a, **k):
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        return real(*a, **k)
+    def logged(name, real):
+        def wrapper(*a, **k):
+            with open(log, "a") as f:
+                f.write(f"{name} {os.getpid()}\n")
+            return real(*a, **k)
 
-    # patched before any pool forks, so workers inherit the wrapper
-    monkeypatch.setattr(suite, "record_trace", logged)
+        return wrapper
+
+    # patched before any pool forks: a worker that was not forked from
+    # this process (another start method) would not log its cells
+    monkeypatch.setattr(
+        suite, "record_trace", logged("record", suite.record_trace)
+    )
+    monkeypatch.setattr(
+        loopcheck, "check_source", logged("check", loopcheck.check_source)
+    )
+    monkeypatch.setattr(Cell, "simulate", logged("simulate", Cell.simulate))
     suite.clear_trace_cache()
+    specialize.clear_cache()
     s = SimulationSession(TINY, jobs=2)
-    try:
-        s.sweep(policies=["SMT", "CSMT"], workloads=["llll"],
+    for workload in ("llll", "mmmm"):
+        s.sweep(policies=["SMT", "CSMT"], workloads=[workload],
                 n_threads=(2,))
-        pool = s._pool
-        s.sweep(policies=["SMT", "CSMT"], workloads=["mmmm"],
-                n_threads=(2,))
-        assert s._pool is not pool
-    finally:
-        s.close()
-    pids = log.read_text().split()
-    assert pids, "the parent records the traces"
-    assert set(pids) == {str(os.getpid())}
+        assert multiprocessing.active_children() == []
+    pids: dict[str, list] = {}
+    for line in log.read_text().splitlines():
+        name, pid = line.split()
+        pids.setdefault(name, []).append(pid)
+    parent = str(os.getpid())
+    assert set(pids["record"]) == set(pids["check"]) == {parent}
+    assert len(pids["simulate"]) == s.simulations == 4
+    assert parent not in pids["simulate"]
 
 
 # ---------------------------------------------------------------- hooks

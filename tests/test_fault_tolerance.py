@@ -112,11 +112,8 @@ def test_crash_refunds_cells_queued_behind_running_ones(monkeypatch):
         retry=RetryPolicy(**FAST),
         fault_plan="crash@SMT/llll/2#1",
     )
-    try:
-        s.sweep(policies=["SMT", "CSMT"], workloads=["llll", "hhhh"],
-                n_threads=THREADS)
-    finally:
-        s.close()
+    s.sweep(policies=["SMT", "CSMT"], workloads=["llll", "hhhh"],
+            n_threads=THREADS)
     assert s.failures == []
     assert adopted == {
         ("SMT", "llll", 2): 2,   # crashed

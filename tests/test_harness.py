@@ -164,22 +164,19 @@ def test_harness_functions_fan_out_their_cells():
     the rows equal a serial session's."""
     serial = _fan_out(SimulationSession(TINY))
     pooled = SimulationSession(TINY, jobs=2)
-    try:
-        assert _fan_out(pooled) == serial
-        records = pooled.telemetry.records
-        simulated = [r for r in records if r["source"] == "simulated"]
-        assert simulated
-        assert all(r["worker"] != os.getpid() for r in simulated)
-        # no memo key simulated twice (fig14's 2T paper cells are the
-        # machine figure's "paper" column)
-        assert pooled.simulations == len(simulated)
-        assert pooled.simulations == pooled.cache_stats()["memo_entries"]
-        # a memo-warm slice sends nothing to the pool
-        n = len(records)
-        pooled.prefetch(["CSMT", "CCSI NS", "CCSI AS"])
-        assert len(pooled.telemetry.records) == n
-    finally:
-        pooled.close()
+    assert _fan_out(pooled) == serial
+    records = pooled.telemetry.records
+    simulated = [r for r in records if r["source"] == "simulated"]
+    assert simulated
+    assert all(r["worker"] != os.getpid() for r in simulated)
+    # no memo key simulated twice (fig14's 2T paper cells are the
+    # machine figure's "paper" column)
+    assert pooled.simulations == len(simulated)
+    assert pooled.simulations == pooled.cache_stats()["memo_entries"]
+    # a memo-warm slice sends nothing to the pool
+    n = len(records)
+    pooled.prefetch(["CSMT", "CCSI NS", "CCSI AS"])
+    assert len(pooled.telemetry.records) == n
 
 
 def test_one_job_prefetch_does_nothing():

@@ -39,6 +39,7 @@ HEAVY = (
     "repro.pipeline.trace",
     "repro.memory",
     "concurrent.futures.process",
+    "multiprocessing",
     "numpy",
 )
 

@@ -265,10 +265,7 @@ def test_digest_reports_pool_busy_only_for_pooled_sweeps():
     kw = dict(policies=["SMT", "CSMT"], workloads=["llll"],
               n_threads=(2,))
     pooled = SimulationSession(TINY, jobs=2)
-    try:
-        pooled.sweep(**kw)
-    finally:
-        pooled.close()
+    pooled.sweep(**kw)
     (jobs, wall, busy), = pooled.telemetry.pool_phases
     assert jobs == 2 and wall > 0
     assert busy == pytest.approx(

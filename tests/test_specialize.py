@@ -153,129 +153,6 @@ def test_memo_hit_miss_by_fingerprint(fresh_cache):
     assert info["failures"] == 0
 
 
-def test_adopted_source_skips_generation(fresh_cache, monkeypatch):
-    """A worker that received ``(key, source)`` compiles the shipped
-    text without re-deriving it — generation must not run at all."""
-    traces = traces_for("paper")
-    cfg = MACHINE_PRESETS["paper"].machine
-    params = SimParams(target_instructions=500, timeslice=200, seed=1)
-    key, src = specialize.verified_source(
-        BY_NAME["CCSI AS"], cfg, params, 2, len(traces)
-    )
-
-    specialize.clear_cache()
-    specialize.adopt_source(list(key), src)  # keys arrive as lists too
-
-    def boom(*a, **k):  # pragma: no cover - must never run
-        raise AssertionError("generation ran despite adopted source")
-
-    monkeypatch.setattr(specialize, "generate_loop_source", boom)
-    proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
-    proc.run()
-    assert proc.loop_used == "specialized"
-
-
-# ---------------------------------------------------------- verify once
-def _shipped(policy="CCSI AS"):
-    """A cell plus the ``(key, source)`` the parent would ship for it,
-    on a cleared memo (as in a worker that has seen nothing yet)."""
-    traces = traces_for("paper")
-    cfg = MACHINE_PRESETS["paper"].machine
-    params = SimParams(target_instructions=500, timeslice=200, seed=1)
-    key, src = specialize.verified_source(
-        BY_NAME[policy], cfg, params, 2, len(traces)
-    )
-    specialize.clear_cache()
-    return traces, cfg, params, key, src
-
-
-def _count_checks(monkeypatch) -> list:
-    from repro.analysis import loopcheck
-
-    calls = []
-    real = loopcheck.check_source
-
-    def counted(*a, **k):
-        calls.append(a)
-        return real(*a, **k)
-
-    monkeypatch.setattr(loopcheck, "check_source", counted)
-    return calls
-
-
-def test_adopted_verified_source_is_not_rechecked(fresh_cache, monkeypatch):
-    """Source that arrives with the parent's verdict compiles without a
-    second ``loopcheck`` pass."""
-    traces, cfg, params, key, src = _shipped()
-    calls = _count_checks(monkeypatch)
-    specialize.adopt_source(key, src, True)
-    proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
-    proc.run()
-    assert proc.loop_used == "specialized"
-    assert calls == []
-
-
-def test_adopted_unverified_source_is_checked(fresh_cache, monkeypatch):
-    traces, cfg, params, key, src = _shipped()
-    calls = _count_checks(monkeypatch)
-    specialize.adopt_source(key, src)
-    proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
-    proc.run()
-    assert proc.loop_used == "specialized"
-    assert len(calls) == 1
-
-
-def test_tampered_unverified_source_is_rejected(fresh_cache, monkeypatch):
-    """Adopted text without a verdict is checked like a fresh
-    generation: a tampered loop never runs, the cell falls back, and
-    strict mode raises instead."""
-    from repro.analysis import LoopVerificationError
-
-    traces, cfg, params, key, src = _shipped()
-    tampered = src + "    while True:\n        cycle += 0\n"
-    monkeypatch.setattr(specialize, "STRICT", False)
-    specialize.adopt_source(key, tampered)
-    proc = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params)
-    stats = proc.run()
-    assert proc.loop_used == "reference"
-    assert specialize.cache_info()["rejected"] == 1
-    ref = Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params,
-                    force_reference=True).run()
-    assert stats.to_dict() == ref.to_dict()
-
-    specialize.clear_cache()
-    monkeypatch.setattr(specialize, "STRICT", True)
-    specialize.adopt_source(key, tampered)
-    with pytest.raises(LoopVerificationError):
-        Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params).run()
-
-
-def test_verdict_does_not_cover_other_text(fresh_cache, monkeypatch):
-    """A verdict vouches for the text it came with: if this process
-    already holds other source for the key, that source is still
-    checked."""
-    traces, cfg, params, key, src = _shipped()
-    calls = _count_checks(monkeypatch)
-    specialize.adopt_source(key, src)
-    specialize.adopt_source(key, src + "\n# other text\n", True)
-    Processor(BY_NAME["CCSI AS"], traces, 2, cfg, params).run()
-    assert len(calls) == 1
-
-
-def test_rejected_generation_ships_no_payload(fresh_cache, monkeypatch):
-    """A generation the parent rejects is never shipped, so a worker
-    never receives unverified source."""
-    monkeypatch.setattr(specialize, "STRICT", False)
-    real = specialize.generate_loop_source
-    monkeypatch.setattr(
-        specialize, "generate_loop_source",
-        lambda *a, **k: real(*a, **k) + "    while True:\n        pass\n",
-    )
-    cell = SimulationSession(QUICK_SCALE).cell("CCSI AS", ("mcf",), 2)
-    assert cell.prewarm_specialization() is None
-    assert specialize.cache_info()["rejected"] == 1
-
-
 # -------------------------------------------------------- tier dispatch
 def test_hooks_and_force_reference_take_reference_loop():
     traces = traces_for("paper")
@@ -326,43 +203,39 @@ def test_broken_generation_falls_back_to_reference(fresh_cache, monkeypatch):
 
 
 # ------------------------------------------------------ engine plumbing
-def test_session_prewarm_payload_roundtrip(fresh_cache):
-    """``Cell.prewarm_specialization`` returns the picklable payload
-    the pool runner ships; adopting it on a cold cache reproduces the
-    session's own results."""
-    session = SimulationSession(QUICK_SCALE)
-    payload = session.cell("CCSI AS", ("mcf",), 2).prewarm_specialization()
-    assert payload is not None
-    key, src, verified = payload
-    assert isinstance(src, str) and specialize.LOOP_NAME in src
-    assert verified is True  # the parent ran loopcheck on this text
+def _count_checks(monkeypatch) -> list:
+    from repro.analysis import loopcheck
 
-    stats = session.run("CCSI AS", ("mcf",), 2)
-    specialize.clear_cache()
-    specialize.adopt_source(key, src)
-    fresh = SimulationSession(QUICK_SCALE)
-    assert fresh.run("CCSI AS", ("mcf",), 2).to_dict() == stats.to_dict()
+    calls = []
+    real = loopcheck.check_source
+
+    def counted(*a, **k):
+        calls.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr(loopcheck, "check_source", counted)
+    return calls
+
+
+_TINY = ExperimentScale(
+    kernel_scale=0.06, target_instructions=1_200, timeslice=700
+)
 
 
 def test_pooled_parent_verifies_but_compiles_no_loop(
     fresh_cache, monkeypatch
 ):
     """A ``--jobs 2`` parent runs no loop: it generates and verifies
-    each distinct loop key once, ships the text, and compiles none."""
+    each distinct loop key once before its workers fork, and compiles
+    none."""
     calls = _count_checks(monkeypatch)
-    tiny = ExperimentScale(
-        kernel_scale=0.06, target_instructions=1_200, timeslice=700
-    )
     policies = ["SMT", "CSMT", "CCSI AS"]
     workloads = ["llll", "hhhh"]
     threads = (2, 4)
-    session = SimulationSession(tiny, jobs=2)
-    try:
-        results = session.sweep(
-            policies=policies, workloads=workloads, n_threads=threads
-        )
-    finally:
-        session.close()
+    session = SimulationSession(_TINY, jobs=2)
+    results = session.sweep(
+        policies=policies, workloads=workloads, n_threads=threads
+    )
     assert len(results) == session.simulations == 12
     keys = {
         specialize.loop_key(
@@ -378,6 +251,34 @@ def test_pooled_parent_verifies_but_compiles_no_loop(
     assert info["compiled"] == 0
     assert info["sources"] == len(keys)
     assert len(calls) == len(keys)
+
+
+def test_rejected_generation_ships_no_payload(
+    fresh_cache, monkeypatch
+):
+    """A loop the parent rejects before the fork never reaches the
+    workers: they inherit the rejection, and its cells run the
+    reference loop, with the reference loop's results."""
+    monkeypatch.setattr(specialize, "STRICT", False)
+    real = specialize.generate_loop_source
+    monkeypatch.setattr(
+        specialize, "generate_loop_source",
+        lambda *a, **k: real(*a, **k) + "    while True:\n        pass\n",
+    )
+    session = SimulationSession(_TINY, jobs=2)
+    results = session.sweep(
+        policies=["CCSI AS"], workloads=["llll", "hhhh"], n_threads=(2,)
+    )
+    assert specialize.cache_info()["rejected"] == 1
+    records = session.telemetry.records
+    assert [r["loop_used"] for r in records] == ["reference"] * 2
+    for spec, stats in results.items():
+        cell = session.cell(*spec)
+        ref = Processor(
+            cell.policy, cell.bundles(), cell.n_threads, cell.cfg,
+            cell.params, force_reference=True,
+        ).run()
+        assert stats.to_dict() == ref.to_dict()
 
 
 # ------------------------------------------------- inlined L1 hit path

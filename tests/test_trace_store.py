@@ -5,6 +5,7 @@ recording anything, a process that simulates records each trace once,
 result keys stay byte-identical, bad index entries are never served,
 and trace bundles older stores wrote are only ever cleaned up."""
 
+import concurrent.futures
 import json
 import os
 import shutil
@@ -251,10 +252,7 @@ def test_cold_pooled_sweep_records_each_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(suite, "record_trace", logging_record)
     session = SimulationSession(TINY, cache_dir=str(tmp_path / "c"), jobs=2)
-    try:
-        small_sweep(session)
-    finally:
-        session.close()
+    small_sweep(session)
     assert sorted(log.read_text().split()) == members()
     assert session.simulations == len(POLICIES) * len(WORKLOADS)
 
@@ -556,17 +554,14 @@ def test_pooled_sweep_over_partly_warm_store_records_nothing(
     monkeypatch.setattr(suite, "record_trace", logging_record)
     session = SimulationSession(TINY, cache_dir=root, jobs=2)
     memo_at_fork: list[set] = []
-    real_pool = session._ensure_pool
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
-    def ensure_pool(jobs):
+    def pool(*a, **k):
         memo_at_fork.append(set(suite._trace_cache))
-        return real_pool(jobs)
+        return real_pool(*a, **k)
 
-    monkeypatch.setattr(session, "_ensure_pool", ensure_pool)
-    try:
-        assert results(small_sweep(session)) == expected
-    finally:
-        session.close()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    assert results(small_sweep(session)) == expected
     info = session.cache_stats()
     names = sorted(
         {n for spec in pending for n in session.cell(*spec).members}
