@@ -11,14 +11,12 @@ __all__ = [
     "machine_fingerprint",
     "machine_from_dict",
     "machine_to_dict",
-    "scenario_names",
     "CacheConfig",
     "ClusterConfig",
     "DramConfig",
     "MachineConfig",
     "MemoryConfig",
     "get_memory_config",
-    "small_machine",
     "CLUSTER_BITS",
     "OFF_ALU",
     "OFF_MEM",
@@ -38,12 +36,10 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".config": (
         "MEMORY_PRESETS", "PAPER_MACHINE", "CacheConfig", "ClusterConfig",
         "DramConfig", "MachineConfig", "MemoryConfig", "get_memory_config",
-        "small_machine",
     ),
     ".scenarios": (
         "MACHINE_PRESETS", "ScenarioSpec", "get_scenario",
         "machine_fingerprint", "machine_from_dict", "machine_to_dict",
-        "scenario_names",
     ),
     ".resources": (
         "CLUSTER_BITS", "OFF_ALU", "OFF_MEM", "OFF_MUL", "OFF_SLOTS",

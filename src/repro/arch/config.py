@@ -247,18 +247,6 @@ class MachineConfig:
         """Total machine issue width."""
         return self.n_clusters * self.cluster.issue_width
 
-    @property
-    def all_clusters_mask(self) -> int:
-        return (1 << self.n_clusters) - 1
-
 
 #: The configuration used throughout the paper's evaluation.
 PAPER_MACHINE = MachineConfig()
-
-
-def small_machine() -> MachineConfig:
-    """A 2-cluster, 3-issue machine as used in the paper's Fig. 5 example."""
-    return MachineConfig(
-        n_clusters=2,
-        cluster=ClusterConfig(issue_width=3, n_alu=3, n_mul=2, n_mem=1),
-    )

@@ -161,15 +161,3 @@ def usage_of_ops(ops, n_clusters: int) -> int:
             c[3] += 1
         # BRANCH and COPY consume only the issue slot.
     return pack_usage([tuple(c) for c in counts])
-
-
-def add_usage(a: int, b: int) -> int:
-    """Sum of two packed usages (caller guarantees no field overflow,
-    which holds whenever ``fits_packed`` approved ``b`` against the
-    remaining capacity)."""
-    return a + b
-
-
-def sub_usage(a: int, b: int) -> int:
-    """Field-wise subtraction (caller guarantees ``b <= a`` field-wise)."""
-    return a - b

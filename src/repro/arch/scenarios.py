@@ -257,8 +257,3 @@ def get_scenario(name: str) -> ScenarioSpec:
         f"{sorted(MACHINE_PRESETS)} or compose '<machine>+<memory>' "
         "with a memory preset"
     )
-
-
-def scenario_names() -> list[str]:
-    """Base machine preset names (compositions excluded)."""
-    return sorted(MACHINE_PRESETS)

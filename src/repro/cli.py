@@ -107,21 +107,17 @@ def _session(args, retry=None) -> SimulationSession:
     )
 
 
-def _check_machines(names) -> int | None:
-    """Resolve machine-scenario names early so a typo prints the
-    registry instead of a traceback.  Returns an exit code on error."""
-    for name in names or ():
-        try:
-            get_scenario(name)
-        except ValueError as e:
-            _log.error(f"repro: {e}")
-            return 2
-    return None
+def _scenario(name: str) -> str:
+    """argparse ``type=`` for machine-scenario names: a typo exits 2
+    with the registry instead of a traceback."""
+    try:
+        get_scenario(name)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return name
 
 
 def cmd_run(args) -> int:
-    if (rc := _check_machines([args.machine] if args.machine else [])):
-        return rc
     s = _session(args).run(args.policy, args.workload, args.threads,
               memory=args.memory, machine=args.machine)
     print(json.dumps(s.summary(), indent=1))
@@ -153,8 +149,6 @@ def cmd_sweep(args) -> int:
 
     from .engine.runner import RetryPolicy, SweepAborted
 
-    if (rc := _check_machines(args.machine)):
-        return rc
     max_failures = 0 if args.strict else args.max_failures
     retry = RetryPolicy(
         cell_timeout=args.cell_timeout,
@@ -251,12 +245,9 @@ def cmd_mem(args) -> int:
 def cmd_machine(args) -> int:
     from .harness.machreport import render_machine_report
 
-    machines = args.machines or FIG_MACHINE_PRESETS
-    if (rc := _check_machines(machines)):
-        return rc
     rows = sensitivity(
         _session(args), args.policy, args.workload, args.threads,
-        "machine", machines,
+        "machine", args.machines or FIG_MACHINE_PRESETS,
     )
     print(render_machine_report(rows, args.policy, args.workload,
                                 args.threads))
@@ -323,8 +314,6 @@ def cmd_waste(args) -> int:
 
 def cmd_why(args) -> int:
     """Cycle attribution report for one (workload, threads) cell."""
-    if (rc := _check_machines([args.machine] if args.machine else [])):
-        return rc
     from .harness.figures import FIG16_POLICIES
     from .obs import render_why, why_rows
 
@@ -340,26 +329,19 @@ def cmd_why(args) -> int:
 
 def cmd_trace(args) -> int:
     """Simulate one cell with the trace exporter attached and write
-    Chrome trace-event JSON."""
-    if (rc := _check_machines([args.machine] if args.machine else [])):
-        return rc
+    Chrome trace-event JSON.  The run neither reads nor writes the
+    result store: the trace must describe a run that happened in this
+    process."""
     from .obs import TraceExporter
 
     exporter = TraceExporter(
         limit=args.limit, counter_every=args.counter_every
     )
-    # a hooked session always takes the reference loop and never reads
-    # the disk cache — the trace must describe a run that actually
-    # happened in this process
-    session = SimulationSession(
-        QUICK_SCALE if args.quick else DEFAULT_SCALE,
-        cache_dir=args.cache_dir,
-        hooks=[exporter],
-        memory=None,
-        telemetry=getattr(args, "telemetry", None),
-    )
-    s = session.run(args.policy, args.workload, args.threads,
-                    memory=args.memory, machine=args.machine)
+    cell = SimulationSession(
+        QUICK_SCALE if args.quick else DEFAULT_SCALE
+    ).cell(args.policy, args.workload, args.threads,
+           memory=args.memory, machine=args.machine)
+    s = cell.simulate(hooks=[exporter])[0]
     exporter.write(args.out)
     print(
         f"wrote {args.out}: {len(exporter.events)} events "
@@ -497,8 +479,6 @@ def cmd_profile(args) -> int:
 
     from .pipeline.processor import Processor
 
-    if (rc := _check_machines([args.machine])):
-        return rc
     cell = SimulationSession(QUICK_SCALE).cell(
         args.policy, args.workload, args.threads,
         memory=args.memory, machine=args.machine,
@@ -611,17 +591,30 @@ def build_parser() -> argparse.ArgumentParser:
         "'<machine>+<memory>' composition like narrow+l2)"
     )
 
+    def add_cell_flags(p, policy=True, scenario=True) -> None:
+        # the single-cell flags of run, mem, machine, why, trace and
+        # profile; `scenario` adds --memory/--machine
+        if policy:
+            p.add_argument("--policy", default="CCSI AS",
+                           choices=sorted(BY_NAME), metavar="POLICY",
+                           help="policy (default: CCSI AS)")
+        p.add_argument("--workload", default="llhh",
+                       choices=list(WORKLOADS))
+        p.add_argument("--threads", type=int, default=4,
+                       choices=(1, 2, 4))
+        if scenario:
+            p.add_argument("--memory", default=None,
+                           choices=sorted(MEMORY_PRESETS),
+                           metavar="PRESET",
+                           help="memory-hierarchy preset "
+                                f"({', '.join(sorted(MEMORY_PRESETS))}; "
+                                "default: the --machine scenario's)")
+            p.add_argument("--machine", default=None, type=_scenario,
+                           metavar="SCENARIO",
+                           help=machine_help + " (default: paper)")
+
     p = add_parser("run", help="simulate one policy/workload cell")
-    p.add_argument("--policy", default="CCSI AS")
-    p.add_argument("--workload", default="llhh", choices=list(WORKLOADS))
-    p.add_argument("--threads", type=int, default=4, choices=(1, 2, 4))
-    p.add_argument("--memory", default=None,
-                   choices=sorted(MEMORY_PRESETS), metavar="PRESET",
-                   help="memory-hierarchy preset "
-                        f"({', '.join(sorted(MEMORY_PRESETS))}; "
-                        "default: paper, or the --machine scenario's)")
-    p.add_argument("--machine", default=None, metavar="SCENARIO",
-                   help=machine_help + " (default: paper)")
+    add_cell_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = add_parser(
@@ -639,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(MEMORY_PRESETS), metavar="PRESET",
                    help="memory presets to sweep as a fourth axis")
     p.add_argument("--machine", nargs="+", default=None,
-                   metavar="SCENARIO",
+                   type=_scenario, metavar="SCENARIO",
                    help=machine_help + " — several sweep as an axis")
     p.add_argument("--resume", action="store_true",
                    help="skip cells already completed per the sweep "
@@ -676,9 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser(
         "mem", help="memory-sensitivity report across hierarchy presets"
     )
-    p.add_argument("--policy", default="CCSI AS")
-    p.add_argument("--workload", default="llhh", choices=list(WORKLOADS))
-    p.add_argument("--threads", type=int, default=4, choices=(1, 2, 4))
+    add_cell_flags(p, scenario=False)
     p.add_argument("--memory", nargs="+", default=None,
                    choices=sorted(MEMORY_PRESETS), metavar="PRESET",
                    help="presets to compare (default: all)")
@@ -688,11 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
         "machine",
         help="machine-sensitivity report across machine scenarios",
     )
-    p.add_argument("--policy", default="CCSI AS")
-    p.add_argument("--workload", default="llhh", choices=list(WORKLOADS))
-    p.add_argument("--threads", type=int, default=4, choices=(1, 2, 4))
+    add_cell_flags(p, scenario=False)
     p.add_argument("--machines", nargs="+", default=None,
-                   metavar="SCENARIO",
+                   type=_scenario, metavar="SCENARIO",
                    help="scenarios to compare (default: all presets)")
     p.set_defaults(func=cmd_machine)
 
@@ -761,13 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", nargs="+", default=None,
                    choices=sorted(BY_NAME), metavar="POLICY",
                    help="subset of policies (default: all eight)")
-    p.add_argument("--workload", default="llhh", choices=list(WORKLOADS))
-    p.add_argument("--threads", type=int, default=4, choices=(1, 2, 4))
-    p.add_argument("--memory", default=None,
-                   choices=sorted(MEMORY_PRESETS), metavar="PRESET",
-                   help="memory-hierarchy preset")
-    p.add_argument("--machine", default=None, metavar="SCENARIO",
-                   help=machine_help)
+    add_cell_flags(p, policy=False)
     p.set_defaults(func=cmd_why)
 
     p = add_parser(
@@ -775,14 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate one cell and write Chrome trace-event JSON "
              "(open in Perfetto / chrome://tracing)",
     )
-    p.add_argument("--policy", default="CCSI AS")
-    p.add_argument("--workload", default="llhh", choices=list(WORKLOADS))
-    p.add_argument("--threads", type=int, default=4, choices=(1, 2, 4))
-    p.add_argument("--memory", default=None,
-                   choices=sorted(MEMORY_PRESETS), metavar="PRESET",
-                   help="memory-hierarchy preset")
-    p.add_argument("--machine", default=None, metavar="SCENARIO",
-                   help=machine_help)
+    add_cell_flags(p)
     p.add_argument("--out", default="trace.json", metavar="FILE",
                    help="output path (default: trace.json)")
     p.add_argument("--limit", type=int, default=100_000, metavar="N",
@@ -804,16 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="cProfile one quick simulation, print hottest functions",
     )
-    p.add_argument("--policy", default="CCSI AS")
-    p.add_argument("--workload", default="llhh", choices=list(WORKLOADS))
-    p.add_argument("--threads", type=int, default=4, choices=(1, 2, 4))
-    p.add_argument("--memory", default=None,
-                   choices=sorted(MEMORY_PRESETS), metavar="PRESET",
-                   help="memory-hierarchy preset "
-                        f"({', '.join(sorted(MEMORY_PRESETS))}; "
-                        "default: the --machine scenario's)")
-    p.add_argument("--machine", default="paper", metavar="SCENARIO",
-                   help=machine_help)
+    add_cell_flags(p)
     p.add_argument("--top", type=int, default=15, metavar="N",
                    help="number of functions to print (default: 15)")
     p.add_argument("--sort", default="cumulative",
@@ -827,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also save the profile: *.pstats for the raw "
                         "marshalled form (pstats.Stats/snakeviz), "
                         "anything else for a readable dump")
-    p.set_defaults(func=cmd_profile)
+    p.set_defaults(func=cmd_profile, machine="paper")
 
     return ap
 

@@ -145,8 +145,5 @@ class DDG:
                 h = max(h, self.nodes[t].height + max(lat, 1))
             node.height = h
 
-    def ready_roots(self) -> list[int]:
-        return [n.index for n in self.nodes if not n.preds]
-
     def __len__(self) -> int:
         return len(self.nodes)

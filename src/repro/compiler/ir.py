@@ -18,12 +18,10 @@ from dataclasses import dataclass, field
 
 from ..isa.opcodes import (
     BRANCHES,
-    COMPARES,
     FU_OF,
     INFO,
     LOADS,
     MEMOPS,
-    STORES,
     FUClass,
     Opcode,
 )
@@ -72,16 +70,8 @@ class IROp:
         return self.opcode in LOADS
 
     @property
-    def is_store(self) -> bool:
-        return self.opcode in STORES
-
-    @property
     def is_branch(self) -> bool:
         return self.opcode in BRANCHES
-
-    @property
-    def is_compare(self) -> bool:
-        return self.opcode in COMPARES
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         parts = [self.opcode.name.lower()]

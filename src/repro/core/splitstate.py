@@ -105,9 +105,3 @@ class PendingInstruction:
     @property
     def done(self) -> bool:
         return self.ops_remaining == 0
-
-    @property
-    def is_last_part_pending(self) -> bool:
-        """True while parts remain (the last-part signal fires when the
-        final part issues)."""
-        return self.ops_remaining > 0

@@ -610,11 +610,6 @@ def run_matrix(
     diffs the matrix against the journal first and logs the resume
     plan (the store probe alone already guarantees completed cells are
     not re-simulated).
-
-    A session with hooks attached always runs serially: hooks are
-    in-process observers whose state cannot come back from pool
-    workers, and silently dropping their events would corrupt whatever
-    they are accumulating.
     """
     # duplicate specs (e.g. `--threads 2 2`) would each miss the cache
     # before any result lands, costing a redundant pool simulation
@@ -642,7 +637,7 @@ def run_matrix(
     faults.install(session.fault_plan)
     outcome = "sweep-interrupted"
     try:
-        if jobs <= 1 or session.hooks:
+        if jobs <= 1:
             _run_serial(run, cells)
         else:
             pending = []

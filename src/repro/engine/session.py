@@ -1,15 +1,15 @@
-"""`SimulationSession` — the single execution path for all simulations.
+"""`SimulationSession` — the single result resolver for all simulations.
 
 A session owns the three things every run needs — machine config,
-experiment scale, and seed — and layers three result stores under one
-``run()`` call:
+experiment scale, and seed — and resolves each result from three
+layers under one ``run()`` call:
 
 1. an in-process memo (same-object returns, so figure generators share
    runs within a process);
 2. an optional content-hashed disk cache (:mod:`repro.engine.cache`),
    shared across processes and sessions;
 3. the simulator itself (:class:`~repro.pipeline.processor.Processor`),
-   the only place in the codebase that constructs one for experiments.
+   run through :meth:`Cell.simulate`.
 
 ``sweep()`` executes a policy × workload × thread-count matrix —
 optionally × memory-scenario (`memory=` presets from
@@ -21,7 +21,10 @@ independent deterministic simulation.
 
 Every call resolves its cell spec once, into a :class:`Cell`; that
 record is what the memo, the store, the simulator, telemetry, the
-journal, fault injection and the pool workers see.
+journal, fault injection and the pool workers see.  Observer runs
+(hooks, cycle attribution) resolve a cell with
+:meth:`SimulationSession.cell` and call :meth:`Cell.simulate`
+themselves, so their results never enter the memo or the store.
 """
 
 from __future__ import annotations
@@ -142,7 +145,9 @@ class Cell:
         attribute: bool = False,
     ) -> tuple[SimStats, Processor]:
         """Run the cell cycle by cycle; returns its stats and the
-        processor (which reports the run-loop tier it took)."""
+        processor (which reports the run-loop tier it took).  ``hooks``
+        and ``attribute`` attach observers (``docs/observability.md``);
+        they pin the reference loop and never change a counter."""
         from ..pipeline.processor import Processor
 
         proc = Processor(
@@ -179,20 +184,13 @@ class SimulationSession:
         cfg: MachineConfig = PAPER_MACHINE,
         cache_dir: str | None = None,
         jobs: int = 1,
-        hooks=None,
-        memory: str | None = None,
-        machine: str | None = None,
         telemetry: str | None = None,
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | str | None = None,
     ):
         self.scale = scale
-        self.cfg = _resolve_cfg(cfg, memory, machine)
-        #: the machine scenario whose timeslice factor applies to cells
-        #: without a machine coordinate of their own
-        self.machine = machine
+        self.cfg = cfg
         self.jobs = max(1, jobs)
-        self.hooks = tuple(hooks) if hooks else ()
         self.cache = ResultCache(cache_dir) if cache_dir else None
         #: durable sweep journal under the cache dir — the resumable
         #: scheduler's record of cell outcomes (``docs/robustness.md``);
@@ -228,10 +226,9 @@ class SimulationSession:
     # ----------------------------------------------------------- cells
     def _params(self, machine: str | None) -> SimParams:
         """Simulation parameters under one machine-scenario coordinate
-        (``None``: the session's machine): a scenario may scale the OS
+        (``None``: the session's config): a scenario may scale the OS
         timeslice (``fast-switch``), everything else is the scale's."""
         s = self.scale
-        machine = machine or self.machine
         return SimParams(
             target_instructions=s.target_instructions,
             timeslice=(
@@ -337,18 +334,12 @@ class SimulationSession:
                                            str | None]:
         """Memo, then store, never simulating: ``(stats, source, store
         key)`` with ``source`` ``"memo"``, ``"disk"`` or ``None`` on a
-        miss.  The store key is derived only after a memo miss.
-
-        A hooked session never reads the store: a disk hit would
-        return stats for a simulation whose events never fired in this
-        process, desynchronising hook state from the results.  (Memo
-        hits are fine — the in-process run that populated the memo
-        already fired its events.)"""
+        miss.  The store key is derived only after a memo miss."""
         stats = self._memo.get(cell.memo_key)
         if stats is not None:
             self.memo_hits += 1
             return stats, "memo", None
-        if self.hooks or self.cache is None:
+        if self.cache is None:
             return None, None, None
         key = self._disk_key(cell)
         stats = self.cache.get(key)
@@ -393,7 +384,7 @@ class SimulationSession:
             if rebuild is not None:
                 cell.bundles(self.cache)
                 cell = rebuild()
-            stats, proc = cell.simulate(self.cache, self.hooks)
+            stats, proc = cell.simulate(self.cache)
             self.simulations += 1
             key = self._adopt(cell, stats)
             source, loop_used = "simulated", proc.loop_used
@@ -425,40 +416,6 @@ class SimulationSession:
             self.cell(policy, workload, n_threads, memory, machine)
         )[0]
 
-    def attribute(
-        self,
-        policy: Policy | str,
-        workload,
-        n_threads: int,
-        memory: str | None = None,
-        machine: str | None = None,
-    ) -> SimStats:
-        """Cycle-attribution run for one cell: the per-cycle reference
-        loop with issue-slot accounting enabled
-        (``docs/observability.md``).  All ordinary counters are
-        bit-identical to :meth:`run`'s; the result additionally carries
-        ``SimStats.attribution``.
-
-        Attributed results live under their own memo key and never
-        touch the disk cache — a populated ``attribution`` block in a
-        shared cache entry would leak into non-attribution runs and
-        break the run-loop tiers' bit-identity contract."""
-        cell = self.cell(policy, workload, n_threads, memory, machine)
-        key = ("attr", *cell.memo_key[1:])
-        stats = self._memo.get(key)
-        if stats is not None:
-            self.memo_hits += 1
-            return stats
-        t0 = time.perf_counter()
-        stats, proc = cell.simulate(self.cache, self.hooks, attribute=True)
-        self.simulations += 1
-        self._memo[key] = stats
-        self.telemetry.record(**cell.telemetry(
-            "simulated", proc.loop_used, time.perf_counter() - t0,
-            proc.spec_seconds,
-        ))
-        return stats
-
     def run_single(self, bench: str, perfect_memory: bool = False) -> SimStats:
         """Single-thread baseline run of one benchmark (Fig. 13a's
         IPCr/IPCp columns): no multitasking, no renaming, run to the
@@ -479,7 +436,6 @@ class SimulationSession:
         policies=None,
         workloads=None,
         n_threads=(2, 4),
-        jobs: int | None = None,
         memory=None,
         machine=None,
         resume: bool = False,
@@ -511,7 +467,7 @@ class SimulationSession:
 
         return run_matrix(
             self, self._specs(policies, workloads, n_threads, memory, machine),
-            self.jobs if jobs is None else jobs, resume=resume,
+            self.jobs, resume=resume,
         )
 
     def prefetch(

@@ -262,8 +262,8 @@ def fig_why(
 ):
     """Cycle-attribution figure (``repro fig why``): per-policy
     issue-slot attribution fractions for one (workload, threads) cell.
-    Each row costs one reference-loop attribution run (memoised by the
-    session); the invariant ``sum(categories) == cycles * slots`` is
+    Each row costs one reference-loop attribution run (neither memoised
+    nor stored); the invariant ``sum(categories) == cycles * slots`` is
     checked on every row."""
     from ..obs.attribution import why_rows
 

@@ -145,9 +145,6 @@ class VLIWInstruction:
                 return op
         return None
 
-    def mem_addresses_placeholder(self) -> int:
-        return sum(1 for op in self.ops if op.is_mem)
-
     @property
     def size_bytes(self) -> int:
         """Approximate encoded size (4 B header + 4 B per operation)."""

@@ -19,7 +19,6 @@ across runs and machines.
 from __future__ import annotations
 
 from ..compiler.builder import KernelBuilder, Value
-from ..isa.opcodes import Opcode
 
 
 def prng_words(n: int, seed: int = 0x9E3779B9, lo: int = 0, hi: int = 1 << 32):
@@ -50,33 +49,3 @@ def emit_sat_add(b: KernelBuilder, x: Value, y: Value, bits: int = 15) -> Value:
     s = b.add(x, y)
     return emit_clamp(b, s, -(1 << bits) + 1, (1 << bits) - 1)
 
-
-def emit_cond_update(
-    b: KernelBuilder,
-    pred: Value,
-    dest: Value,
-    if_true: Value,
-) -> None:
-    """Branch-free select: dest = pred ? if_true : dest.
-
-    ``pred`` must be 0/1.  Used where real codecs use predication.
-    """
-    mask = b.sub(b.zero(), pred)  # 0 or 0xFFFFFFFF
-    keep = b.and_(dest, b.not_(mask))
-    take = b.and_(if_true, mask)
-    b.assign(dest, b.or_(keep, take))
-
-
-def branch_on_lt(b: KernelBuilder, a: Value, bound, target: str) -> None:
-    cond = b.cmp_to_branch(Opcode.CMPLT, a, bound)
-    b.br_if(cond, target)
-
-
-def branch_on_eq(b: KernelBuilder, a: Value, bound, target: str) -> None:
-    cond = b.cmp_to_branch(Opcode.CMPEQ, a, bound)
-    b.br_if(cond, target)
-
-
-def branch_on_ne(b: KernelBuilder, a: Value, bound, target: str) -> None:
-    cond = b.cmp_to_branch(Opcode.CMPNE, a, bound)
-    b.br_if(cond, target)

@@ -112,13 +112,15 @@ def why_rows(
 ) -> list[dict]:
     """Attribution breakdown per policy for one (workload, nt) cell.
 
-    Each policy costs one reference-loop simulation in ``session``
-    (memoised: a cached result that already carries attribution is
-    reused).
+    Each policy costs one reference-loop simulation of the cell
+    ``session`` resolves.  Attributed results are neither memoised nor
+    stored: a populated ``attribution`` block in a shared entry would
+    leak into plain runs.
     """
     rows = []
     for pol in policies:
-        s = session.attribute(pol, workload, n_threads, memory, machine)
+        cell = session.cell(pol, workload, n_threads, memory, machine)
+        s = cell.simulate(session.cache, attribute=True)[0]
         rows.append(
             {
                 "policy": pol if isinstance(pol, str) else pol.name,

@@ -236,10 +236,6 @@ class TraceBundle:
             )
         return self._rot_cache[r]
 
-    @property
-    def avg_ops_per_instr(self) -> float:
-        return self.total_ops / max(1, self.length)
-
     def _compute_fingerprint(self, addrs: list[int]) -> str:
         h = hashlib.sha256()
         h.update(self.name.encode())

@@ -119,28 +119,6 @@ def test_pooled_ledger_carries_cell_coordinates():
     assert coords(2) == serial
 
 
-# ------------------------------------------------------------ machine
-@pytest.mark.parametrize("machine", ["paper", "fast-switch"])
-def test_machine_session_scales_timeslice_once(machine):
-    """A session built on a machine scenario applies each cell's own
-    scenario timeslice factor exactly once."""
-    plain = SimulationSession(TINY).run("SMT", "llll", 2, machine=machine)
-    rebased = SimulationSession(TINY, machine="fast-switch").run(
-        "SMT", "llll", 2, machine=machine
-    )
-    assert rebased.to_dict() == plain.to_dict()
-
-
-def test_machine_session_default_cell_runs_its_scenario():
-    rebased = SimulationSession(TINY, machine="fast-switch")
-    cell = rebased.cell("SMT", "llll", 2)
-    assert cell.params.timeslice == TINY.timeslice // 4
-    assert cell.machine is None and cell.label == "SMT/llll/2"
-    assert rebased.run("SMT", "llll", 2).to_dict() == SimulationSession(
-        TINY
-    ).run("SMT", "llll", 2, machine="fast-switch").to_dict()
-
-
 # ------------------------------------------------------------ journal
 def test_warm_sweeps_journal_hits_in_both_modes(tmp_path):
     """Every cache hit gets its `done`/`cached` line, serial or

@@ -56,6 +56,26 @@ def test_parser_commands():
         ap.parse_args(["run", "--workload", "zzzz"])
 
 
+@pytest.mark.parametrize("argv", [
+    *([cmd, "--policy", "BOGUS"]
+      for cmd in ("run", "mem", "machine", "trace", "profile")),
+    ["why", "--policies", "BOGUS"],
+    *([cmd, "--machine", "gigantic"]
+      for cmd in ("run", "sweep", "why", "trace", "profile")),
+    ["run", "--machine", "narrow+l3"],
+    ["machine", "--machines", "paper", "gigantic"],
+])
+def test_cli_rejects_unknown_policy_and_machine(argv, capsys):
+    """An unknown policy or machine scenario exits 2 with argparse's
+    error naming the flag, before anything is resolved."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--quick", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"repro {argv[0]}: error: argument {argv[1]}: " in err
+    assert "Traceback" not in err
+
+
 def test_cli_run_quick(capsys):
     rc = main(["--quick", "run", "--policy", "SMT", "--workload", "llll",
                "--threads", "2"])

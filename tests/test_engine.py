@@ -205,8 +205,8 @@ def test_pool_respawned_for_new_kernels(tmp_path, monkeypatch):
 def test_hooks_observe_run(session):
     rec = CycleRecorder(limit=100)
     log = RetireLog()
-    hooked = SimulationSession(TINY, hooks=[rec, log])
-    stats = hooked.run("SMT", "llll", 2)
+    cell = SimulationSession(TINY).cell("SMT", "llll", 2)
+    stats = cell.simulate(hooks=[rec, log])[0]
     assert len(rec.samples) == 100
     assert sum(log.by_bench.values()) == stats.instructions
     assert log.context_switches == stats.context_switches
@@ -214,30 +214,6 @@ def test_hooks_observe_run(session):
     baseline = session.run("SMT", "llll", 2)
     assert stats.cycles == baseline.cycles
     assert stats.operations == baseline.operations
-
-
-def test_hooked_session_sweeps_serially():
-    """Hooks are in-process observers: a sweep on a hooked session must
-    not ship cells to pool workers (which would drop their events)."""
-    log = RetireLog()
-    s = SimulationSession(TINY, jobs=2, hooks=[log])
-    out = s.sweep(policies=["SMT"], workloads=["llll"], n_threads=(2,))
-    stats = out[("SMT", "llll", 2)]
-    assert sum(log.by_bench.values()) == stats.instructions
-
-
-def test_hooked_session_ignores_disk_cache(tmp_path):
-    """A warm disk cache must not starve hooks of their events: hooked
-    sessions re-simulate (and their results still agree with cached)."""
-    warm = SimulationSession(TINY, cache_dir=tmp_path / "c")
-    cached = warm.run("SMT", "llll", 2)
-
-    log = RetireLog()
-    hooked = SimulationSession(TINY, cache_dir=tmp_path / "c", hooks=[log])
-    stats = hooked.run("SMT", "llll", 2)
-    assert hooked.simulations == 1
-    assert sum(log.by_bench.values()) == stats.instructions
-    assert stats.cycles == cached.cycles
 
 
 def test_hooks_attach_to_processor_directly(tiny_traces):

@@ -685,15 +685,6 @@ def test_prefetched_line_evicted_before_use_not_counted_useful():
     assert mem.prefetch_useful == 0
 
 
-def test_session_memory_default(tmp_path):
-    s = SimulationSession(TINY, memory="l2")
-    assert s.cfg.memory.name == "l2"
-    stats = s.run("SMT", "llll", 2)
-    assert stats.memory["preset"] == "l2"
-    # naming the session's own preset reuses the same memo cell
-    assert s.run("SMT", "llll", 2, memory="l2") is stats
-
-
 def test_mshr_preset_changes_results_and_reports(session):
     blocking = session.run("CCSI AS", "llhh", 4, memory="slow-dram")
     nb = session.run("CCSI AS", "llhh", 4, memory="mshr")

@@ -125,26 +125,29 @@ def test_attribution_fractions_and_bar():
 
 
 def test_session_attribute_memoised_and_cache_isolated(tmp_path):
-    """session.attribute(): one simulation, memoised; attributed
-    results never land in the disk cache (a populated attribution
-    block in a shared entry would leak into plain runs)."""
+    """An attribution run simulates the session's cell itself: its
+    counters equal a plain run's, and nothing lands in the memo or the
+    store (a populated attribution block in a shared entry would leak
+    into plain runs)."""
     session = SimulationSession(TINY, cache_dir=str(tmp_path / "c"))
-    a1 = session.attribute("SMT", "llll", 2)
-    assert session.simulations == 1
+    row, = why_rows(session, ["SMT"], "llll", 2)
+    attributed, proc = session.cell("SMT", "llll", 2).simulate(
+        session.cache, attribute=True
+    )
+    assert proc.loop_used == "reference"
+    check_attribution(attributed)
+    assert session.simulations == 0
     assert session.cache.stores == 0  # nothing persisted
-    a2 = session.attribute("SMT", "llll", 2)
-    assert a2 is a1 and session.simulations == 1
-    check_attribution(a1)
-    # a plain run of the same cell is a fresh simulation with an empty
-    # attribution block, and it does persist
+    assert session.cache_stats()["memo_entries"] == 0
     plain = session.run("SMT", "llll", 2)
     assert plain.attribution == {}
-    assert session.simulations == 2
+    assert session.simulations == 1
     assert session.cache.stores == 1
     # counters agree between the attributed and plain result
-    da, dp = a1.to_dict(), plain.to_dict()
+    da, dp = attributed.to_dict(), plain.to_dict()
     da.pop("attribution"), dp.pop("attribution")
     assert da == dp
+    assert (row["ipc"], row["cycles"]) == (plain.ipc, plain.cycles)
 
 
 def test_why_rows_and_render():
@@ -162,8 +165,8 @@ def test_why_rows_and_render():
 # ------------------------------------------------------- trace export
 def test_trace_exporter_document_shape():
     exporter = TraceExporter(counter_every=50)
-    session = SimulationSession(TINY, hooks=[exporter])
-    stats = session.run("CCSI AS", "llll", 2)
+    cell = SimulationSession(TINY).cell("CCSI AS", "llll", 2)
+    stats = cell.simulate(hooks=[exporter])[0]
     doc = exporter.to_document()
     json.loads(json.dumps(doc))  # serializable as-is
     n = validate_trace_document(doc)
@@ -189,8 +192,9 @@ def test_trace_exporter_document_shape():
 
 def test_trace_exporter_cap_and_write(tmp_path):
     exporter = TraceExporter(limit=25)
-    session = SimulationSession(TINY, hooks=[exporter])
-    session.run("SMT", "llll", 2)
+    SimulationSession(TINY).cell("SMT", "llll", 2).simulate(
+        hooks=[exporter]
+    )
     assert exporter.truncated
     non_meta = [e for e in exporter.events if e["ph"] != "M"]
     assert len(non_meta) == 25
@@ -201,10 +205,9 @@ def test_trace_exporter_cap_and_write(tmp_path):
 
 
 def test_traced_run_bit_identical():
-    hooked = SimulationSession(TINY, hooks=[TraceExporter()])
-    plain = SimulationSession(TINY)
-    hs = hooked.run("CCSI AS", "llll", 2)
-    ps = plain.run("CCSI AS", "llll", 2)
+    cell = SimulationSession(TINY).cell("CCSI AS", "llll", 2)
+    hs = cell.simulate(hooks=[TraceExporter()])[0]
+    ps = SimulationSession(TINY).run("CCSI AS", "llll", 2)
     assert hs.to_dict() == ps.to_dict()
 
 
@@ -320,6 +323,22 @@ def test_cli_trace_smoke(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
     doc = json.loads(out_path.read_text())
     validate_trace_document(doc)
+
+
+def test_cli_trace_leaves_the_store_untouched(tmp_path, capsys):
+    """`repro trace` simulates its cell in-process and neither reads
+    nor writes the result store or the fingerprint index."""
+    from repro.cli import main
+
+    cache = str(tmp_path / "c")
+    rc = main(["--quick", "--cache-dir", cache, "trace", "--policy",
+               "SMT", "--workload", "llll", "--threads", "2", "--out",
+               str(tmp_path / "trace.json"), "--limit", "500"])
+    assert rc == 0
+    capsys.readouterr()
+    assert main(["--cache-dir", cache, "cache", "verify"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("0 ok, ") and "; index: 0 ok, " in out
 
 
 def test_cli_stats_smoke(tmp_path, capsys):

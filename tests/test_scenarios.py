@@ -251,19 +251,6 @@ def test_disk_cache_distinguishes_timeslice_factor(tmp_path):
     assert s1.simulations == 2
 
 
-def test_session_machine_constructor(tmp_path):
-    """SimulationSession(machine=...) rebases the whole session, and
-    its cells land on the same cache entries as the per-run axis."""
-    s1 = SimulationSession(TINY, cache_dir=tmp_path / "c",
-                           machine="narrow")
-    a = s1.run("SMT", "llll", 2)
-    assert a.issue_width == 8
-    s2 = SimulationSession(TINY, cache_dir=tmp_path / "c")
-    b = s2.run("SMT", "llll", 2, machine="narrow")
-    assert s2.simulations == 0  # hit s1's entry
-    assert b.cycles == a.cycles
-
-
 def test_trace_memo_shared_across_memory_presets():
     """One compile + trace per machine shape: configs differing only in
     the memory hierarchy (invisible to compiler and VM) must share the
@@ -334,8 +321,9 @@ def test_cli_machine_flags_and_commands(capsys):
 
     assert _json.loads(capsys.readouterr().out)["ipc"] > 0
 
-    # a typo prints the registry, not a traceback
-    rc = main(["--quick", "run", "--machine", "gigantic"])
-    assert rc == 2
+    # a typo prints the registry, not a traceback: argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--quick", "run", "--machine", "gigantic"])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unknown machine scenario" in err
