@@ -5,8 +5,9 @@ currency (``docs/analysis.md`` has the full catalogue):
 
 * :mod:`~repro.analysis.loopcheck` — prove every generated
   specialised run loop well-formed before it is ever ``exec()``'d:
-  closed free-name set, provable loop exits, and every inlined
-  literal re-derived independently from the resolved scenario spec.
+  closed free-name set, provable loop exits, and every unrolled
+  per-cluster arm and priority rotation consistent with the loop's
+  shape (the scenario's numbers are bound from ``proc``, not inlined).
   Hooked into ``specialize.get_specialized_loop`` (strict mode rejects
   a bad generation instead of executing it).
 * :mod:`~repro.analysis.counterflow` — the two run-loop tiers must

@@ -180,7 +180,7 @@ def tier_counter_sets() -> list[CounterSet]:
     params = SimParams()
     for policy in ALL_POLICIES:
         src = specialize.generate_loop_source(
-            policy, PAPER_MACHINE, params, 4, 4
+            specialize.loop_key(policy, PAPER_MACHINE, params, 4, 4)
         )
         fn = ast.parse(src).body[-1]
         sim, bench = _closure_writes(fn, methods)

@@ -15,10 +15,10 @@ average IPC per policy x machine scenario)
 ``machine``  — machine-sensitivity report across machine scenarios
 ``scenarios``— list the declarative machine-scenario registry
 ``report``   — run the full matrix and (re)write EXPERIMENTS.md
-``profile``  — cProfile one quick simulation, print the hottest
-functions (simulator-core time only: traces are built before the
-profiler starts); ``--out prof.pstats`` saves the raw profile,
-``--out prof.txt`` a readable dump
+``profile``  — cProfile one simulation, print the hottest functions
+(simulator-core time only: traces are built before the profiler
+starts); ``--out prof.pstats`` saves the raw profile, ``--out
+prof.txt`` a readable dump
 ``why``      — cycle attribution: where every issue slot of every
 cycle went, per policy (``repro fig why`` is the stacked-bar figure)
 ``trace``    — simulate one cell with the Chrome trace-event exporter
@@ -53,17 +53,19 @@ presets and sweeps them as a fourth matrix axis.  They likewise take
 names, or ``<machine>+<memory>`` compositions like ``narrow+l2``);
 ``sweep --machine`` sweeps machines as a matrix axis of their own.
 
-Global flags ``--jobs N`` (process-pool width: a sweep, and every
-harness function for the cells it reads) and ``--cache-dir DIR``
-(content-hashed on-disk result cache; a rerun with an unchanged
-machine/scale re-simulates nothing) apply to every command; all
-simulations flow through :class:`repro.engine.SimulationSession`.
+The global session flags are ``--quick`` (small traces),
+``--jobs N`` (process-pool width: a sweep, and every harness function
+for the cells it reads), ``--cache-dir DIR`` (content-hashed on-disk
+result cache; a rerun with an unchanged machine/scale re-simulates
+nothing) and ``--telemetry FILE`` (append one JSON line of engine
+telemetry per resolved cell, see ``docs/observability.md``).  Each
+command declares the ones it uses (:data:`SESSION_FLAGS`); given to a
+command that does not use it, a flag exits 2 instead of being ignored.
 
 Diagnostics go through the ``repro`` :mod:`logging` tree on stderr
 (stdout stays machine-parseable): ``-v/--verbose`` for debug detail
 with worker-PID attribution, ``-q/--quiet`` to silence informational
-lines, ``--telemetry FILE`` to append one JSON line of engine
-telemetry per resolved cell (see ``docs/observability.md``).
+lines.
 """
 
 from __future__ import annotations
@@ -95,6 +97,28 @@ from .harness.workloads import WORKLOADS
 from .obs.logcfg import setup_logging
 
 _log = logging.getLogger("repro.cli")
+
+#: the global flags that configure a simulation session, by ``args``
+#: attribute; each command uses a subset and rejects the rest
+SESSION_FLAGS = {
+    "quick": "--quick",
+    "jobs": "--jobs",
+    "cache_dir": "--cache-dir",
+    "telemetry": "--telemetry",
+}
+_ALL = frozenset(SESSION_FLAGS)
+#: commands that resolve their cells one at a time: no pool to size
+_SERIAL = _ALL - {"jobs"}
+#: attribution runs: serial and outside the telemetry ledger; the
+#: traces they record feed the store's fingerprint index
+_OBSERVER = frozenset({"quick", "cache_dir"})
+
+
+def _fig_uses(args) -> frozenset:
+    if args.number == "why":
+        return _OBSERVER
+    # Fig. 13a's single-thread baselines are resolved one by one
+    return _SERIAL if args.number == "13" else _ALL
 
 
 def _session(args, retry=None) -> SimulationSession:
@@ -467,19 +491,20 @@ def cmd_cache(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    """Profile the simulation core on one quick scenario.
+    """Profile the simulation core on one scenario.
 
-    Always uses the quick experiment scale (profiling is about where
-    time goes, not statistical weight), builds the traces *before*
-    enabling the profiler, and never touches the result cache — the
-    whole point is to run the simulator for real.
+    Builds the traces *before* enabling the profiler, and never
+    touches the result cache — the whole point is to run the simulator
+    for real.
     """
     import cProfile
     import pstats
 
     from .pipeline.processor import Processor
 
-    cell = SimulationSession(QUICK_SCALE).cell(
+    cell = SimulationSession(
+        QUICK_SCALE if args.quick else DEFAULT_SCALE
+    ).cell(
         args.policy, args.workload, args.threads,
         memory=args.memory, machine=args.machine,
     )
@@ -580,9 +605,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_global_flags(ap, defaults=True)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, **kw):
+    def add_parser(name: str, uses, **kw):
+        # ``uses``: the SESSION_FLAGS the command honours (or a
+        # function of its parsed args that returns them)
         p = sub.add_parser(name, formatter_class=formatter, **kw)
         add_global_flags(p, defaults=False)
+        p.set_defaults(uses=uses)
         return p
 
     machine_help = (
@@ -613,12 +641,12 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="SCENARIO",
                            help=machine_help + " (default: paper)")
 
-    p = add_parser("run", help="simulate one policy/workload cell")
+    p = add_parser("run", _SERIAL, help="simulate one policy/workload cell")
     add_cell_flags(p)
     p.set_defaults(func=cmd_run)
 
     p = add_parser(
-        "sweep", help="run the policy x workload x threads matrix"
+        "sweep", _ALL, help="run the policy x workload x threads matrix"
     )
     p.add_argument("--policies", nargs="+", default=None,
                    choices=sorted(BY_NAME), metavar="POLICY",
@@ -655,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = add_parser(
-        "cache",
+        "cache", frozenset({"cache_dir"}),
         help="inspect or repair a --cache-dir result store "
              "(verify / repair / gc / clear)",
     )
@@ -667,7 +695,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cache)
 
     p = add_parser(
-        "mem", help="memory-sensitivity report across hierarchy presets"
+        "mem", _ALL,
+        help="memory-sensitivity report across hierarchy presets",
     )
     add_cell_flags(p, scenario=False)
     p.add_argument("--memory", nargs="+", default=None,
@@ -676,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mem)
 
     p = add_parser(
-        "machine",
+        "machine", _ALL,
         help="machine-sensitivity report across machine scenarios",
     )
     add_cell_flags(p, scenario=False)
@@ -686,14 +715,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_machine)
 
     p = add_parser(
-        "scenarios", help="list the machine-scenario registry"
+        "scenarios", frozenset(), help="list the machine-scenario registry"
     )
     # the global -v doubles as "include descriptions and content
     # fingerprints" here
     p.set_defaults(func=cmd_scenarios)
 
     p = add_parser(
-        "fig",
+        "fig", _fig_uses,
         help="regenerate a paper figure, `fig mem` for the memory-"
              "sensitivity figure, `fig machine` for the machine-"
              "sensitivity figure, or `fig why` for the cycle-"
@@ -714,7 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig)
 
     p = add_parser(
-        "lint",
+        "lint", frozenset(),
         help="static verification: determinism linter, counter-flow "
              "check, generated-loop verification (docs/analysis.md)",
     )
@@ -730,20 +759,20 @@ def build_parser() -> argparse.ArgumentParser:
                         "installed repro package)")
     p.set_defaults(func=cmd_lint)
 
-    p = add_parser("claims", help="evaluate the paper's claims")
+    p = add_parser("claims", _ALL, help="evaluate the paper's claims")
     p.set_defaults(func=cmd_claims)
 
-    p = add_parser("waste", help="issue-waste decomposition")
+    p = add_parser("waste", _ALL, help="issue-waste decomposition")
     p.add_argument("--workload", default="llhh", choices=list(WORKLOADS))
     p.add_argument("--threads", type=int, default=4, choices=(2, 4))
     p.set_defaults(func=cmd_waste)
 
-    p = add_parser("report", help="write EXPERIMENTS.md")
+    p = add_parser("report", _ALL, help="write EXPERIMENTS.md")
     p.add_argument("--output", default="EXPERIMENTS.md")
     p.set_defaults(func=cmd_report)
 
     p = add_parser(
-        "why",
+        "why", _OBSERVER,
         help="cycle attribution: where every issue slot went, per "
              "policy",
     )
@@ -754,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_why)
 
     p = add_parser(
-        "trace",
+        "trace", frozenset({"quick"}),
         help="simulate one cell and write Chrome trace-event JSON "
              "(open in Perfetto / chrome://tracing)",
     )
@@ -770,15 +799,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = add_parser(
-        "stats",
+        "stats", frozenset(),
         help="aggregate a --telemetry JSONL file into the sweep digest",
     )
     p.add_argument("file", help="telemetry JSONL file to aggregate")
     p.set_defaults(func=cmd_stats)
 
     p = add_parser(
-        "profile",
-        help="cProfile one quick simulation, print hottest functions",
+        "profile", frozenset({"quick"}),
+        help="cProfile one simulation, print hottest functions",
     )
     add_cell_flags(p)
     p.add_argument("--top", type=int, default=15, metavar="N",
@@ -800,7 +829,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    uses = args.uses(args) if callable(args.uses) else args.uses
+    for dest, flag in SESSION_FLAGS.items():
+        if dest not in uses and getattr(args, dest) != parser.get_default(
+            dest
+        ):
+            command = args.command + (
+                f" {args.number}" if args.command == "fig" else ""
+            )
+            parser.error(f"{flag} has no effect on `repro {command}`")
     setup_logging(
         getattr(args, "verbose", False), getattr(args, "quiet", False)
     )

@@ -33,6 +33,7 @@ def waste_breakdown(
     workload: str,
     n_threads: int,
 ) -> list[WasteRow]:
+    session.prefetch(policies, [workload], (n_threads,))
     rows = []
     for pol in policies:
         p = get_policy(pol) if isinstance(pol, str) else pol

@@ -1,23 +1,21 @@
-"""Scenario-specialised run-loop code generation.
+"""Shape-specialised run-loop code generation.
 
 The simulator has two run-loop tiers: the loop generated here, which
 runs every cell without hooks or attribution, and the per-cycle
 reference oracle (:meth:`Processor._run_reference`).  The oracle
-re-evaluates per cycle a pile of facts that are constants once a
-scenario is resolved: the split level, the merge level, the memory class (flat vs
-hierarchical, blocking vs MSHR), whether multitasking is on, the
-priority rotation, and every scenario parameter (timeslice, penalties,
-packed capacities, the instruction target).  This module generates the
-*source* of a monomorphic run loop for one resolved
-``(policy, machine, memory, n_threads)`` cell:
+re-evaluates per cycle facts that are fixed once a scenario is
+resolved: the split level, the merge level, the memory class (flat vs
+hierarchical, blocking vs MSHR, perfect), whether multitasking is on
+and the priority rotation.  This module generates the *source* of a
+monomorphic run loop for one :class:`LoopShape`, the structural
+projection of a resolved ``(policy, machine, memory, n_threads)``
+cell:
 
-* scenario constants (timeslice, packed issue capacity, SWAR guard
-  mask, priority orders, branch/miss penalties, target) are inlined as
-  literals;
 * structurally-dead branches are deleted at generation time — a
   single-benchmark run carries no scheduler block, a flat-memory run
-  probes the L1 sets directly instead of the hierarchy walker, an AS
-  policy carries no ICC-atomicity branch, a no-split policy carries no
+  probes the L1 sets directly instead of the hierarchy walker, a
+  perfect-memory run counts its probes and never stalls, an AS policy
+  carries no ICC-atomicity branch, a no-split policy carries no
   buffered-store/commit machinery at all;
 * the per-thread priority rotation is precomputed into tuples of
   *thread objects*, so the inner loop never indexes ``threads[t]``;
@@ -28,6 +26,15 @@ packed capacities, the instruction target).  This module generates the
   pairs under op split; a bare static index suffices for no-split
   policies), eliminating one object construction per fetched
   instruction.
+
+The scenario's *numbers* (instruction target, cycle limit, timeslice,
+taken-branch and L1 miss penalties, L1 set masks and line shifts,
+packed issue capacity and SWAR guard mask) are not in the source: the
+loop's setup block binds each of them once, from the same objects the
+reference loop reads (``proc._target``, ``proc.params``,
+``proc.engine``, ``proc.cfg``, the L1 caches and ``proc.mem``).  The
+generator never receives them, so the two tiers agree on them by
+construction, and cells that differ only in numbers share one loop.
 
 Four fast paths exist only here, not in the oracle:
 
@@ -57,19 +64,18 @@ pins the idle-skip boundaries.
 
 The generated function is statically verified
 (:mod:`repro.analysis.loopcheck`: closed free-name set, provable loop
-exits, every inlined literal re-derived from the resolved spec),
-then ``compile()``d/``exec``d once and memoised by :func:`loop_key` —
-policy shape + :func:`machine_fingerprint` (the same canonical hash
-the disk cache keys on) + the scenario parameters the source inlines.
-Generation failures and verification rejections are memoised as
-``None`` so :meth:`Processor.run` falls back to ``_run_reference``, with
-the rule names + cell fingerprint logged through the ``repro``
-logging tree (set ``REPRO_SPECIALIZE_STRICT=1`` to re-raise instead,
-e.g. in CI — a bad generation is then rejected before it executes).
+exits, every unrolled per-cluster arm naming its own cluster), then
+``compile()``d/``exec``d once and memoised by :func:`loop_key`, the
+cell's shape.  Generation failures and verification rejections are
+memoised as ``None`` so :meth:`Processor.run` falls back to
+``_run_reference``, with the rule names + cell fingerprint logged
+through the ``repro`` logging tree (set ``REPRO_SPECIALIZE_STRICT=1``
+to re-raise instead, e.g. in CI — a bad generation is then rejected
+before it executes).
 
 Process-pool workers get their loops by fork: before the pool forks,
 the parent generates and verifies every pending cell's loop, once per
-distinct loop key, with :func:`verified_source` (compiling nothing: the
+distinct shape, with :func:`verified_source` (compiling nothing: the
 parent runs no loop).  Each worker inherits the verified text and the
 memoised rejections, so it only compiles, and never runs ``loopcheck``
 (see ``repro.engine.runner``).
@@ -80,9 +86,9 @@ from __future__ import annotations
 import logging
 import os
 import textwrap
+from typing import NamedTuple
 
 from ..arch.config import MachineConfig
-from ..arch.resources import capacity_packed, guards_mask
 from ..arch.scenarios import machine_fingerprint
 from ..core.policies import Policy
 from ..core.priority import make_priority
@@ -113,31 +119,49 @@ def clear_cache() -> None:
     _stats.update(hits=0, misses=0, failures=0, rejected=0)
 
 
+class LoopShape(NamedTuple):
+    """What a generated loop's source depends on: the policy's
+    structure, the cluster count the per-cluster scans unroll over,
+    the memory class (``flat`` inline-L1, ``perfect``, ``hier``
+    blocking or ``mshr`` non-blocking), the thread count and priority
+    the rotation tuples are built from, and whether a scheduler block
+    runs.  Every number of the scenario is read from ``proc`` when the
+    loop starts, so cells that differ only in numbers share a loop."""
+
+    merge: str
+    split: str
+    comm_split: bool
+    n_clusters: int
+    memory: str
+    n_threads: int
+    multitasking: bool
+    priority: str
+
+
 def loop_key(
     policy: Policy,
     cfg: MachineConfig,
     params,
     n_threads: int,
     n_benches: int,
-) -> tuple:
-    """Memo key: everything the generated source inlines.
-
-    Machine content is folded through :func:`machine_fingerprint` (the
-    canonical scenario hash the disk cache keys on), so two config
-    objects that are field-for-field equal share one compiled loop.
-    """
-    return (
+) -> LoopShape:
+    """Memo key: the cell's :class:`LoopShape`, everything the
+    generator receives."""
+    if params.perfect_memory:
+        memory = "perfect"
+    elif cfg.memory.is_flat:
+        memory = "flat"
+    else:
+        memory = "mshr" if cfg.memory.mshr > 0 else "hier"
+    return LoopShape(
         policy.merge,
         policy.split,
         policy.comm_split,
-        machine_fingerprint(cfg),
+        cfg.n_clusters,
+        memory,
         n_threads,
-        n_benches > 1,
+        n_benches > 1 and params.timeslice > 0,
         params.priority,
-        params.timeslice,
-        params.target_instructions,
-        params.max_cycles,
-        bool(params.perfect_memory),
     )
 
 
@@ -182,7 +206,7 @@ def verified_source(
     :func:`repro.analysis.loopcheck.check_source`, or ``None`` if
     generation failed or was rejected (memoised and logged like
     :func:`get_specialized_loop`'s failures).  Generates and verifies
-    each key once and compiles nothing: a pool parent calls it for
+    each shape once and compiles nothing: a pool parent calls it for
     every pending cell before it forks the workers that run the loop."""
     key = loop_key(policy, cfg, params, n_threads, n_benches)
     if key in _loops and _loops[key] is None:
@@ -190,14 +214,12 @@ def verified_source(
     src = _sources.get(key)
     if src is None:
         try:
-            src = generate_loop_source(
-                policy, cfg, params, n_threads, n_benches
-            )
+            src = generate_loop_source(key)
             # imported late: analysis.loopcheck imports this module
             from ..analysis import loopcheck
 
             findings = loopcheck.check_source(
-                policy, cfg, params, n_threads, n_benches, src,
+                key, src,
                 label=f"<specialized {_cell_name(policy, cfg, n_threads)}>",
             )
             if findings:
@@ -223,9 +245,9 @@ def get_specialized_loop(
 
     Every fresh generation is verified by
     :func:`repro.analysis.loopcheck.check_source` *before* ``exec()``:
-    a loop with an unexpected free name, an unprovable exit edge or an
-    inlined literal that disagrees with the resolved spec is never
-    executed.  Under :data:`STRICT` the rejection raises
+    a loop with an unexpected free name, an unprovable exit edge or a
+    per-cluster arm that names the wrong cluster is never executed.
+    Under :data:`STRICT` the rejection raises
     :class:`~repro.analysis.loopcheck.LoopVerificationError`;
     otherwise it is memoised and logged (rule names + the cell's
     machine fingerprint) through the ``repro`` logging tree — like
@@ -269,50 +291,36 @@ def _dd(text: str) -> str:
     return textwrap.dedent(text).strip("\n")
 
 
-def generate_loop_source(
-    policy: Policy,
-    cfg: MachineConfig,
-    params,
-    n_threads: int,
-    n_benches: int,
-) -> str:
-    """Emit the source of the monomorphic run loop for one cell."""
-    split = policy.split
+def generate_loop_source(shape: LoopShape) -> str:
+    """Emit the source of the monomorphic run loop for one shape."""
+    split = shape.split
     if split not in ("none", "cluster", "op"):
         raise ValueError(f"unknown split level {split!r}")
-    if policy.merge not in ("op", "cluster"):
-        raise ValueError(f"unknown merge level {policy.merge!r}")
-    op_merge = policy.merge == "op"
-    comm_split = policy.comm_split
-    perfect = bool(params.perfect_memory)
-    flat = perfect or cfg.memory.is_flat
-    inline_l1 = flat and not perfect
-    cluster_bits = [(c, 1 << c) for c in range(cfg.n_clusters)]
-    nonblocking = cfg.memory.mshr > 0 and not perfect
-    timeslice = params.timeslice
-    multi = n_benches > 1 and timeslice > 0
-    orders = make_priority(params.priority, n_threads).orders
-    guards = guards_mask(cfg.n_clusters)
-    capacity = capacity_packed(cfg)
-    iline_shift = cfg.icache.line_bytes.bit_length() - 1
-    tp = cfg.taken_branch_penalty
+    if shape.merge not in ("op", "cluster"):
+        raise ValueError(f"unknown merge level {shape.merge!r}")
+    if shape.memory not in ("flat", "perfect", "hier", "mshr"):
+        raise ValueError(f"unknown memory class {shape.memory!r}")
+    op_merge = shape.merge == "op"
+    comm_split = shape.comm_split
+    perfect = shape.memory == "perfect"
+    inline_l1 = shape.memory == "flat"
+    cluster_bits = [(c, 1 << c) for c in range(shape.n_clusters)]
+    nonblocking = shape.memory == "mshr"
+    multi = shape.multitasking
+    orders = make_priority(shape.priority, shape.n_threads).orders
 
-    # ---- small literal fragments --------------------------------------
-    fetch_at_expr = (
-        f"cycle + ({1 + tp} if taken else 1)" if tp else "cycle + 1"
-    )
     # Retire bookkeeping, assuming ``bstats`` is already in a local
     # (the issue path loads it once for the operations counter and the
     # retire shares it).  Callers that retire without issuing prepend
     # the load; callers with live pending state prepend the clear.
-    retire_tail = _dd(f"""
+    retire_tail = _dd("""
         pos = bench.pos
         taken = th.taken[pos]
-        th.fetch_at = {fetch_at_expr}
+        th.fetch_at = cycle + (taken_delay if taken else 1)
         bench.pos = pos = pos + 1
         bstats.instructions += 1
         instructions += 1
-        if bstats.instructions >= {params.target_instructions}:
+        if bstats.instructions >= target:
             target_hit = True
         if pos >= bench.bundle.length:
             bench.pos = 0
@@ -329,24 +337,20 @@ def generate_loop_source(
         # line from its set and reinsert it as MRU, exactly as
         # ``Cache.access`` does; only a miss calls ``access``, which
         # then finds the line absent and fills/evicts as usual
-        ifetch = f"""
-            ways = l1i_sets[line & {cfg.icache.n_sets - 1}]
+        ifetch = """
+            ways = l1i_sets[line & iset_mask]
             d = ways.pop(line, None)
             if d is None:
                 l1i_access(pc)
                 icache_misses += 1
-                th.fetch_at = cycle + {cfg.icache.miss_penalty}
+                th.fetch_at = cycle + imiss
                 continue
             ways[line] = d
             l1i_hits += 1
         """
-    elif flat:
-        ifetch = f"""
-            if not l1i_access(pc):
-                icache_misses += 1
-                th.fetch_at = cycle + {cfg.icache.miss_penalty}
-                continue
-        """
+    elif perfect:
+        # a perfect cache only counts the probe: it never misses
+        ifetch = "l1i_access(pc)"
     else:
         ifetch = """
             lat = iaccess(pc, cycle)
@@ -359,30 +363,25 @@ def generate_loop_source(
     # The data probe is unrolled over clusters: each cluster gets a
     # literal mask test, so the generic bit-scan loop (shift + counter
     # per cluster) disappears.  ``Cache.access`` only ever uses
-    # ``is_write`` for truthiness, so the flat path passes the raw mask
-    # bit and skips the ``bool()`` call.
-    dline_shift = cfg.dcache.line_bytes.bit_length() - 1
+    # ``is_write`` for truthiness, so the flat and perfect paths pass
+    # the raw mask bit and skip the ``bool()`` call.
     probe_blocks = []
     for c, bit in cluster_bits:
         if inline_l1:
             miss = f"""
-            dline = addr >> {dline_shift}
-            ways = l1d_sets[dline & {cfg.dcache.n_sets - 1}]
+            dline = addr >> dline_shift
+            ways = l1d_sets[dline & dset_mask]
             d = ways.pop(dline, None)
             if d is None:
                 l1d_access(addr, store_mask & {bit})
                 dcache_misses += 1
-                penalty += {cfg.dcache.miss_penalty}
+                penalty += dmiss
             else:
                 ways[dline] = d or store_mask & {bit}
                 l1d_hits += 1
             """
-        elif flat:
-            miss = f"""
-            if not l1d_access(addr, store_mask & {bit}):
-                dcache_misses += 1
-                penalty += {cfg.dcache.miss_penalty}
-            """
+        elif perfect:
+            miss = f"l1d_access(addr, store_mask & {bit})"
         elif nonblocking:
             # MSHRs: misses all issue at ``cycle`` and overlap; the
             # thread stalls for the slowest
@@ -411,11 +410,17 @@ def generate_loop_source(
 {_block(miss, 20)}
             """)
         )
-    dprobe = "\n".join(
-        [
-            "cols = th.addr_cols",
-            "pos = bench.pos",
-            "store_mask = table.store_cmask[i]",
+    head = [
+        "cols = th.addr_cols",
+        "pos = bench.pos",
+        "store_mask = table.store_cmask[i]",
+    ]
+    if perfect:
+        # a perfect cache never misses: its probes charge no stall
+        dprobe = "\n".join(head + probe_blocks)
+    else:
+        dprobe = "\n".join([
+            *head,
             "penalty = 0",
             *probe_blocks,
             _dd("""
@@ -424,8 +429,7 @@ def generate_loop_source(
                 if su > th.stall_until:
                     th.stall_until = su
             """),
-        ]
-    )
+        ])
 
     fetch_guard = (
         "if switching or cycle < th.fetch_at:"
@@ -440,10 +444,10 @@ def generate_loop_source(
             """Whole-instruction merge; ``fail`` runs on a conflict."""
             if op_merge:
                 return _dd(f"""
-                left = (e_remaining | {guards}) - table.packed[i]
-                if left & {guards} != {guards}:
+                left = (e_remaining | guards) - table.packed[i]
+                if left & guards != guards:
 {_block(fail, 20)}
-                e_remaining = left ^ {guards}
+                e_remaining = left ^ guards
                 """)
             return _dd(f"""
             cm = table.cmask[i]
@@ -485,7 +489,7 @@ def generate_loop_source(
                 continue
             i = th.idx[bench.pos]
             pc = table.pc[i]
-            line = pc >> {iline_shift}
+            line = pc >> iline_shift
             if line != th.last_iline:
                 th.last_iline = line
                 icache_accesses += 1
@@ -511,9 +515,9 @@ def generate_loop_source(
         def swar_take(usage: str, then: str) -> str:
             """Charge ``usage`` against ``e_remaining`` if it fits."""
             return _dd(f"""
-            left = (e_remaining | {guards}) - {usage}
-            if left & {guards} == {guards}:
-                e_remaining = left ^ {guards}
+            left = (e_remaining | guards) - {usage}
+            if left & guards == guards:
+                e_remaining = left ^ guards
 {_block(then, 16)}
             """)
 
@@ -582,15 +586,15 @@ def generate_loop_source(
                 """
         else:  # op-level split (always op-level merge)
             make_pend = "pend = th.pend = [i, n, False, 0, table.ops_use[i]]"
-            merge_part = f"""
+            merge_part = """
             rem0 = pend[1]
             still = []
             n = 0
             mem = 0
             for use in pend[4]:
-                left = (e_remaining | {guards}) - use[0]
-                if left & {guards} == {guards}:
-                    e_remaining = left ^ {guards}
+                left = (e_remaining | guards) - use[0]
+                if left & guards == guards:
+                    e_remaining = left ^ guards
                     mem |= use[1]
                     n += 1
                 else:
@@ -613,11 +617,11 @@ def generate_loop_source(
             # state, so the instruction retires this cycle and the
             # per-part bookkeeping writes are dead.
             if op_merge:
-                atomic_check = f"""
-                left = (e_remaining | {guards}) - table.packed[i]
-                if left & {guards} != {guards}:
+                atomic_check = """
+                left = (e_remaining | guards) - table.packed[i]
+                if left & guards != guards:
                     continue
-                e_remaining = left ^ {guards}
+                e_remaining = left ^ guards
                 """
             else:
                 atomic_check = """
@@ -681,7 +685,7 @@ def generate_loop_source(
                 continue
             i = th.idx[bench.pos]
             pc = table.pc[i]
-            line = pc >> {iline_shift}
+            line = pc >> iline_shift
             if line != th.last_iline:
                 th.last_iline = line
                 icache_accesses += 1
@@ -719,7 +723,7 @@ def generate_loop_source(
     # ---- per-cycle framing --------------------------------------------
     resets = []
     if op_merge:
-        resets.append(f"e_remaining = {capacity}")
+        resets.append("e_remaining = capacity")
     if split == "none":
         if not op_merge:
             resets.append("e_used = 0")
@@ -737,7 +741,19 @@ def generate_loop_source(
         "packet_threads = stats.packet_threads",
         "pt_get = packet_threads.get",
         "fast_forward = proc._fast_forward",
+        # the scenario's numbers, bound once from the objects the
+        # reference loop reads them from
+        "target = proc._target",
+        "taken_delay = 1 + proc.cfg.taken_branch_penalty",
+        "iline_shift = proc.iline_shift",
     ]
+    if op_merge:
+        setup += [
+            "capacity = proc.engine.capacity",
+            "guards = proc.engine.guards",
+        ]
+    if multi:
+        setup.append("timeslice = proc.params.timeslice")
     if inline_l1:
         setup += [
             "l1i = mem_sys.l1i",
@@ -746,10 +762,15 @@ def generate_loop_source(
             "l1d_sets = l1d.sets",
             "l1i_access = l1i.access",
             "l1d_access = l1d.access",
+            "iset_mask = l1i.set_mask",
+            "dline_shift = l1d.line_shift",
+            "dset_mask = l1d.set_mask",
+            "imiss = mem_sys._i_miss_penalty",
+            "dmiss = mem_sys._d_miss_penalty",
             "l1i_hits = 0",
             "l1d_hits = 0",
         ]
-    elif flat:
+    elif perfect:
         setup += [
             "l1i_access = mem_sys.l1i.access",
             "l1d_access = mem_sys.l1d.access",
@@ -772,7 +793,7 @@ def generate_loop_source(
     setup_src = "\n".join(" " * 4 + s for s in setup)
 
     if multi:
-        scheduler = f"""
+        scheduler = """
         if cycle >= next_switch:
             if not switching:
                 switching = True
@@ -781,17 +802,17 @@ def generate_loop_source(
                     break
             else:
                 proc._context_switch(cycle)
-                next_switch = cycle + {timeslice}
+                next_switch = cycle + timeslice
                 switching = False
         """
         sched_src = _block(scheduler, 8)
         switch_init = (
-            f"    switching = False\n    next_switch = {timeslice}\n"
+            "    switching = False\n    next_switch = timeslice\n"
         )
         ff_call = (
             "cycle, switching, next_switch = fast_forward(\n"
             "                cycle, end_cycle, switching, next_switch, "
-            f"True, {timeslice}\n"
+            "True, timeslice\n"
             "            )"
         )
     else:
@@ -848,10 +869,10 @@ def generate_loop_source(
 
     header = (
         f"# generated by repro.pipeline.specialize for "
-        f"{policy.merge}-merge/{split}-split"
+        f"{shape.merge}-merge/{split}-split"
         f"{'' if comm_split else ' (NS atomic ICC)'},"
-        f" nt={n_threads}, "
-        f"{'flat' if flat else ('mshr' if nonblocking else 'hier')} memory"
+        f" {shape.n_clusters} clusters, nt={shape.n_threads}, "
+        f"{shape.memory} memory"
         f"{', multitasking' if multi else ''}\n"
     )
 
@@ -866,7 +887,7 @@ def {LOOP_NAME}(proc, max_cycles=None, stop_on_target=True):
     icache_misses = 0
     dcache_accesses = 0
     dcache_misses = 0
-    limit = max_cycles if max_cycles is not None else {params.max_cycles}
+    limit = max_cycles if max_cycles is not None else proc.params.max_cycles
 {switch_init}    cycle = stats.cycles
     end_cycle = cycle + limit
     while cycle < end_cycle:

@@ -139,6 +139,110 @@ def test_parser_machine_flags():
     assert args.number == "machine"
 
 
+# ------------------------------------------------- global session flags
+ALL_FLAGS = frozenset({"--quick", "--jobs", "--cache-dir", "--telemetry"})
+SERIAL = ALL_FLAGS - {"--jobs"}
+OBSERVER = frozenset({"--quick", "--cache-dir"})
+
+#: the session flags each command uses, keyed by an argv that reaches
+#: it (every figure of `fig`); it must reject every other one
+FLAG_USE = {
+    ("run",): SERIAL,
+    ("sweep",): ALL_FLAGS,
+    ("cache", "verify"): {"--cache-dir"},
+    ("mem",): ALL_FLAGS,
+    ("machine",): ALL_FLAGS,
+    ("scenarios",): set(),
+    ("fig", "13"): SERIAL,
+    ("fig", "14"): ALL_FLAGS,
+    ("fig", "15"): ALL_FLAGS,
+    ("fig", "16"): ALL_FLAGS,
+    ("fig", "mem"): ALL_FLAGS,
+    ("fig", "machine"): ALL_FLAGS,
+    ("fig", "why"): OBSERVER,
+    ("lint",): set(),
+    ("claims",): ALL_FLAGS,
+    ("waste",): ALL_FLAGS,
+    ("report",): ALL_FLAGS,
+    ("why",): OBSERVER,
+    ("trace",): {"--quick"},
+    ("stats", "tel.jsonl"): set(),
+    ("profile",): {"--quick"},
+}
+
+
+def _flag_args(tmp_path):
+    return {
+        "--quick": [],
+        "--jobs": ["2"],
+        "--cache-dir": [str(tmp_path / "store")],
+        "--telemetry": [str(tmp_path / "tel.jsonl")],
+    }
+
+
+def test_flag_table_covers_every_subcommand():
+    sub, = (
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    assert {argv[0] for argv in FLAG_USE} == set(sub.choices)
+    fig_parser = sub.choices["fig"]
+    number, = (a for a in fig_parser._actions if a.dest == "number")
+    assert {argv[1] for argv in FLAG_USE if argv[0] == "fig"} == set(
+        number.choices
+    )
+
+
+@pytest.mark.parametrize("argv", list(FLAG_USE), ids=" ".join)
+def test_unused_session_flag_exits_2(argv, tmp_path, capsys):
+    """A global flag a command would ignore is an error, before
+    anything runs, whether it comes before or after the command."""
+    for flag, value in _flag_args(tmp_path).items():
+        if flag in FLAG_USE[argv]:
+            continue
+        for args in ([flag, *value, *argv], [*argv, flag, *value]):
+            with pytest.raises(SystemExit) as exc:
+                main(args)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"{flag} has no effect on `repro " in err
+    assert list(tmp_path.iterdir()) == []
+
+
+class _Resolved(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [a for a, uses in FLAG_USE.items() if uses and a[0] != "cache"],
+    ids=" ".join,
+)
+def test_used_session_flags_reach_the_session(argv, tmp_path, monkeypatch):
+    """Every flag a command accepts configures the session it builds."""
+    from repro import cli
+    from repro.engine import QUICK_SCALE
+
+    seen = {}
+
+    def session(scale, cache_dir=None, jobs=1, telemetry=None, retry=None):
+        seen.update(scale=scale, cache_dir=cache_dir, jobs=jobs,
+                    telemetry=telemetry)
+        raise _Resolved
+
+    monkeypatch.setattr(cli, "SimulationSession", session)
+    values = _flag_args(tmp_path)
+    uses = FLAG_USE[argv]
+    with pytest.raises(_Resolved):
+        main([a for f in sorted(uses) for a in (f, *values[f])] + [*argv])
+    assert (seen["scale"] is QUICK_SCALE) == ("--quick" in uses)
+    assert seen["jobs"] == (2 if "--jobs" in uses else 1)
+    for flag, key in (("--cache-dir", "cache_dir"),
+                      ("--telemetry", "telemetry")):
+        want = values[flag][0] if flag in uses else None
+        assert seen[key] == want, flag
+
+
 def test_cli_run_memory_hierarchy(capsys):
     rc = main(["--quick", "run", "--policy", "SMT", "--workload", "llll",
                "--threads", "2", "--memory", "l2"])

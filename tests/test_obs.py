@@ -326,16 +326,19 @@ def test_cli_trace_smoke(tmp_path, capsys):
 
 
 def test_cli_trace_leaves_the_store_untouched(tmp_path, capsys):
-    """`repro trace` simulates its cell in-process and neither reads
-    nor writes the result store or the fingerprint index."""
+    """`repro trace` simulates its cell in-process and has no use for
+    the result store: given ``--cache-dir`` it exits 2 before it reads
+    or writes the store or the fingerprint index."""
     from repro.cli import main
 
     cache = str(tmp_path / "c")
-    rc = main(["--quick", "--cache-dir", cache, "trace", "--policy",
-               "SMT", "--workload", "llll", "--threads", "2", "--out",
-               str(tmp_path / "trace.json"), "--limit", "500"])
-    assert rc == 0
-    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["--quick", "--cache-dir", cache, "trace", "--policy",
+              "SMT", "--workload", "llll", "--threads", "2", "--out",
+              str(tmp_path / "trace.json"), "--limit", "500"])
+    assert exc.value.code == 2
+    assert "--cache-dir has no effect" in capsys.readouterr().err
+    assert not (tmp_path / "trace.json").exists()
     assert main(["--cache-dir", cache, "cache", "verify"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("0 ok, ") and "; index: 0 ok, " in out
@@ -395,8 +398,8 @@ def test_cli_profile_out(tmp_path, capsys):
     from repro.cli import main
 
     pstats_path = tmp_path / "prof.pstats"
-    rc = main(["profile", "--workload", "llll", "--threads", "2",
-               "--top", "3", "--out", str(pstats_path)])
+    rc = main(["--quick", "profile", "--workload", "llll", "--threads",
+               "2", "--top", "3", "--out", str(pstats_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "loop" in out  # profiled engine tier in the header
@@ -405,8 +408,8 @@ def test_cli_profile_out(tmp_path, capsys):
     pstats.Stats(str(pstats_path))  # loads as a valid profile
 
     txt_path = tmp_path / "prof.txt"
-    rc = main(["profile", "--workload", "llll", "--threads", "2",
-               "--top", "3", "--out", str(txt_path)])
+    rc = main(["--quick", "profile", "--workload", "llll", "--threads",
+               "2", "--top", "3", "--out", str(txt_path)])
     assert rc == 0
     text = txt_path.read_text()
     assert "loop" in text and "cumulative" in text

@@ -175,7 +175,7 @@ def test_buffer_stores():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="known defect, ROADMAP item 5 (b): note_op_issued marks the "
+    reason="known defect, ROADMAP item 3 (b): note_op_issued marks the "
     "instruction split after its first op even when every op issues in "
     "the same cycle; fixing it moves the pinned result digests",
 )

@@ -1,13 +1,14 @@
 """Bit-identity and dispatch behaviour of the specialised codegen loop.
 
 ``repro.pipeline.specialize`` generates a monomorphic run loop per
-resolved (policy, machine, memory, thread-count) cell; ``Processor.run``
+loop shape (policy structure, cluster count, memory class, thread
+count, multitasking, priority); ``Processor.run``
 dispatches to it, or to the per-cycle ``_run_reference`` oracle when
 hooks, attribution or ``force_reference`` ask for it or the generated
 loop is rejected.  The generated loop must be *bit-identical* (every
 ``SimStats`` counter, memory/MSHR/writeback included) to the per-cycle reference loop across
 the full policy × machine × memory × nt matrix, the memo must hit on
-fingerprint-equal configs, and every fallback edge (hooks,
+cells of one shape, and every fallback edge (hooks,
 ``force_reference``, broken generation) must land on the right tier
 without changing results.
 """
@@ -18,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.arch.config import get_memory_config
+from repro.arch.config import CacheConfig, get_memory_config
 from repro.arch.scenarios import MACHINE_PRESETS
 from repro.compiler.pipeline import compile_kernel
 from repro.core.policies import ALL_POLICIES, BY_NAME
@@ -131,7 +132,7 @@ def fresh_cache():
 
 def test_memo_hit_miss_by_fingerprint(fresh_cache):
     """Two field-for-field equal configs share one compiled loop (the
-    key folds the machine through ``machine_fingerprint``); a different
+    key is the cell's shape, not the config object); a different
     scenario shape compiles a second one."""
     traces = traces_for("paper")
     cfg_a = MACHINE_PRESETS["paper"].machine
@@ -151,6 +152,60 @@ def test_memo_hit_miss_by_fingerprint(fresh_cache):
     info = specialize.cache_info()
     assert (info["misses"], info["compiled"]) == (2, 2)
     assert info["failures"] == 0
+
+
+def test_cells_of_one_shape_share_a_loop(fresh_cache):
+    """The generated loop reads every scenario number from ``proc``:
+    two cells of one shape that differ in all of them (instruction
+    target, timeslice, cycle limit, I/D miss penalty, taken-branch
+    penalty, L1 set count and line size, FU capacity) share one
+    compiled loop, and each stays bit-identical to the reference."""
+    traces = traces_for("paper")
+    base = MACHINE_PRESETS["paper"].machine
+    other = replace(
+        base,
+        cluster=replace(base.cluster, issue_width=5, n_alu=5, n_mul=3,
+                        n_mem=2),
+        icache=CacheConfig(size_bytes=8 * 1024, assoc=2, line_bytes=64,
+                           miss_penalty=7),
+        dcache=CacheConfig(size_bytes=4 * 1024, assoc=2, line_bytes=16,
+                           miss_penalty=13),
+        taken_branch_penalty=2,
+    )
+    # the first cell stops at its cycle limit, the second at its
+    # instruction target: each would run on under the other's numbers
+    cells = [
+        (base, SimParams(target_instructions=10**6, timeslice=400,
+                         max_cycles=1_200, seed=3)),
+        (other, SimParams(target_instructions=600, timeslice=250,
+                          max_cycles=50_000, seed=3)),
+    ]
+    policy = BY_NAME["COSI NS"]
+    shapes = {
+        specialize.loop_key(policy, cfg, params, 2, len(traces))
+        for cfg, params in cells
+    }
+    assert len(shapes) == 1
+    for cfg, params in cells:
+        spec, ref, proc = run_tiers(policy, traces, 2, cfg, params)
+        assert proc.loop_used == "specialized"
+        assert spec.to_dict() == ref.to_dict(), cfg
+    info = specialize.cache_info()
+    assert info["compiled"] == 1
+    assert (info["misses"], info["hits"]) == (1, 1)
+
+
+def test_single_thread_figure_compiles_two_loops(fresh_cache):
+    """Fig. 13a's 24 single-thread cells (12 kernels, real and perfect
+    memory) differ in their instruction targets but have two shapes,
+    so they compile two loops."""
+    from repro.harness.figures import fig13a
+
+    rows = fig13a(SimulationSession(_TINY))
+    assert len(rows) == 12
+    info = specialize.cache_info()
+    assert info["compiled"] == 2
+    assert (info["misses"], info["hits"]) == (2, 22)
 
 
 # -------------------------------------------------------- tier dispatch

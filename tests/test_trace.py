@@ -160,7 +160,7 @@ def test_bundle_sum_is_sum_of_bundle_packed(wide_trace, r):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="known defect, ROADMAP item 5 (a): _rot_static rolls "
+    reason="known defect, ROADMAP item 3 (a): _rot_static rolls "
     "bundle_packed without lane-shifting its values, so COSI charges "
     "cluster c's bundle to lane c - r; fixing it moves the pinned "
     "result digests",
