@@ -1,6 +1,6 @@
 """Static verification for the simulation stack (``repro lint``).
 
-Three AST-based passes over one :class:`~repro.analysis.base.Finding`
+Two AST-based passes over one :class:`~repro.analysis.base.Finding`
 currency (``docs/analysis.md`` has the full catalogue):
 
 * :mod:`~repro.analysis.loopcheck` — prove every generated
@@ -10,9 +10,6 @@ currency (``docs/analysis.md`` has the full catalogue):
   shape (the scenario's numbers are bound from ``proc``, not inlined).
   Hooked into ``specialize.get_specialized_loop`` (strict mode rejects
   a bad generation instead of executing it).
-* :mod:`~repro.analysis.counterflow` — the two run-loop tiers must
-  write the same ``SimStats``/``BenchStats`` counters (or prove an
-  omission constant): the static companion to the bit-identity tests.
 * :mod:`~repro.analysis.detlint` — pluggable determinism/contract
   rules over the whole source tree (wall-clock reads, global RNG,
   ``id()`` keys, set-iteration order, silent excepts, mutable
@@ -35,11 +32,10 @@ from .base import (
     rule,
 )
 from . import detlint as _detlint  # noqa: F401  (registers the rules)
-from .counterflow import check_counterflow
 from .loopcheck import LoopVerificationError, check_matrix, check_source
 from .report import build_report, render_findings, write_report
 
-PASSES = ("detlint", "counterflow", "loopcheck")
+PASSES = ("detlint", "loopcheck")
 
 __all__ = [
     "DETLINT_RULES",
@@ -49,7 +45,6 @@ __all__ = [
     "PASSES",
     "Rule",
     "build_report",
-    "check_counterflow",
     "check_matrix",
     "check_source",
     "lint_paths",
@@ -70,13 +65,14 @@ def package_root() -> Path:
 def run_lint(
     select: Sequence[str] | None = None,
     paths: Sequence[str | Path] | None = None,
-    threads: Sequence[int] = (1, 2, 4),
 ) -> tuple[list[Finding], dict[str, object]]:
-    """Run the selected passes (default: all three).
+    """Run the selected passes (default: both).
 
     Returns ``(findings, stats)`` where ``stats`` carries per-pass
     coverage numbers for the JSON report (matrix cells swept, distinct
-    loops verified, files linted).
+    loops verified, files linted).  Raises :class:`ValueError` before
+    any pass runs on an unknown pass, on ``paths`` without ``detlint``
+    (the only pass that reads them) or on a path that does not exist.
     """
     selected = list(select) if select else list(PASSES)
     unknown = sorted(set(selected) - set(PASSES))
@@ -84,19 +80,21 @@ def run_lint(
         raise ValueError(
             f"unknown lint pass(es) {unknown}; choose from {PASSES}"
         )
+    if paths and "detlint" not in selected:
+        raise ValueError(
+            "paths given without detlint selected (only detlint reads them)"
+        )
+    targets = [Path(p) for p in paths] if paths else [package_root()]
+    missing = [str(t) for t in targets if not t.exists()]
+    if missing:
+        raise ValueError(f"no such lint path(s): {', '.join(missing)}")
     findings: list[Finding] = []
     stats: dict[str, object] = {}
     if "detlint" in selected:
-        targets = (
-            [Path(p) for p in paths] if paths else [package_root()]
-        )
-        hits = lint_paths(targets)
-        findings.extend(hits)
+        findings.extend(lint_paths(targets))
         stats["detlint_paths"] = [str(t) for t in targets]
-    if "counterflow" in selected:
-        findings.extend(check_counterflow())
     if "loopcheck" in selected:
-        report = check_matrix(threads=threads)
+        report = check_matrix()
         findings.extend(report.findings)
         stats["loopcheck_cells"] = report.cells
         stats["loopcheck_unique_loops"] = report.unique_loops

@@ -2,9 +2,9 @@
 
 Every pass in :mod:`repro.analysis` reports through one currency — the
 :class:`Finding` — so the CLI, the JSON report and the tests handle
-``loopcheck``/``counterflow``/``detlint`` results uniformly.  Linter
-rules are pluggable :class:`Rule` subclasses (``ast.NodeVisitor``
-walks) registered with the :func:`rule` decorator; a rule declares its
+``loopcheck`` and ``detlint`` results uniformly.  Linter rules are
+pluggable :class:`Rule` subclasses (``ast.NodeVisitor`` walks)
+registered with the :func:`rule` decorator; a rule declares its
 ``name`` (the id used in pragmas and ``--select``), a one-line
 ``description`` for the catalogue, and an optional module-prefix
 ``scope`` restricting where it fires.
@@ -40,8 +40,8 @@ class Finding:
     """One verified-by-a-human-next lint result.
 
     ``rule`` is the stable id (pragma / ``--select`` currency),
-    ``origin`` the pass that produced it (``detlint``, ``loopcheck``
-    or ``counterflow``).
+    ``origin`` the pass that produced it (``detlint`` or
+    ``loopcheck``).
     """
 
     rule: str

@@ -32,7 +32,8 @@ All checks read one traversal of the loop's AST (:class:`_Walk`).
 
 :func:`check_source` verifies one shape's source;
 :func:`check_matrix` sweeps the full ``MACHINE_PRESETS`` ×
-``MEMORY_PRESETS`` × policy × nt × multitasking matrix, deduped by
+``MEMORY_PRESETS`` × perfect memory × priority × policy × nt ×
+multitasking matrix, deduped by
 :func:`~repro.pipeline.specialize.loop_key` (the shape, which is all
 the generator receives).  ``specialize.get_specialized_loop`` runs
 :func:`check_source` before ``exec()`` on every fresh generation; under
@@ -47,6 +48,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 from collections import Counter
+from itertools import product
 from typing import Any, Iterator, Sequence
 
 from .base import Finding
@@ -497,27 +499,39 @@ def check_source(
     return findings
 
 
-def iter_matrix(
-    threads: Sequence[int] = (1, 2, 4),
-    benches: Sequence[int] = (1, 4),
-) -> Iterator[tuple[Policy, MachineConfig, SimParams, int, int, str]]:
+#: the run-parameter axes of the matrix: thread counts, benchmarks per
+#: thread (1 = no multitasking), and the two :class:`SimParams` knobs a
+#: shape reads besides the timeslice's sign
+THREADS = (1, 2, 4)
+BENCHES = (1, 4)
+PERFECT_MEMORY = (False, True)
+PRIORITIES = ("round-robin", "fixed")
+
+
+def iter_matrix() -> Iterator[
+    tuple[Policy, MachineConfig, SimParams, int, int, str]
+]:
     """Every (policy, cfg, params, nt, nb, label) cell of the full
-    machine × memory × policy × nt × multitasking matrix.  A loop's
-    shape reads no run parameter but the priority and whether the
-    timeslice is positive (no scenario collapses it to 0), so every
-    cell takes the default :class:`SimParams`."""
-    params = SimParams()
+    machine × memory × perfect memory × priority × policy × nt ×
+    multitasking matrix.  No scenario collapses the timeslice to 0, so
+    the default one stands for all of them."""
+    params_axis = [
+        SimParams(perfect_memory=perfect, priority=priority)
+        for perfect in PERFECT_MEMORY
+        for priority in PRIORITIES
+    ]
     for mach in sorted(MACHINE_PRESETS):
         for mem in sorted(MEMORY_PRESETS):
             cfg = get_scenario(f"{mach}+{mem}").machine
-            for policy in ALL_POLICIES:
-                for nt in threads:
-                    for nb in benches:
-                        label = (
-                            f"<{policy.name}/{mach}+{mem}"
-                            f"/nt{nt}/nb{nb}>"
-                        )
-                        yield policy, cfg, params, nt, nb, label
+            for params, policy, nt, nb in product(
+                params_axis, ALL_POLICIES, THREADS, BENCHES
+            ):
+                perfect = "perfect/" if params.perfect_memory else ""
+                label = (
+                    f"<{policy.name}/{mach}+{mem}/{perfect}"
+                    f"{params.priority}/nt{nt}/nb{nb}>"
+                )
+                yield policy, cfg, params, nt, nb, label
 
 
 @dataclasses.dataclass
@@ -533,10 +547,7 @@ class MatrixReport:
         return not self.findings
 
 
-def check_matrix(
-    threads: Sequence[int] = (1, 2, 4),
-    benches: Sequence[int] = (1, 4),
-) -> MatrixReport:
+def check_matrix() -> MatrixReport:
     """Generate and verify every distinct loop of the preset matrix.
 
     Cells are deduped by :func:`specialize.loop_key`: the key is the
@@ -545,7 +556,7 @@ def check_matrix(
     findings: list[Finding] = []
     seen: set[tuple[object, ...]] = set()
     cells = 0
-    for policy, cfg, params, nt, nb, label in iter_matrix(threads, benches):
+    for policy, cfg, params, nt, nb, label in iter_matrix():
         cells += 1
         key = specialize.loop_key(policy, cfg, params, nt, nb)
         if key in seen:

@@ -31,11 +31,11 @@ failed cells)
 corrupt + drop stale entries), ``gc`` (repair, drop the quarantine,
 compact the sweep journal), ``clear``
 ``lint``     — static verification (``docs/analysis.md``): the
-determinism/contract linter over the source tree (``detlint``), the
-cross-tier counter-flow check (``counterflow``), and generated-loop
-verification over the full preset matrix (``loopcheck``);
-``--select`` picks passes, ``--json FILE`` writes the findings
-report, exit 1 on any finding
+determinism/contract linter over the source tree (``detlint``) and
+generated-loop verification over the full preset matrix
+(``loopcheck``); ``--select`` picks passes, ``--paths`` narrows
+``detlint``, ``--json FILE`` writes the findings report, exit 1 on
+any finding
 
 ``sweep`` is fault-tolerant (``docs/robustness.md``): per-cell
 retries with backoff (``--retries``), per-cell timeouts
@@ -393,7 +393,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    """Static verification: detlint + counterflow + loopcheck."""
+    """Static verification: detlint + loopcheck."""
     from . import analysis
 
     try:
@@ -744,14 +744,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser(
         "lint", frozenset(),
-        help="static verification: determinism linter, counter-flow "
-             "check, generated-loop verification (docs/analysis.md)",
+        help="static verification: determinism linter and "
+             "generated-loop verification (docs/analysis.md)",
     )
     p.add_argument("--select", nargs="+", default=None,
-                   choices=("detlint", "counterflow", "loopcheck"),
+                   choices=("detlint", "loopcheck"),
                    metavar="PASS",
-                   help="subset of passes (detlint, counterflow, "
-                        "loopcheck; default: all three)")
+                   help="subset of passes (detlint, loopcheck; "
+                        "default: both)")
     p.add_argument("--json", default=None, metavar="FILE",
                    help="write the machine-readable findings report")
     p.add_argument("--paths", nargs="+", default=None, metavar="PATH",

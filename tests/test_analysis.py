@@ -2,11 +2,11 @@
 
 Per-rule positive/negative fixtures for the determinism linter, the
 pragma contract, the full-matrix loopcheck clean run, tampered-source
-detection, the counterflow tier contract, and the injected-bad-codegen
-path: a monkeypatched generator emitting a stray global must be
-rejected *before* ``exec()`` under ``REPRO_SPECIALIZE_STRICT``, and
-must fall back to ``_run_reference`` (with ``loop_used`` provenance and
-bit-identical results) otherwise.
+detection, the ``repro lint`` CLI's argument errors, and the
+injected-bad-codegen path: a monkeypatched generator emitting a stray
+global must be rejected *before* ``exec()`` under
+``REPRO_SPECIALIZE_STRICT``, and must fall back to ``_run_reference``
+(with ``loop_used`` provenance and bit-identical results) otherwise.
 """
 
 from __future__ import annotations
@@ -22,17 +22,11 @@ from repro.analysis import (
     DETLINT_RULES,
     Finding,
     LoopVerificationError,
-    check_counterflow,
     check_matrix,
     check_source,
     lint_source,
 )
 from repro.analysis.base import Rule, rule
-from repro.analysis.counterflow import (
-    CounterSet,
-    compare_counter_sets,
-    tier_counter_sets,
-)
 from repro.arch.scenarios import MACHINE_PRESETS
 from repro.core.policies import BY_NAME
 from repro.pipeline import specialize
@@ -187,12 +181,14 @@ def test_repo_source_tree_is_clean():
 
 # ------------------------------------------------------- loopcheck
 def test_loopcheck_full_matrix_clean():
-    """Every distinct generated loop of the machine x memory x policy
-    x nt x multitasking matrix passes static verification."""
-    report = check_matrix(threads=(1, 2, 4), benches=(1, 4))
+    """Every distinct generated loop of the machine x memory x perfect
+    memory x priority x policy x nt x multitasking matrix passes static
+    verification, ``perfect``-memory and ``fixed``-priority shapes
+    included."""
+    report = check_matrix()
     assert report.findings == []
-    assert report.cells == 1920
-    assert report.unique_loops == 432
+    assert report.cells == 7680
+    assert report.unique_loops == 1152
 
 
 def _shape(policy="CCSI AS", nt=2, nb=2):
@@ -276,51 +272,6 @@ def test_loopcheck_flags_module_level_statement():
     assert "loopcheck-structure" in rules_of(hits)
 
 
-# ----------------------------------------------------- counterflow
-def test_counterflow_clean():
-    assert check_counterflow() == []
-
-
-def test_counterflow_flags_missing_counter():
-    sets = {s.tier: s for s in tier_counter_sets()}
-    crippled = sets["reference"]
-    sets["reference"] = CounterSet(
-        "reference",
-        frozenset(crippled.sim - {"operations"}),
-        crippled.bench,
-    )
-    hits = compare_counter_sets(sets.values())
-    assert hits and all(f.rule == "counterflow" for f in hits)
-    assert any("operations" in f.message for f in hits)
-
-
-def test_counterflow_no_split_omission_is_proven_constant():
-    """SMT/CSMT specialised loops omit stall_cycles and
-    split_instructions; the policy shape (split == none) proves them
-    constant, so that omission is accepted — for a split policy the
-    same omission must fail."""
-    sets = {s.tier: s for s in tier_counter_sets()}
-    smt = sets["specialized:SMT"]
-    assert "stall_cycles" not in smt.sim
-    assert compare_counter_sets(sets.values()) == []
-
-    ccsi = sets["specialized:CCSI AS"]
-    sets["specialized:CCSI AS"] = CounterSet(
-        ccsi.tier,
-        frozenset(ccsi.sim - {"stall_cycles"}),
-        ccsi.bench,
-    )
-    hits = compare_counter_sets(sets.values())
-    assert any("stall_cycles" in f.message for f in hits)
-
-
-def test_counterflow_attribution_is_reference_exclusive():
-    sets = {s.tier: s for s in tier_counter_sets()}
-    assert "attribution" in sets["reference"].sim
-    spec = [s for t, s in sets.items() if t.startswith("specialized:")]
-    assert spec and all("attribution" not in s.sim for s in spec)
-
-
 # --------------------------------------- specializer pre-exec gating
 def _corrupting_generator(monkeypatch):
     """Patch the generator to emit an otherwise-valid loop that reads
@@ -394,13 +345,12 @@ def test_nonstrict_rejection_falls_back_and_logs(
 def test_cli_lint_clean_run(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = cli.main(
-        ["lint", "--select", "detlint", "counterflow",
-         "--json", str(out)]
+        ["lint", "--select", "detlint", "--json", str(out)]
     )
     assert rc == 0
     report = json.loads(out.read_text())
     assert report["clean"] is True
-    assert report["passes"] == ["detlint", "counterflow"]
+    assert report["passes"] == ["detlint"]
     assert "0 finding(s)" in capsys.readouterr().out
 
 
@@ -422,5 +372,28 @@ def test_cli_lint_reports_findings(tmp_path, capsys):
 
 
 def test_cli_lint_rejects_unknown_pass(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["lint", "--select", "nonsense"])
+    for name in ("nonsense", "counterflow"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["lint", "--select", name])
+        assert exc.value.code == 2
+
+
+def test_cli_lint_rejects_paths_without_detlint(tmp_path, capsys):
+    """``--paths`` feeds only detlint: with detlint not selected it is
+    an error, not silently ignored."""
+    rc = cli.main(
+        ["lint", "--select", "loopcheck", "--paths", str(tmp_path)]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "without detlint selected" in captured.err
+    assert "finding(s)" not in captured.out
+
+
+def test_cli_lint_rejects_missing_path(tmp_path, capsys):
+    missing = tmp_path / "nonexistent"
+    rc = cli.main(["lint", "--select", "detlint", "--paths", str(missing)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"no such lint path(s): {missing}" in err
+    assert "Traceback" not in err

@@ -380,13 +380,31 @@ def _quick_processor(session, policy, workload, nt, **kw):
     )
 
 
+def _counters(stats):
+    """Every integer counter the tier comparison covers, by name:
+    ``SimStats``'s own, the ``packet_threads`` total and the
+    ``BenchStats`` counters summed over benchmarks."""
+    out = {k: v for k, v in stats.to_dict().items() if isinstance(v, int)}
+    out["packet_threads"] = sum(stats.packet_threads.values())
+    for name in ("instructions", "operations", "respawns"):
+        out[f"bench.{name}"] = sum(
+            getattr(b, name) for b in stats.per_bench.values()
+        )
+    return out
+
+
 def test_inlined_l1_leaves_fast_path_cache_state(quick_session, monkeypatch):
     """Every flat quick cell: the generated loop's inlined hit path and
     the reference loop's ``Cache.access`` calls leave the same L1 sets
     (keys, LRU order, dirty truthiness) and the same hit/miss/writeback
-    counts; ``Cache.access`` itself runs only on the misses."""
+    counts; ``Cache.access`` itself runs only on the misses.
+
+    The comparison sees every counter: per policy each one is nonzero
+    in some cell, except ``stall_cycles`` and ``split_instructions`` of
+    a no-split policy, which are zero in every cell."""
     from repro.memory.cache import Cache
 
+    counters: dict[str, list[dict[str, int]]] = {}
     for policy, workload, nt in _quick_cells():
         spec = _quick_processor(quick_session, policy, workload, nt)
         calls = _count_calls(monkeypatch, Cache, "access")
@@ -402,6 +420,17 @@ def test_inlined_l1_leaves_fast_path_cache_state(quick_session, monkeypatch):
         assert s.to_dict() == r.to_dict(), cell
         assert _cache_state(spec.mem.l1i) == _cache_state(ref.mem.l1i), cell
         assert _cache_state(spec.mem.l1d) == _cache_state(ref.mem.l1d), cell
+        counters.setdefault(policy, []).append(_counters(s))
+
+    for policy, rows in counters.items():
+        idle = (
+            {"stall_cycles", "split_instructions"}
+            if BY_NAME[policy].split == "none"
+            else set()
+        )
+        assert all(r[k] == 0 for r in rows for k in idle), policy
+        moved = {k for r in rows for k, v in r.items() if v > 0}
+        assert set(rows[0]) - moved == idle, policy
 
 
 @pytest.mark.parametrize("policy", ["SMT", "COSI AS", "OOSI NS"])
