@@ -9,8 +9,7 @@ scenario) scenarios, and writes the results to ``BENCH_core.json`` at
 the repository root.  Every scenario also cross-checks that both tiers
 produce bit-identical ``SimStats``, so the benchmark doubles as an
 end-to-end equivalence smoke test, and records which tier the default
-dispatch actually ran (``engine``) so a silent fallback to the
-reference loop shows up in the tracked artifact.
+dispatch actually ran (``engine``) in the tracked artifact.
 
 Usage::
 
@@ -143,8 +142,7 @@ def measure_scenario(label, policy_name, memory, n_threads, workload,
         best[tier] = min(times)
         stats[tier] = s
         if tier == "spec":
-            # which tier the default dispatch actually took — a silent
-            # codegen fallback shows up here as "reference"
+            # which tier the default dispatch actually took
             engine = proc.loop_used
 
     spec, ref = stats["spec"], stats["ref"]

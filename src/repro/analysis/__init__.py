@@ -8,8 +8,8 @@ currency (``docs/analysis.md`` has the full catalogue):
   closed free-name set, provable loop exits, and every unrolled
   per-cluster arm and priority rotation consistent with the loop's
   shape (the scenario's numbers are bound from ``proc``, not inlined).
-  Hooked into ``specialize.get_specialized_loop`` (strict mode rejects
-  a bad generation instead of executing it).
+  Hooked into ``specialize.get_specialized_loop``, which raises on a
+  bad generation instead of executing it.
 * :mod:`~repro.analysis.detlint` — pluggable determinism/contract
   rules over the whole source tree (wall-clock reads, global RNG,
   ``id()`` keys, set-iteration order, silent excepts, mutable

@@ -7,11 +7,11 @@ This pass proves three properties of that source **before** it ever
 executes:
 
 * **closed free-name set** — the generated function may reach data
-  only through its own parameters (``proc`` and the two run knobs) and
-  an approved builtin set (:data:`APPROVED_BUILTINS`); any other free
-  name (a module global, a stray builtin, an injected identifier)
-  is a finding.  Together with a module body that contains nothing but
-  the one ``def``, this pins the loop to proc-reachable state.  Every
+  only through its one parameter (``proc``) and an approved builtin
+  set (:data:`APPROVED_BUILTINS`); any other free name (a module
+  global, a stray builtin, an injected identifier) is a finding.
+  Together with a module body that contains nothing but the one
+  ``def``, this pins the loop to proc-reachable state.  Every
   number of the scenario (target, cycle limit, timeslice, penalties,
   L1 geometry, packed capacity, guard mask) is bound from ``proc`` in
   the loop's setup block, never inlined, so both run-loop tiers read
@@ -36,11 +36,8 @@ All checks read one traversal of the loop's AST (:class:`_Walk`).
 multitasking matrix, deduped by
 :func:`~repro.pipeline.specialize.loop_key` (the shape, which is all
 the generator receives).  ``specialize.get_specialized_loop`` runs
-:func:`check_source` before ``exec()`` on every fresh generation; under
-``REPRO_SPECIALIZE_STRICT=1`` a finding raises
-:class:`LoopVerificationError`, otherwise the shape is memoised as
-rejected and falls back to ``_run_reference``, the other of the two
-run-loop tiers.
+:func:`check_source` before ``exec()`` on every fresh generation, and a
+finding raises :class:`LoopVerificationError`: the loop never runs.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ from ..pipeline.specialize import LoopShape
 APPROVED_BUILTINS = frozenset({"bool"})
 
 #: the generated function's exact parameter list
-EXPECTED_PARAMS = ("proc", "max_cycles", "stop_on_target")
+EXPECTED_PARAMS = ("proc",)
 
 ORIGIN = "loopcheck"
 

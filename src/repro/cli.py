@@ -24,8 +24,8 @@ cycle went, per policy (``repro fig why`` is the stacked-bar figure)
 ``trace``    — simulate one cell with the Chrome trace-event exporter
 attached and write a ``trace.json`` Perfetto loads directly
 ``stats``    — aggregate a ``--telemetry`` JSONL file into the
-sweep-end digest (sources, tier mix, cell wall-time percentiles,
-failed cells)
+sweep-end digest (sources, cell wall-time percentiles, codegen
+seconds, failed cells)
 ``cache``    — inspect or repair a ``--cache-dir`` store:
 ``verify`` (read-only corruption scan), ``repair`` (quarantine
 corrupt + drop stale entries), ``gc`` (repair, drop the quarantine,

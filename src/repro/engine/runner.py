@@ -167,13 +167,13 @@ def _simulate_cell(payload: _CellPayload) -> dict:
     finally:
         faults.end_cell()
     telemetry = cell.telemetry(
-        "simulated", proc.loop_used, time.perf_counter() - t0,
-        proc.spec_seconds, worker=os.getpid(),
+        "simulated", time.perf_counter() - t0, proc.spec_seconds,
+        worker=os.getpid(),
     )
     log.debug(
-        "simulated %s / %s / %dT (%s loop, %.0f ms)",
+        "simulated %s / %s / %dT (%.0f ms)",
         cell.policy.name, "+".join(cell.members), cell.n_threads,
-        proc.loop_used, 1e3 * telemetry["wall_s"],
+        1e3 * telemetry["wall_s"],
     )
     return {"stats": stats.to_dict(), "telemetry": telemetry}
 

@@ -157,8 +157,8 @@ class Cell:
         return proc.run(), proc
 
     def telemetry(
-        self, source: str, loop_used: str | None = None,
-        wall_s: float = 0.0, spec_s: float = 0.0, **extra,
+        self, source: str, wall_s: float = 0.0, spec_s: float = 0.0,
+        **extra,
     ) -> dict:
         """The cell's telemetry-ledger record for one resolution."""
         return dict(
@@ -168,7 +168,6 @@ class Cell:
             memory=self.memory,
             machine=self.machine,
             source=source,
-            loop_used=loop_used,
             wall_s=round(wall_s, 6),
             spec_s=round(spec_s, 6),
             **extra,
@@ -293,9 +292,10 @@ class SimulationSession:
         ident = trace_identity(
             bench, self.scale.kernel_scale, self.cfg, store=self.cache
         )
-        # Matches the legacy ``run_single_thread`` helper exactly
-        # (including its 50 M-cycle safety limit, not the matrix
-        # scale's), so Fig. 13a numbers are unchanged by the engine.
+        # Matches the ``run_single_thread`` helper exactly (including
+        # the ``SimParams`` default 50 M-cycle safety limit, not the
+        # matrix scale's), so Fig. 13a numbers are unchanged by the
+        # engine.
         params = SimParams(
             target_instructions=ident.length,
             timeslice=0,
@@ -378,7 +378,6 @@ class SimulationSession:
         traces, once their bundles are built."""
         t0 = time.perf_counter()
         stats, source, key = self._lookup(cell)
-        loop_used = None
         spec_s = 0.0
         if stats is None:
             if rebuild is not None:
@@ -387,10 +386,9 @@ class SimulationSession:
             stats, proc = cell.simulate(self.cache)
             self.simulations += 1
             key = self._adopt(cell, stats)
-            source, loop_used = "simulated", proc.loop_used
-            spec_s = proc.spec_seconds
+            source, spec_s = "simulated", proc.spec_seconds
         self.telemetry.record(**cell.telemetry(
-            source, loop_used, time.perf_counter() - t0, spec_s
+            source, time.perf_counter() - t0, spec_s
         ))
         return stats, source, key
 

@@ -9,7 +9,7 @@ Three independent answers to "what did that simulation actually do?":
   :class:`TraceExporter` renders one run as Chrome trace-event JSON
   (``repro trace``, open in Perfetto);
 * :mod:`~repro.obs.telemetry` — *what the engine did to get results*:
-  per-cell source/tier/wall-time ledger behind ``--telemetry`` and
+  per-cell source/wall-time ledger behind ``--telemetry`` and
   ``repro stats``.
 
 Everything here observes; nothing here changes simulated results

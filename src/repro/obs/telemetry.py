@@ -9,8 +9,6 @@ lands as one flat record in the session's :class:`TelemetryLedger`:
 ``"failed"`` for cells that exhausted their sweep retry budget (these
 additionally carry ``error`` — the failure category — and
 ``attempts``; see ``docs/robustness.md``),
-``loop_used``— run-loop tier for simulated cells, one of the two
-tiers ``specialized`` / ``reference`` (``None`` for cache hits),
 ``wall_s``   — wall-clock seconds to resolve the cell,
 ``spec_s``   — of which specialised-loop codegen+compile time,
 ``worker``   — PID of the process that did the work (pool workers
@@ -20,10 +18,10 @@ The ledger always accumulates in memory; give it a path and every
 record is also appended as one JSON line, so a sweep's telemetry
 survives the process and ``repro stats`` can aggregate it later.
 :func:`summarize` / :func:`render_summary` produce the sweep-end
-digest ("N simulated / M disk / K memo, p50/p95 cell wall time, tier
-mix").  A pooled sweep also notes its pool phase (first submit to last
-adoption) in memory, and the digest reports how busy the workers were
-during it.
+digest ("N simulated / M disk / K memo, p50/p95 cell wall time,
+codegen seconds").  A pooled sweep also notes its pool phase (first
+submit to last adoption) in memory, and the digest reports how busy
+the workers were during it.
 """
 
 from __future__ import annotations
@@ -105,7 +103,6 @@ def summarize(records: list[dict], pool_phases=()) -> dict:
     pooled phase."""
     capacity = sum(jobs * wall for jobs, wall, _ in pool_phases)
     sources = {"memo": 0, "disk": 0, "simulated": 0, "failed": 0}
-    tiers: dict[str, int] = {}
     failure_categories: dict[str, int] = {}
     failure_attempts = 0
     walls = []
@@ -120,8 +117,6 @@ def summarize(records: list[dict], pool_phases=()) -> dict:
         if src == "simulated":
             walls.append(r.get("wall_s", 0.0))
             spec_s += r.get("spec_s", 0.0)
-            tier = r.get("loop_used") or "unknown"
-            tiers[tier] = tiers.get(tier, 0) + 1
         elif src == "failed":
             cat = r.get("error") or "error"
             failure_categories[cat] = failure_categories.get(cat, 0) + 1
@@ -129,7 +124,6 @@ def summarize(records: list[dict], pool_phases=()) -> dict:
     return {
         "cells": len(records),
         "sources": sources,
-        "tiers": tiers,
         "failure_categories": failure_categories,
         "failure_attempts": failure_attempts,
         "wall_total_s": total_wall,
@@ -159,17 +153,11 @@ def render_summary(summary: dict) -> str:
         + ")"
     ]
     if s["simulated"]:
-        tiers = ", ".join(
-            f"{tier} {n}" for tier, n in sorted(summary["tiers"].items())
-        )
         out.append(
             f"#   simulated cell wall time: p50 "
             f"{1e3 * summary['wall_p50_s']:.0f} ms, p95 "
             f"{1e3 * summary['wall_p95_s']:.0f} ms, total "
-            f"{summary['wall_total_s']:.2f} s"
-        )
-        out.append(
-            f"#   tier mix: {tiers}; specialisation codegen "
+            f"{summary['wall_total_s']:.2f} s; specialisation codegen "
             f"{summary['spec_total_s']:.2f} s"
         )
     if s.get("failed"):

@@ -46,10 +46,6 @@ if TYPE_CHECKING:
     # a processor only replays bundles the caller built
     from .trace import TraceBundle
 
-#: sentinel: specialised loop not yet resolved for this processor
-_UNRESOLVED = object()
-
-
 class _Bench:
     """Persistent state of one workload benchmark."""
 
@@ -131,12 +127,9 @@ class Processor:
         self._comm_split = policy.comm_split
         #: debugging/benchmark escape hatch: always take the per-cycle
         #: reference loop even without hooks (results are bit-identical
-        #: either way, so this never affects cache identity).  Must not
-        #: change between ``run()`` calls on one instance: the two
-        #: tiers represent in-flight pending instructions differently
+        #: either way, so this never affects cache identity)
         self.force_reference = force_reference
-        #: tier the last ``run()`` actually took:
-        #: "specialized" | "reference"
+        #: tier ``run()`` took: "specialized" | "reference"
         self.loop_used: str | None = None
         #: cycle attribution (``docs/observability.md``): account every
         #: issue-slot × cycle into the exhaustive category set of
@@ -159,7 +152,6 @@ class Processor:
         #: (codegen + compile, or memo probe) for this processor —
         #: telemetry only, never part of the simulated result
         self.spec_seconds = 0.0
-        self._loop_fn = _UNRESOLVED
         self.params = params or SimParams()
         self.n_threads = n_threads
         # observers (duck-typed; see repro.engine.hooks.SimHook).  An
@@ -427,50 +419,40 @@ class Processor:
         return cycle
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        max_cycles: int | None = None,
-        stop_on_target: bool = True,
-    ) -> SimStats:
+    def run(self) -> SimStats:
         """Simulate until a benchmark hits the instruction target (or
-        ``max_cycles``).  Returns the statistics object.
+        ``params.max_cycles`` run out).  Returns the statistics object.
 
         Two-tier dispatch, both tiers bit-identical:
 
         1. **specialized** — a scenario-monomorphic loop generated by
            :mod:`repro.pipeline.specialize` (constants inlined, dead
            branches deleted, idle spans skipped by
-           :meth:`_fast_forward`); the default.
+           :meth:`_fast_forward`) and statically verified before it
+           runs; the default.
         2. **reference** — :meth:`_run_reference`, the per-cycle
            oracle; forced by hooks (``on_cycle`` must fire every
            cycle), by cycle attribution (``attribute=True``, which
-           classifies every cycle) and by ``force_reference``, and
-           the fallback when generation fails or is rejected.
+           classifies every cycle) and by ``force_reference``.
 
         The tier taken is recorded in :attr:`loop_used`.
         """
-        if not (self._hooks or self.force_reference or self.attribute):
-            if self._loop_fn is _UNRESOLVED:
-                t0 = time.perf_counter()
-                self._loop_fn = get_specialized_loop(
-                    self.policy,
-                    self.cfg,
-                    self.params,
-                    self.n_threads,
-                    len(self.benches),
-                )
-                self.spec_seconds = time.perf_counter() - t0
-            if self._loop_fn is not None:
-                self.loop_used = "specialized"
-                return self._loop_fn(self, max_cycles, stop_on_target)
-        self.loop_used = "reference"
-        return self._run_reference(max_cycles, stop_on_target)
+        if self._hooks or self.force_reference or self.attribute:
+            self.loop_used = "reference"
+            return self._run_reference()
+        t0 = time.perf_counter()
+        loop = get_specialized_loop(
+            self.policy,
+            self.cfg,
+            self.params,
+            self.n_threads,
+            len(self.benches),
+        )
+        self.spec_seconds = time.perf_counter() - t0
+        self.loop_used = "specialized"
+        return loop(self)
 
-    def _run_reference(
-        self,
-        max_cycles: int | None = None,
-        stop_on_target: bool = True,
-    ) -> SimStats:
+    def _run_reference(self) -> SimStats:
         """The exact per-cycle loop: one :meth:`_issue_cycle` +
         :meth:`_account_cycle` pass per simulated cycle, hook events
         included.  This is the semantic definition of the simulator and
@@ -480,7 +462,6 @@ class Processor:
         threads = self.threads
         attr = self._attr
         width = self.cfg.issue_width
-        limit = max_cycles if max_cycles is not None else params.max_cycles
         timeslice = params.timeslice
         next_switch = timeslice
         switching = False
@@ -489,8 +470,8 @@ class Processor:
             for h in self._hooks:
                 h.on_run_start(self)
 
-        cycle = stats.cycles
-        end_cycle = cycle + limit
+        cycle = 0
+        end_cycle = params.max_cycles
 
         while cycle < end_cycle:
             if attr is not None:
@@ -553,7 +534,7 @@ class Processor:
                     switching = False
                     self._post_switch = True
 
-            if stop_on_target and self._target_hit:
+            if self._target_hit:
                 break
 
         stats.cycles = cycle
@@ -634,7 +615,6 @@ def run_single_thread(
     cfg: MachineConfig = PAPER_MACHINE,
     perfect_memory: bool = False,
     target_instructions: int | None = None,
-    max_cycles: int = 50_000_000,
 ) -> SimStats:
     """Run one benchmark alone (the paper's Fig. 13a IPCr/IPCp columns)."""
     from ..core.policies import SMT
@@ -650,4 +630,4 @@ def run_single_thread(
         renaming=False,
     )
     proc = Processor(SMT, [bundle], 1, cfg, params)
-    return proc.run(max_cycles=max_cycles)
+    return proc.run()

@@ -66,25 +66,23 @@ The generated function is statically verified
 (:mod:`repro.analysis.loopcheck`: closed free-name set, provable loop
 exits, every unrolled per-cluster arm naming its own cluster), then
 ``compile()``d/``exec``d once and memoised by :func:`loop_key`, the
-cell's shape.  Generation failures and verification rejections are
-memoised as ``None`` so :meth:`Processor.run` falls back to
-``_run_reference``, with the rule names + cell fingerprint logged
-through the ``repro`` logging tree (set ``REPRO_SPECIALIZE_STRICT=1``
-to re-raise instead, e.g. in CI — a bad generation is then rejected
-before it executes).
+cell's shape.  A generation that fails, or that ``loopcheck`` rejects
+(:class:`~repro.analysis.loopcheck.LoopVerificationError`, raised
+before any ``exec()``), raises out of :meth:`Processor.run`: every
+structurally valid shape generates and verifies clean, so a failure
+here is a generator bug.  A serial sweep records it as a failed cell;
+a pooled sweep raises before its pool forks.
 
 Process-pool workers get their loops by fork: before the pool forks,
 the parent generates and verifies every pending cell's loop, once per
 distinct shape, with :func:`verified_source` (compiling nothing: the
-parent runs no loop).  Each worker inherits the verified text and the
-memoised rejections, so it only compiles, and never runs ``loopcheck``
-(see ``repro.engine.runner``).
+parent runs no loop).  Each worker inherits the verified text, so it
+only compiles, and never runs ``loopcheck`` (see
+``repro.engine.runner``).
 """
 
 from __future__ import annotations
 
-import logging
-import os
 import textwrap
 from typing import NamedTuple
 
@@ -93,19 +91,13 @@ from ..arch.scenarios import machine_fingerprint
 from ..core.policies import Policy
 from ..core.priority import make_priority
 
-_log = logging.getLogger("repro.pipeline.specialize")
-
 #: name of the generated function inside its module namespace
 LOOP_NAME = "__specialized_loop"
-
-#: re-raise generation/verification/compilation failures instead of
-#: falling back
-STRICT = bool(os.environ.get("REPRO_SPECIALIZE_STRICT"))
 
 #: loop source that passed ``loopcheck``, by loop key
 _sources: dict[tuple, str] = {}
 _loops: dict[tuple, object] = {}
-_stats = {"hits": 0, "misses": 0, "failures": 0, "rejected": 0}
+_stats = {"hits": 0, "misses": 0}
 
 
 def cache_info() -> dict:
@@ -116,7 +108,7 @@ def cache_info() -> dict:
 def clear_cache() -> None:
     _sources.clear()
     _loops.clear()
-    _stats.update(hits=0, misses=0, failures=0, rejected=0)
+    _stats.update(hits=0, misses=0)
 
 
 class LoopShape(NamedTuple):
@@ -172,61 +164,32 @@ def _cell_name(policy: Policy, cfg: MachineConfig, n_threads: int) -> str:
     )
 
 
-def _reject(key: tuple, cell: str, e: Exception) -> None:
-    """Memoise a failed generation, verification or compilation as
-    ``None`` and log it (under :data:`STRICT`, re-raise instead)."""
-    if STRICT:
-        raise e
-    rules = sorted({f.rule for f in getattr(e, "findings", ())})
-    if rules:
-        _stats["rejected"] += 1
-        _log.warning(
-            "specialised loop rejected before exec for %s "
-            "(rules: %s); falling back to the reference loop",
-            cell, ", ".join(rules),
-        )
-    else:
-        _stats["failures"] += 1
-        _log.warning(
-            "specialised-loop generation failed for %s "
-            "(%s: %s); falling back to the reference loop",
-            cell, type(e).__name__, e,
-        )
-    _loops[key] = None
-
-
 def verified_source(
     policy: Policy,
     cfg: MachineConfig,
     params,
     n_threads: int,
     n_benches: int,
-) -> str | None:
+) -> str:
     """The source of one cell's loop once it passed
-    :func:`repro.analysis.loopcheck.check_source`, or ``None`` if
-    generation failed or was rejected (memoised and logged like
-    :func:`get_specialized_loop`'s failures).  Generates and verifies
-    each shape once and compiles nothing: a pool parent calls it for
-    every pending cell before it forks the workers that run the loop."""
+    :func:`repro.analysis.loopcheck.check_source` (a finding raises
+    :class:`~repro.analysis.loopcheck.LoopVerificationError`).
+    Generates and verifies each shape once and compiles nothing: a pool
+    parent calls it for every pending cell before it forks the workers
+    that run the loop."""
     key = loop_key(policy, cfg, params, n_threads, n_benches)
-    if key in _loops and _loops[key] is None:
-        return None
     src = _sources.get(key)
     if src is None:
-        try:
-            src = generate_loop_source(key)
-            # imported late: analysis.loopcheck imports this module
-            from ..analysis import loopcheck
+        src = generate_loop_source(key)
+        # imported late: analysis.loopcheck imports this module
+        from ..analysis import loopcheck
 
-            findings = loopcheck.check_source(
-                key, src,
-                label=f"<specialized {_cell_name(policy, cfg, n_threads)}>",
-            )
-            if findings:
-                raise loopcheck.LoopVerificationError(findings)
-        except Exception as e:
-            _reject(key, _cell_name(policy, cfg, n_threads), e)
-            return None
+        findings = loopcheck.check_source(
+            key, src,
+            label=f"<specialized {_cell_name(policy, cfg, n_threads)}>",
+        )
+        if findings:
+            raise loopcheck.LoopVerificationError(findings)
         _sources[key] = src
     return src
 
@@ -238,41 +201,30 @@ def get_specialized_loop(
     n_threads: int,
     n_benches: int,
 ):
-    """Compiled monomorphic loop for one cell, or ``None`` if
-    generation failed or was rejected by static verification (the
-    caller then uses ``_run_reference``).  Both outcomes are memoised by
+    """Compiled monomorphic loop for one cell, memoised by
     :func:`loop_key`.
 
     Every fresh generation is verified by
     :func:`repro.analysis.loopcheck.check_source` *before* ``exec()``:
     a loop with an unexpected free name, an unprovable exit edge or a
-    per-cluster arm that names the wrong cluster is never executed.
-    Under :data:`STRICT` the rejection raises
-    :class:`~repro.analysis.loopcheck.LoopVerificationError`;
-    otherwise it is memoised and logged (rule names + the cell's
-    machine fingerprint) through the ``repro`` logging tree — like
-    generation exceptions, which are also no longer silent.
+    per-cluster arm that names the wrong cluster raises
+    :class:`~repro.analysis.loopcheck.LoopVerificationError` and is
+    never executed.
     """
     key = loop_key(policy, cfg, params, n_threads, n_benches)
-    if key in _loops:
+    fn = _loops.get(key)
+    if fn is not None:
         _stats["hits"] += 1
-        return _loops[key]
+        return fn
     _stats["misses"] += 1
     src = verified_source(policy, cfg, params, n_threads, n_benches)
-    if src is None:
-        return None
     label = (
         f"<specialized {policy.merge}-merge/{policy.split}-split"
         f" nt={n_threads}>"
     )
-    try:
-        ns: dict = {}
-        exec(compile(src, label, "exec"), ns)
-        fn = ns[LOOP_NAME]
-    except Exception as e:
-        _reject(key, _cell_name(policy, cfg, n_threads), e)
-        return None
-    _loops[key] = fn
+    ns: dict = {}
+    exec(compile(src, label, "exec"), ns)
+    fn = _loops[key] = ns[LOOP_NAME]
     return fn
 
 
@@ -841,7 +793,6 @@ def generate_loop_source(shape: LoopShape) -> str:
     if inline_l1:
         flush += ["l1i.hits += l1i_hits", "l1d.hits += l1d_hits"]
     flush += [
-        "proc._target_hit = target_hit",
         "stats.cycles = cycle",
         "stats.memory = mem_sys.stats_dict()",
         "return stats",
@@ -877,9 +828,9 @@ def generate_loop_source(shape: LoopShape) -> str:
     )
 
     return f"""{header}
-def {LOOP_NAME}(proc, max_cycles=None, stop_on_target=True):
+def {LOOP_NAME}(proc):
 {setup_src}
-    target_hit = proc._target_hit
+    target_hit = False
     operations = 0
     instructions = 0
     vertical_waste = 0
@@ -887,9 +838,8 @@ def {LOOP_NAME}(proc, max_cycles=None, stop_on_target=True):
     icache_misses = 0
     dcache_accesses = 0
     dcache_misses = 0
-    limit = max_cycles if max_cycles is not None else proc.params.max_cycles
-{switch_init}    cycle = stats.cycles
-    end_cycle = cycle + limit
+{switch_init}    cycle = 0
+    end_cycle = proc.params.max_cycles
     while cycle < end_cycle:
         ops_this_cycle = 0
         threads_contributing = 0
@@ -906,7 +856,7 @@ def {LOOP_NAME}(proc, max_cycles=None, stop_on_target=True):
         cycle += 1
 {stall_account}
 {sched_src}
-        if stop_on_target and target_hit:
+        if target_hit:
             break
         if ops_this_cycle == 0 and cycle < end_cycle:
             {ff_call}

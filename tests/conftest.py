@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.arch.config import PAPER_MACHINE, ClusterConfig, MachineConfig
@@ -15,8 +17,14 @@ from _kernels import make_axpy, make_wide
 @pytest.fixture(scope="session")
 def quick_session():
     """One session that holds the quick Fig. 13b matrix (swept on two
-    workers), shared by the golden-digest and figure-shape tests."""
-    session = SimulationSession(QUICK_SCALE, jobs=2)
+    workers), shared by the golden-digest and figure-shape tests.  Its
+    cycle limit is a few times the longest golden cell (36,625 cycles),
+    so a simulator that never reaches the instruction target fails in
+    seconds instead of running to the scale's 5 M cycles; it moves no
+    digest."""
+    session = SimulationSession(
+        replace(QUICK_SCALE, max_cycles=100_000), jobs=2
+    )
     session.sweep()
     return session
 

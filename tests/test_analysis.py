@@ -4,15 +4,13 @@ Per-rule positive/negative fixtures for the determinism linter, the
 pragma contract, the full-matrix loopcheck clean run, tampered-source
 detection, the ``repro lint`` CLI's argument errors, and the
 injected-bad-codegen path: a monkeypatched generator emitting a stray
-global must be rejected *before* ``exec()`` under
-``REPRO_SPECIALIZE_STRICT``, and must fall back to ``_run_reference``
-(with ``loop_used`` provenance and bit-identical results) otherwise.
+global must be rejected *before* ``exec()``, and a sweep must record
+the rejected cell as a failure.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import re
 
 import pytest
@@ -28,11 +26,12 @@ from repro.analysis import (
 )
 from repro.analysis.base import Rule, rule
 from repro.arch.scenarios import MACHINE_PRESETS
-from repro.core.policies import BY_NAME
+from repro.core.policies import ALL_POLICIES, BY_NAME
+from repro.engine import RetryPolicy, SimulationSession
 from repro.pipeline import specialize
 from repro.pipeline.processor import Processor, SimParams
 
-from test_specialize import traces_for
+from test_specialize import _TINY, traces_for
 
 PAPER_CFG = MACHINE_PRESETS["paper"].machine
 
@@ -191,6 +190,26 @@ def test_loopcheck_full_matrix_clean():
     assert report.unique_loops == 1152
 
 
+def test_loopcheck_clean_beyond_the_preset_shapes():
+    """The lint matrix reaches only the presets' 2/4/8 clusters and
+    1/2/4 threads, and an unverified shape raises in
+    ``Processor.run``: every policy x 1-8 clusters x memory class at
+    three multitasking threads verifies too."""
+    shapes = [
+        specialize.LoopShape(
+            p.merge, p.split, p.comm_split, n_clusters, memory, 3, True,
+            "round-robin",
+        )
+        for p in ALL_POLICIES
+        for n_clusters in range(1, 9)
+        for memory in ("flat", "perfect", "hier", "mshr")
+    ]
+    assert len(set(shapes)) == 256
+    for shape in shapes:
+        src = specialize.generate_loop_source(shape)
+        assert check_source(shape, src) == [], shape
+
+
 def _shape(policy="CCSI AS", nt=2, nb=2):
     params = SimParams(target_instructions=500, timeslice=200, seed=7)
     return specialize.loop_key(BY_NAME[policy], PAPER_CFG, params, nt, nb)
@@ -287,10 +306,12 @@ def _corrupting_generator(monkeypatch):
 def test_strict_rejects_injected_bad_codegen_before_exec(
     fresh_cache, monkeypatch
 ):
+    """A loop that fails verification raises before ``exec()``: a
+    serial run compiles nothing, and a serial sweep records the cell
+    as one ``error`` failure that names the rule."""
     traces = traces_for("paper")
     params = SimParams(target_instructions=500, timeslice=200, seed=7)
     _corrupting_generator(monkeypatch)
-    monkeypatch.setattr(specialize, "STRICT", True)
     proc = Processor(BY_NAME["CCSI AS"], traces, 2, PAPER_CFG, params)
     with pytest.raises(LoopVerificationError) as exc:
         proc.run()
@@ -300,45 +321,12 @@ def test_strict_rejects_injected_bad_codegen_before_exec(
     # rejected before exec: nothing was compiled or memoised
     assert specialize.cache_info()["compiled"] == 0
 
-
-def test_nonstrict_rejection_falls_back_and_logs(
-    fresh_cache, monkeypatch, caplog
-):
-    traces = traces_for("paper")
-    params = SimParams(target_instructions=500, timeslice=200, seed=7)
-    _corrupting_generator(monkeypatch)
-    monkeypatch.setattr(specialize, "STRICT", False)
-
-    with caplog.at_level(
-        logging.WARNING, logger="repro.pipeline.specialize"
-    ):
-        proc = Processor(BY_NAME["CCSI AS"], traces, 2, PAPER_CFG, params)
-        stats = proc.run()
-    assert proc.loop_used == "reference"
-    info = specialize.cache_info()
-    assert info["rejected"] == 1 and info["failures"] == 0
-    # the rejection names the rule, the cell and the loop it falls
-    # back to through the repro tree
-    assert any(
-        "loopcheck-free-name" in r.message
-        and "machine=" in r.message
-        and "reference loop" in r.message
-        for r in caplog.records
-    )
-
-    # bit-identical to the reference oracle despite the fallback
-    ref = Processor(
-        BY_NAME["CCSI AS"], traces, 2, PAPER_CFG, params,
-        force_reference=True,
-    ).run()
-    assert stats.to_dict() == ref.to_dict()
-
-    # the rejection is memoised: a second processor takes the memo hit
-    again = Processor(BY_NAME["CCSI AS"], traces, 2, PAPER_CFG, params)
-    again.run()
-    assert again.loop_used == "reference"
-    info = specialize.cache_info()
-    assert info["rejected"] == 1 and info["hits"] == 1
+    session = SimulationSession(_TINY, retry=RetryPolicy(retries=0))
+    assert session.sweep(["CCSI AS"], ["llll"], (2,)) == {}
+    [failure] = session.failures
+    assert failure.category == "error"
+    assert "loopcheck-free-name" in failure.error
+    assert session.simulations == 0
 
 
 # ------------------------------------------------------------- CLI

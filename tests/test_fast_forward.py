@@ -32,16 +32,16 @@ from repro.engine import CycleRecorder
 from repro.pipeline.processor import Processor, SimParams
 
 
-def run_pair(policy, traces, n_threads, cfg, params, **run_kw):
+def run_pair(policy, traces, n_threads, cfg, params):
     """Run the same cell through both tiers; returns (spec, ref, proc)
     where ``proc`` is the processor that ran the generated loop."""
     spec_proc = Processor(policy, traces, n_threads, cfg, params)
     ref_proc = Processor(
         policy, traces, n_threads, cfg, params, force_reference=True
     )
-    spec = spec_proc.run(**run_kw)
+    spec = spec_proc.run()
     assert spec_proc.loop_used == "specialized"
-    return spec, ref_proc.run(**run_kw), spec_proc
+    return spec, ref_proc.run(), spec_proc
 
 
 def preset_cfg(preset: str):
@@ -111,32 +111,29 @@ def test_timeslice_boundary_crossed_mid_skip(tiny_traces):
 
 def test_max_cycles_boundary_lands_mid_stall(tiny_traces):
     """``max_cycles`` limits that expire inside a skipped span must
-    clamp the bulk waste accounting to the exact same cycle count."""
+    clamp the bulk waste accounting to the exact same cycle count, and
+    limits landing around 250-cycle timeslice expiries must stop both
+    loops on the same counters."""
     cfg = preset_cfg("slow-dram")
-    params = SimParams(target_instructions=10**9, timeslice=0, seed=2)
     for limit in (37, 61, 100, 1_000):
+        params = SimParams(
+            target_instructions=10**9, timeslice=0, max_cycles=limit,
+            seed=2,
+        )
         spec, ref, _ = run_pair(
-            BY_NAME["SMT"], tiny_traces[:1], 1, cfg, params,
-            max_cycles=limit, stop_on_target=False,
+            BY_NAME["SMT"], tiny_traces[:1], 1, cfg, params
         )
         assert spec.to_dict() == ref.to_dict(), limit
-
-
-def test_resumed_runs_stay_identical(tiny_traces):
-    """Consecutive ``run()`` calls on one processor (cycle counter
-    resumes, scheduler state re-derives) match the reference loop."""
-    params = SimParams(target_instructions=10**9, timeslice=250, seed=4)
-    spec_proc = Processor(
-        BY_NAME["COSI AS"], tiny_traces, 2, PAPER_MACHINE, params
-    )
-    ref_proc = Processor(
-        BY_NAME["COSI AS"], tiny_traces, 2, PAPER_MACHINE, params,
-        force_reference=True,
-    )
-    for limit in (300, 400):
-        spec = spec_proc.run(max_cycles=limit, stop_on_target=False)
-        ref = ref_proc.run(max_cycles=limit, stop_on_target=False)
-        assert spec.to_dict() == ref.to_dict(), limit
+    for policy in ("SMT", "COSI AS"):
+        for limit in (300, 400, 700):
+            params = SimParams(
+                target_instructions=10**9, timeslice=250,
+                max_cycles=limit, seed=4,
+            )
+            spec, ref, _ = run_pair(
+                BY_NAME[policy], tiny_traces, 2, PAPER_MACHINE, params
+            )
+            assert spec.to_dict() == ref.to_dict(), (policy, limit)
 
 
 def test_bank_busy_window_straddles_skipped_span(tiny_traces):

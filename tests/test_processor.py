@@ -41,16 +41,20 @@ def test_perfect_memory_at_least_as_fast(axpy_trace, wide_trace):
 
 def test_ipc_bounded_by_issue_width(tiny_traces):
     for pol in ALL_POLICIES:
-        proc = Processor(pol, tiny_traces, 2, PAPER_MACHINE, params())
-        s = proc.run(max_cycles=5_000, stop_on_target=False)
+        proc = Processor(pol, tiny_traces, 2, PAPER_MACHINE,
+                         params(target_instructions=10**9,
+                                max_cycles=5_000))
+        s = proc.run()
         assert s.ipc <= PAPER_MACHINE.issue_width
 
 
 def test_determinism_same_seed(tiny_traces):
     runs = []
     for _ in range(2):
-        proc = Processor(OOSI_AS, tiny_traces, 2, PAPER_MACHINE, params())
-        runs.append(proc.run(max_cycles=20_000, stop_on_target=False))
+        proc = Processor(OOSI_AS, tiny_traces, 2, PAPER_MACHINE,
+                         params(target_instructions=10**9,
+                                max_cycles=20_000))
+        runs.append(proc.run())
     assert runs[0].operations == runs[1].operations
     assert runs[0].cycles == runs[1].cycles
     assert runs[0].split_instructions == runs[1].split_instructions
@@ -73,7 +77,7 @@ def test_ops_conserved_across_policies(tiny_traces):
             ) - 20
 
 
-def test_stop_on_target(tiny_traces):
+def test_run_stops_at_instruction_target(tiny_traces):
     proc = Processor(SMT, tiny_traces, 2, PAPER_MACHINE,
                      params(target_instructions=500))
     s = proc.run()
@@ -85,8 +89,9 @@ def test_timeslice_context_switches(tiny_traces):
                      params(target_instructions=50_000, timeslice=500))
     # NOTE: duplicate names would collide in per_bench; use 2 distinct
     proc = Processor(SMT, tiny_traces, 1, PAPER_MACHINE,
-                     params(target_instructions=6_000, timeslice=500))
-    s = proc.run(max_cycles=50_000, stop_on_target=False)
+                     params(target_instructions=10**9, timeslice=500,
+                            max_cycles=50_000))
+    s = proc.run()
     assert s.context_switches > 0
 
 
@@ -143,8 +148,8 @@ def test_multithreading_beats_single_thread_throughput(tiny_traces):
     )
     proc = Processor(SMT, tiny_traces, 2, PAPER_MACHINE,
                      params(target_instructions=10**9, timeslice=0,
-                            perfect_memory=True))
-    s = proc.run(max_cycles=solo * 2, stop_on_target=False)
+                            perfect_memory=True, max_cycles=solo * 2))
+    s = proc.run()
     # run until both traces completed once: compare ops/cycle instead
     solo_ipc = sum(
         run_single_thread(tr, perfect_memory=True).operations
@@ -154,11 +159,12 @@ def test_multithreading_beats_single_thread_throughput(tiny_traces):
 
 
 def test_split_instructions_counted_only_for_split_policies(tiny_traces):
-    p_no = Processor(CSMT, tiny_traces, 2, PAPER_MACHINE, params())
-    s_no = p_no.run(max_cycles=5_000, stop_on_target=False)
+    limited = params(target_instructions=10**9, max_cycles=5_000)
+    p_no = Processor(CSMT, tiny_traces, 2, PAPER_MACHINE, limited)
+    s_no = p_no.run()
     assert s_no.split_instructions == 0
-    p_sp = Processor(CCSI_AS, tiny_traces, 2, PAPER_MACHINE, params())
-    s_sp = p_sp.run(max_cycles=5_000, stop_on_target=False)
+    p_sp = Processor(CCSI_AS, tiny_traces, 2, PAPER_MACHINE, limited)
+    s_sp = p_sp.run()
     assert s_sp.split_instructions >= 0  # may be zero on tiny runs
 
 
@@ -197,6 +203,7 @@ def test_memory_port_contention_stalls():
     trs = [record_trace(make_store_kernel(f"st{k}"), PAPER_MACHINE)
            for k in range(2)]
     proc = Processor(OOSI_AS, trs, 2, PAPER_MACHINE,
-                     params(target_instructions=10**9, timeslice=0))
-    s = proc.run(max_cycles=20_000, stop_on_target=False)
+                     params(target_instructions=10**9, timeslice=0,
+                            max_cycles=20_000))
+    s = proc.run()
     assert s.stall_cycles >= 0  # counted; may be zero if no collision
