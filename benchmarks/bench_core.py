@@ -14,7 +14,7 @@ dispatch actually ran (``engine``) in the tracked artifact.
 Usage::
 
     python benchmarks/bench_core.py            # full measurement
-    python benchmarks/bench_core.py --quick    # CI smoke (fewer reps)
+    python benchmarks/bench_core.py --quick    # CI smoke (smaller runs)
     python benchmarks/bench_core.py --quick \
         --baseline benchmarks/BENCH_core.baseline.json
 
@@ -127,23 +127,23 @@ def measure_scenario(label, policy_name, memory, n_threads, workload,
     # repetitions measure the simulator, not one-off construction
     Processor(policy, bundles, n_threads, cfg, params).run()
 
-    best = {}
+    times: dict[str, list[float]] = {tier: [] for tier in TIERS}
     stats = {}
     engine = None
-    for tier, force_reference in TIERS.items():
-        times = []
-        for _ in range(reps):
+    # the tiers' repetitions alternate (spec, ref, spec, ref, ...), so
+    # a drift in host speed lands on both tiers alike
+    for _ in range(reps):
+        for tier, force_reference in TIERS.items():
             proc = Processor(
                 policy, bundles, n_threads, cfg, params,
                 force_reference=force_reference,
             )
-            elapsed, s = _time_run(proc)
-            times.append(elapsed)
-        best[tier] = min(times)
-        stats[tier] = s
-        if tier == "spec":
-            # which tier the default dispatch actually took
-            engine = proc.loop_used
+            elapsed, stats[tier] = _time_run(proc)
+            times[tier].append(elapsed)
+            if tier == "spec":
+                # which tier the default dispatch actually took
+                engine = proc.loop_used
+    best = {tier: min(t) for tier, t in times.items()}
 
     spec, ref = stats["spec"], stats["ref"]
     identical = spec.to_dict() == ref.to_dict()
@@ -223,10 +223,10 @@ def check_baseline(scenarios: list[dict], baseline_path: Path,
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
-                    help="smaller runs, fewer repetitions (CI smoke)")
-    ap.add_argument("--reps", type=int, default=None, metavar="N",
-                    help="timing repetitions per path (best-of-N); "
-                         "default 3 quick / 5 full")
+                    help="smaller runs (CI smoke)")
+    ap.add_argument("--reps", type=int, default=5, metavar="N",
+                    help="timing repetitions per tier, alternating "
+                         "between the tiers (best-of-N; default 5)")
     ap.add_argument("--output", default=str(REPO_ROOT / "BENCH_core.json"),
                     metavar="PATH", help="where to write the JSON report")
     ap.add_argument("--baseline", default=None, metavar="PATH",
@@ -241,12 +241,11 @@ def main(argv=None) -> int:
                     help="max allowed fractional cps regression vs the "
                          "baseline (default 0.25)")
     args = ap.parse_args(argv)
-    reps = args.reps if args.reps is not None else (3 if args.quick else 5)
 
     results = []
     for label, policy, memory, nt, workload, machine in SCENARIOS:
         r = measure_scenario(label, policy, memory, nt, workload,
-                             machine, args.quick, reps)
+                             machine, args.quick, args.reps)
         results.append(r)
         print(f"{label:18s} {r['policy']:8s} {r['memory']:11s} "
               f"{r['machine']:7s} nt={nt} cycles={r['cycles']:7d} "
@@ -263,7 +262,7 @@ def main(argv=None) -> int:
         # the machine-scenario coordinate
         "schema": 6,
         "quick": args.quick,
-        "reps": reps,
+        "reps": args.reps,
         "kernel_scale": KERNEL_SCALE,
         "python": platform.python_version(),
         "platform": platform.platform(),

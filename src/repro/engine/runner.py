@@ -5,10 +5,16 @@ Each matrix cell is an independent deterministic simulation (its own
 pool in any order and produce bit-identical counters to a serial sweep.
 Each sweep forks a pool of its own and shuts it down when it ends.
 Workers get everything by fork: before the first task the parent
-records the pending cells' traces and generates and verifies their
-run loops, and installs the session's fault plan, so each worker
-inherits the trace memo, the verified loop sources and the plan.  A
-task is the cell the parent resolved — a small picklable
+holds the pending cells' traces, has generated and verified their
+run loops, and has installed the session's fault plan, so each
+worker inherits the trace memo, the verified loop sources and the
+plan.  The traces a sweep lacks are recorded on a short-lived pool of
+recorders, forked before the lookups (and again before the
+simulation pool, for bundles whose identity the store's fingerprint
+index served), while the parent verifies the loops; each recorder
+returns a finished bundle as plain fields, which the parent rebuilds
+and installs in the trace memo (:func:`_record_traces`).  A task is
+the cell the parent resolved — a small picklable
 :class:`~repro.engine.session.Cell` carrying policy, benchmark names,
 machine config and simulation parameters — and its attempt number;
 trace bundles (megabytes of flattened tables) and loop source never
@@ -305,7 +311,9 @@ class _MatrixRun:
 def _run_serial(run: _MatrixRun, cells: list) -> None:
     """In-process execution with the same retry/record semantics as the
     pool (also the degraded mode after repeated pool deaths).  Per-cell
-    timeouts cannot preempt in-process code and do not apply."""
+    timeouts cannot preempt in-process code and do not apply.  A cell
+    whose run loop fails verification fails on its first attempt:
+    generation is deterministic, so a retry would be rejected again."""
     session, retry = run.session, run.retry
     for cell in cells:
         if cell.spec in run.results:
@@ -324,10 +332,16 @@ def _run_serial(run: _MatrixRun, cells: list) -> None:
                 run.note_error(cell, "crash", str(e))
                 category, message = "crash", str(e)
             except Exception as e:
+                from ..analysis.loopcheck import LoopVerificationError
+
                 message = f"{type(e).__name__}: {e}"
                 run.note_error(cell, "error", message,
                                tb_module.format_exc())
                 category = "error"
+                if isinstance(e, LoopVerificationError):
+                    # the same shape is rejected on every attempt
+                    run.fail(cell, category, message)
+                    break
             else:
                 run.done(
                     cell, stats, key,
@@ -339,6 +353,88 @@ def _run_serial(run: _MatrixRun, cells: list) -> None:
             if run.exhausted(cell):
                 run.fail(cell, category, message)
                 break
+
+
+def _verify_loop(cell) -> None:
+    """Generate and verify the cell's run loop in this process (memoised
+    by loop shape), so pool workers inherit it."""
+    from ..pipeline import specialize
+
+    specialize.verified_source(
+        cell.policy, cell.cfg, cell.params, cell.n_threads,
+        len(cell.members),
+    )
+
+
+def _record_fields(key: tuple) -> tuple:
+    """Recorder task: compile and record the kernel of one trace-memo
+    key, returning the bundle as plain fields
+    (:meth:`TraceBundle.fields`), never a pickled bundle or program."""
+    from ..kernels import suite
+
+    return suite._record(key).fields()
+
+
+def _record_traces(session, cells: list, jobs: int, bundles: bool) -> None:
+    """Record the traces ``cells`` lack on a short-lived fork pool of
+    recorders while this process verifies the cells' loops.
+
+    A trace is lacking when the trace memo holds no bundle for it and,
+    unless ``bundles`` (the cells simulate and need every bundle),
+    neither the identity memo nor the store's fingerprint index serves
+    its identity.  With fewer than two lacking this does nothing and
+    the caller records on demand, as it also does for the traces a
+    dead recorder left.  Each finished bundle is rebuilt from its
+    fields and installed as :func:`~repro.kernels.suite.get_trace`
+    installs what it records (memo, ``traces_recorded``, index
+    entry)."""
+    from ..kernels import suite
+
+    store = session.cache
+    lacking: list = []  # trace-memo keys, in the cells' order
+    for cell in cells:
+        for name in cell.members:
+            key = suite._memo_key(name, cell.kernel_scale, cell.cfg)
+            if key in suite._trace_cache or key in lacking:
+                continue
+            if bundles or suite._served_identity(key, store) is None:
+                lacking.append(key)
+    if len(lacking) < 2:
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # imported before the fork, so each recorder inherits the compiler
+    # and (through the trace module) the VM instead of importing them
+    from ..compiler import pipeline  # noqa: F401
+    from ..pipeline.trace import TraceBundle
+
+    pool = ProcessPoolExecutor(
+        min(jobs, len(lacking)),
+        mp_context=multiprocessing.get_context("fork"),
+    )
+    try:
+        todo = {pool.submit(_record_fields, key): key for key in lacking}
+        for cell in cells:
+            _verify_loop(cell)
+        while todo:
+            done, _ = wait(todo, return_when=FIRST_COMPLETED)
+            for fut in done:
+                key = todo.pop(fut)
+                # key[2] is the machine config the bundle was recorded on
+                suite._install(
+                    key, TraceBundle.from_fields(key[2], fut.result()),
+                    store,
+                )
+    except BrokenProcessPool:
+        # the caller records what is still lacking on demand
+        log.warning(
+            "a trace recorder died; the remaining traces are recorded "
+            "in this process"
+        )
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_pooled(run: _MatrixRun, pending: list, jobs: int) -> None:
@@ -358,12 +454,10 @@ def _run_pooled(run: _MatrixRun, pending: list, jobs: int) -> None:
     # workers have no store and run no loopcheck: they inherit this
     # process's trace memo and verified loop sources, so every bundle
     # and loop they need is built here (once each: both are memoised)
+    _record_traces(session, pending, jobs, bundles=True)
     for cell in pending:
         cell.bundles(session.cache)
-        specialize.verified_source(
-            cell.policy, cell.cfg, cell.params, cell.n_threads,
-            len(cell.members),
-        )
+        _verify_loop(cell)
     # fork, not the platform default (forkserver on Linux from Python
     # 3.14): a worker that did not inherit the parent's traces and
     # loops would record and verify them again
@@ -640,6 +734,13 @@ def run_matrix(
         if jobs <= 1:
             _run_serial(run, cells)
         else:
+            # a cold sweep records the traces its result keys need on
+            # every CPU, not one by one in the lookups below
+            _record_traces(
+                session,
+                [c for c in cells if c.memo_key not in session._memo],
+                jobs, bundles=False,
+            )
             pending = []
             for cell in cells:
                 stats, source, key = session._lookup(cell)

@@ -153,13 +153,35 @@ def record_trace(
 
 
 def _memo_key(
-    name: str, scale: float, cfg: MachineConfig, max_instructions: int
+    name: str, scale: float, cfg: MachineConfig,
+    max_instructions: int = 5_000_000,
 ) -> _MemoKey:
     key_cfg = (
         cfg if cfg.memory == _FLAT_MEMORY
         else replace(cfg, memory=_FLAT_MEMORY)
     )
     return (name, scale, key_cfg, max_instructions)
+
+
+def _record(key: _MemoKey) -> TraceBundle:
+    """Compile and functionally execute the kernel of one memo key
+    (through this module's :func:`build_program` and
+    :func:`record_trace`)."""
+    name, scale, cfg, max_instructions = key
+    program = build_program(name, scale, cfg).program
+    return record_trace(program, cfg, max_instructions)
+
+
+def _install(
+    key: _MemoKey, bundle: TraceBundle, store: ResultCache | None
+) -> TraceBundle:
+    """Memoise a recorded bundle; with a store, count it in
+    ``traces_recorded`` and note its identity."""
+    if store is not None:
+        store.traces_recorded += 1
+        _note_identity(key, bundle, store)
+    _trace_cache[key] = bundle
+    return bundle
 
 
 def get_trace(
@@ -187,12 +209,7 @@ def get_trace(
     key = _memo_key(name, scale, cfg, max_instructions)
     bundle = _trace_cache.get(key)
     if bundle is None:
-        program = build_program(name, scale, cfg).program
-        bundle = record_trace(program, cfg, max_instructions)
-        if store is not None:
-            store.traces_recorded += 1
-            _note_identity(key, bundle, store)
-        _trace_cache[key] = bundle
+        bundle = _install(key, _record(key), store)
     return bundle
 
 
@@ -212,6 +229,22 @@ def _note_identity(
     return ident
 
 
+def _served_identity(
+    key: _MemoKey, store: ResultCache | None
+) -> TraceIdentity | None:
+    """The identity of ``key`` from the process memo or, memoised on a
+    hit, from the store's fingerprint index; ``None`` when neither has
+    it and only recording can tell."""
+    ident = _identity_cache.get(key)
+    if ident is None and store is not None:
+        from ..engine.cache import index_key
+
+        ident = store.get_identity(index_key(*key))
+        if ident is not None:
+            _identity_cache[key] = ident
+    return ident
+
+
 def trace_identity(
     name: str,
     scale: float = 1.0,
@@ -226,16 +259,9 @@ def trace_identity(
     :func:`get_trace` (compile and record), which writes the index
     entry."""
     key = _memo_key(name, scale, cfg, max_instructions)
-    ident = _identity_cache.get(key)
+    ident = _served_identity(key, store)
     if ident is not None:
         return ident
-    if store is not None:
-        from ..engine.cache import index_key
-
-        ident = store.get_identity(index_key(*key))
-        if ident is not None:
-            _identity_cache[key] = ident
-            return ident
     return _note_identity(
         key, get_trace(name, scale, cfg, max_instructions, store), store
     )

@@ -38,7 +38,7 @@ import functools
 import hashlib
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from ..arch.config import MachineConfig
 from ..arch.resources import op_usage_table, usage_of_ops
@@ -52,21 +52,35 @@ AddrCols = tuple[list[int], ...]
 
 @dataclass
 class StaticTable:
-    """Per-static-instruction properties (one rotation)."""
+    """Per-static-instruction properties (one rotation).  ``bundle_sum``
+    and ``ops_use`` are derived from the other fields."""
 
     n_clusters: int
     packed: list[int]
     cmask: list[int]
     bundle_packed: list[list[int]]
     bundle_nops: list[list[int]]
-    bundle_sum: list[int]
     mem_cmask: list[int]
     store_cmask: list[int]
     icc: list[bool]
     nops: list[int]
     ops_desc: list[tuple[tuple[int, int, bool], ...]]
-    ops_use: list[tuple[tuple[int, int], ...]]
     pc: list[int]
+    bundle_sum: list[int] = field(init=False)
+    ops_use: list[tuple[tuple[int, int], ...]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.bundle_sum = [sum(b) for b in self.bundle_packed]
+        self.ops_use = _ops_use(self.ops_desc, self.n_clusters)
+
+
+#: the :class:`StaticTable` constructor's fields, in order
+_STATIC_FIELDS = tuple(f.name for f in fields(StaticTable) if f.init)
+
+
+def _static_fields(st: StaticTable) -> tuple:
+    """The values of ``st``'s constructor fields, in order."""
+    return tuple(getattr(st, f) for f in _STATIC_FIELDS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,13 +144,11 @@ def build_static_table(program: Program, cfg: MachineConfig) -> StaticTable:
         cmask=cmask,
         bundle_packed=b_packed,
         bundle_nops=b_nops,
-        bundle_sum=[sum(b) for b in b_packed],
         mem_cmask=mem_cm,
         store_cmask=store_cm,
         icc=icc,
         nops=nops,
         ops_desc=ops_desc,
-        ops_use=_ops_use(ops_desc, n_cl),
         pc=pcs,
     )
 
@@ -177,52 +189,64 @@ def _rot_static(st: StaticTable, r: int) -> StaticTable:
         cmask=[_rot_mask(m, r, n) for m in st.cmask],
         bundle_packed=[_roll(b, r) for b in st.bundle_packed],
         bundle_nops=[_roll(b, r) for b in st.bundle_nops],
-        # rolling reorders the bundles but does not lane-shift their
-        # usage, so the sum is the unrotated one (pinned by
-        # tests/test_trace.py::test_rotated_bundle_usage_sums_to_packed)
-        bundle_sum=st.bundle_sum,
         mem_cmask=[_rot_mask(m, r, n) for m in st.mem_cmask],
         store_cmask=[_rot_mask(m, r, n) for m in st.store_cmask],
         icc=st.icc,
         nops=st.nops,
         ops_desc=ops_desc,
-        ops_use=_ops_use(ops_desc, n),
         pc=st.pc,
     )
 
 
 class TraceBundle:
-    """Everything the timing model needs about one benchmark."""
+    """Everything the timing model needs about one benchmark: its
+    static table, dynamic trace and content fingerprint.  Built by
+    :func:`record_trace`, or by :meth:`from_fields` from what
+    :meth:`fields` returned in another process."""
 
     def __init__(
         self,
         name: str,
-        program: Program,
         cfg: MachineConfig,
+        static: StaticTable,
         idx: list[int],
         taken: list[bool],
-        addrs: list[int],
+        addr_cols: AddrCols,
+        total_ops: int,
+        fingerprint: str,
     ):
-        """``addrs`` is the flat row-major address matrix the
-        :class:`~repro.vm.machine.TraceRecorder` records,
-        ``cfg.n_clusters`` entries per instruction."""
-        n = cfg.n_clusters
         self.name = name
-        self.program = program
         self.cfg = cfg
-        self.static = build_static_table(program, cfg)
+        self.static = static
         self.idx = idx
         self.taken = taken
-        self.addr_cols: AddrCols = tuple(addrs[c::n] for c in range(n))
+        self.addr_cols = addr_cols
         self.length = len(idx)
-        self.total_ops = sum(self.static.nops[i] for i in idx)
+        self.total_ops = total_ops
         self._rot_cache: dict[int, tuple[StaticTable, AddrCols]] = {
-            0: (self.static, self.addr_cols)
+            0: (static, addr_cols)
         }
-        # computed eagerly while the flat address list is in hand, so
-        # the bundle does not retain it for a lazy hash (bundles live
-        # for the process in the suite memo)
-        self._fingerprint = self._compute_fingerprint(addrs)
+        self._fingerprint = fingerprint
+
+    def fields(self) -> tuple:
+        """The bundle as plain lists, tuples, ints and strings: what a
+        recording process returns to the one that simulates."""
+        return (
+            self.name, _static_fields(self.static), self.idx, self.taken,
+            self.addr_cols, self.total_ops, self._fingerprint,
+        )
+
+    @classmethod
+    def from_fields(cls, cfg: MachineConfig, fields: tuple) -> TraceBundle:
+        """Rebuild a bundle from :meth:`fields` through the
+        constructors, so derived tables are interned as
+        :func:`record_trace` interns them (a bundle unpickled whole
+        simulates measurably slower)."""
+        name, static, idx, taken, addr_cols, total_ops, fingerprint = fields
+        return cls(
+            name, cfg, StaticTable(*static), idx, taken, tuple(addr_cols),
+            total_ops, fingerprint,
+        )
 
     def rotated(self, r: int) -> tuple[StaticTable, AddrCols]:
         """Static table and address columns under cluster renaming
@@ -236,36 +260,6 @@ class TraceBundle:
             )
         return self._rot_cache[r]
 
-    def _compute_fingerprint(self, addrs: list[int]) -> str:
-        h = hashlib.sha256()
-        h.update(self.name.encode())
-        # native-endian int64 / int8 / int64 bytes of the trace lists
-        h.update(array("q", self.idx).tobytes())
-        h.update(array("b", self.taken).tobytes())
-        h.update(array("q", addrs).tobytes())
-        st = self.static
-        # ops_desc is order-sensitive: op-level split issues ops in
-        # this order under resource pressure, so a reorder changes
-        # replay even when the aggregate masks are identical
-        h.update(
-            repr(
-                (
-                    st.n_clusters,
-                    st.packed,
-                    st.cmask,
-                    st.bundle_packed,
-                    st.bundle_nops,
-                    st.mem_cmask,
-                    st.store_cmask,
-                    st.icc,
-                    st.nops,
-                    st.ops_desc,
-                    st.pc,
-                )
-            ).encode()
-        )
-        return h.hexdigest()
-
     def fingerprint(self) -> str:
         """Content hash of the dynamic trace + merge-relevant static
         tables.  Two bundles with the same fingerprint replay
@@ -275,15 +269,44 @@ class TraceBundle:
         return self._fingerprint
 
 
+def _fingerprint(
+    name: str, idx: list[int], taken: list[bool], addrs: list[int],
+    st: StaticTable,
+) -> str:
+    h = hashlib.sha256()
+    h.update(name.encode())
+    # native-endian int64 / int8 / int64 bytes of the trace lists
+    h.update(array("q", idx).tobytes())
+    h.update(array("b", taken).tobytes())
+    h.update(array("q", addrs).tobytes())
+    # every constructor field of the static table; ops_desc is
+    # order-sensitive: op-level split issues ops in this order under
+    # resource pressure, so a reorder changes replay even when the
+    # aggregate masks are identical
+    h.update(repr(_static_fields(st)).encode())
+    return h.hexdigest()
+
+
 def record_trace(
     program: Program,
     cfg: MachineConfig,
     max_instructions: int = 5_000_000,
 ) -> TraceBundle:
-    """Run a program on the functional VM and capture its trace."""
+    """Run a program on the functional VM and capture its trace.  The
+    bundle keeps no reference to ``program``."""
+    n = cfg.n_clusters
     vm = VM(program)
-    rec = TraceRecorder(cfg.n_clusters)
+    rec = TraceRecorder(n)
     vm.run(max_instructions=max_instructions, recorder=rec)
+    static = build_static_table(program, cfg)
+    idx, taken, addrs = rec.indices, rec.taken, rec.addrs
+    nops = static.nops
     return TraceBundle(
-        program.name, program, cfg, rec.indices, rec.taken, rec.addrs
+        program.name, cfg, static, idx, taken,
+        tuple(addrs[c::n] for c in range(n)),
+        sum(nops[i] for i in idx),
+        # hashed while the flat address list is in hand, so the bundle
+        # does not retain it (bundles live for the process in the
+        # suite memo)
+        _fingerprint(program.name, idx, taken, addrs, static),
     )

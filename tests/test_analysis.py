@@ -329,6 +329,41 @@ def test_strict_rejects_injected_bad_codegen_before_exec(
     assert session.simulations == 0
 
 
+def test_rejected_loop_fails_serial_cells_without_retry(
+    fresh_cache, monkeypatch
+):
+    """Under the default retry policy, a serial sweep fails each cell
+    whose loop is rejected on its first attempt: no backoff sleep, one
+    generation per cell."""
+    import time
+
+    from repro.engine.runner import DEFAULT_RETRY
+
+    _corrupting_generator(monkeypatch)
+    generated = []
+    corrupt = specialize.generate_loop_source
+
+    def counted(*args, **kwargs):
+        generated.append(args)
+        return corrupt(*args, **kwargs)
+
+    def no_sleep(seconds):
+        raise AssertionError(f"slept {seconds} s before a retry")
+
+    monkeypatch.setattr(specialize, "generate_loop_source", counted)
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    session = SimulationSession(_TINY)
+    assert session.retry == DEFAULT_RETRY and DEFAULT_RETRY.retries > 0
+    assert session.sweep(["CCSI AS"], ["llll", "hhhh"], (2,)) == {}
+    assert [(f.category, f.attempts) for f in session.failures] == [
+        ("error", 1), ("error", 1)
+    ]
+    assert all("loopcheck-free-name" in f.error for f in session.failures)
+    # both cells share one loop shape, generated once per cell
+    assert len(generated) == 2 and generated[0] == generated[1]
+    assert session.simulations == 0
+
+
 # ------------------------------------------------------------- CLI
 def test_cli_lint_clean_run(tmp_path, capsys):
     out = tmp_path / "report.json"

@@ -152,11 +152,12 @@ def test_warm_sweep_runs_zero_simulations(tmp_path):
 
 
 def test_pool_respawned_for_new_kernels(tmp_path, monkeypatch):
-    """Each sweep forks a pool of its own, and its workers get trace
-    bundles and verified loops only by fork: in every pooled sweep, a
-    second one over new kernels included, each trace is recorded and
-    each loop verified in the parent, each cell simulates in a forked
-    worker, and no worker outlives its sweep."""
+    """Each sweep forks pools of its own, and its simulation workers
+    get trace bundles and verified loops only by fork: in every pooled
+    sweep, a second one over new kernels included, each kernel is
+    recorded once and never by a process that simulates, each loop is
+    verified in the parent, a worker's inherited trace memo already
+    holds every member of its cell, and no child outlives its sweep."""
     import multiprocessing
     import os
 
@@ -167,38 +168,146 @@ def test_pool_respawned_for_new_kernels(tmp_path, monkeypatch):
 
     log = tmp_path / "calls"
 
-    def logged(name, real):
+    def logged(event, real, detail=lambda *a: "-"):
         def wrapper(*a, **k):
             with open(log, "a") as f:
-                f.write(f"{name} {os.getpid()}\n")
+                f.write(f"{event} {os.getpid()} {detail(*a)}\n")
             return real(*a, **k)
 
         return wrapper
 
-    # patched before any pool forks: a worker that was not forked from
-    # this process (another start method) would not log its cells
-    monkeypatch.setattr(
-        suite, "record_trace", logged("record", suite.record_trace)
-    )
+    def memoised(cell, *_):
+        return all(
+            suite._memo_key(n, cell.kernel_scale, cell.cfg)
+            in suite._trace_cache
+            for n in cell.members
+        )
+
+    # patched before any pool forks: a child that was not forked from
+    # this process (another start method) would not log its calls
+    monkeypatch.setattr(suite, "record_trace", logged(
+        "record", suite.record_trace, lambda program, *_: program.name
+    ))
     monkeypatch.setattr(
         loopcheck, "check_source", logged("check", loopcheck.check_source)
     )
-    monkeypatch.setattr(Cell, "simulate", logged("simulate", Cell.simulate))
+    monkeypatch.setattr(
+        Cell, "simulate", logged("simulate", Cell.simulate, memoised)
+    )
     suite.clear_trace_cache()
     specialize.clear_cache()
     s = SimulationSession(TINY, jobs=2)
+    parent = str(os.getpid())
+    checked = set()
     for workload in ("llll", "mmmm"):
+        log.write_text("")
         s.sweep(policies=["SMT", "CSMT"], workloads=[workload],
                 n_threads=(2,))
         assert multiprocessing.active_children() == []
-    pids: dict[str, list] = {}
-    for line in log.read_text().splitlines():
-        name, pid = line.split()
-        pids.setdefault(name, []).append(pid)
-    parent = str(os.getpid())
-    assert set(pids["record"]) == set(pids["check"]) == {parent}
-    assert len(pids["simulate"]) == s.simulations == 4
-    assert parent not in pids["simulate"]
+        calls: dict[str, list] = {}
+        for line in log.read_text().splitlines():
+            event, pid, detail = line.split()
+            calls.setdefault(event, []).append((pid, detail))
+        recorded = sorted(name for _, name in calls["record"])
+        assert recorded == sorted(set(s.cell("SMT", workload, 2).members))
+        simulating = {pid for pid, _ in calls["simulate"]}
+        assert len(calls["simulate"]) == 2
+        assert parent not in simulating
+        assert not simulating & {pid for pid, _ in calls["record"]}
+        # the second sweep's loop shapes are the first's, memoised
+        checked |= {pid for pid, _ in calls.get("check", ())}
+        assert {memo for _, memo in calls["simulate"]} == {"True"}
+    assert checked == {parent}
+    assert s.simulations == 4
+
+
+def _trace_memo() -> dict:
+    """A copy of the process trace memo, emptied for the next sweep."""
+    from repro.kernels import suite
+
+    memo = dict(suite._trace_cache)
+    suite.clear_trace_cache()
+    return memo
+
+
+def test_recorded_bundles_equal_serial_ones():
+    """A pooled sweep's bundles, rebuilt from the plain fields its
+    recorders returned, equal the ones a serial sweep records: every
+    static-table field (derived ones included), the dynamic trace,
+    the address columns and the fingerprint."""
+    import dataclasses
+
+    from repro.kernels import suite
+
+    specs = dict(policies=["OOSI AS"], workloads=["llhh", "mmmm"],
+                 n_threads=(2,))
+    suite.clear_trace_cache()
+    SimulationSession(TINY, jobs=2).sweep(**specs)
+    pooled = _trace_memo()
+    SimulationSession(TINY).sweep(**specs)
+    serial = _trace_memo()
+    assert pooled.keys() == serial.keys() and len(serial) == 8
+    for key, want in serial.items():
+        got = pooled[key]
+        assert got is not want
+        assert (got.name, got.fingerprint(), got.length, got.total_ops) == (
+            want.name, want.fingerprint(), want.length, want.total_ops
+        )
+        assert got.idx == want.idx and got.taken == want.taken
+        assert got.addr_cols == want.addr_cols
+        for f in dataclasses.fields(want.static):
+            assert getattr(got.static, f.name) == getattr(
+                want.static, f.name
+            ), f.name
+        assert not hasattr(got, "program")
+
+
+def test_killed_recorder_falls_back_to_parent(tmp_path, monkeypatch):
+    """A recorder that dies mid-recording (``os._exit``) breaks only
+    the recorders' pool: this process records the rest, and the
+    sweep's results and fingerprints equal a serial sweep's, with no
+    child process left behind."""
+    import multiprocessing
+    import os
+
+    from repro.kernels import suite
+
+    specs = dict(policies=["SMT", "CCSI AS"], workloads=["llhh"],
+                 n_threads=(2, 4))
+    parent = os.getpid()
+    victim = SimulationSession(TINY).cell("SMT", "llhh", 2).members[1]
+    real = suite.record_trace
+    in_parent = []
+
+    def dying(program, *a, **k):
+        if os.getpid() != parent:
+            if program.name == victim:
+                os._exit(3)
+        else:
+            in_parent.append(program.name)
+        return real(program, *a, **k)
+
+    suite.clear_trace_cache()
+    serial = SimulationSession(TINY, cache_dir=str(tmp_path / "serial"))
+    want = serial.sweep(**specs)
+    want_prints = {k: b.fingerprint() for k, b in _trace_memo().items()}
+
+    monkeypatch.setattr(suite, "record_trace", dying)
+    pooled = SimulationSession(
+        TINY, cache_dir=str(tmp_path / "pooled"), jobs=2
+    )
+    got = pooled.sweep(**specs)
+    assert multiprocessing.active_children() == []
+    assert victim in in_parent
+    assert {k: s.to_dict() for k, s in got.items()} == {
+        k: s.to_dict() for k, s in want.items()
+    }
+    assert {
+        k: b.fingerprint() for k, b in _trace_memo().items()
+    } == want_prints
+    info = pooled.cache_stats()
+    assert info["traces_recorded"] == len(want_prints) == 4
+    assert info["simulations"] == 4 and info["failures"] == 0
 
 
 # ---------------------------------------------------------------- hooks

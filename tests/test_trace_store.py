@@ -531,8 +531,13 @@ def test_pooled_sweep_over_partly_warm_store_records_nothing(
     filled, tmp_path, monkeypatch
 ):
     """A --jobs 2 sweep whose result keys come from the index: the
-    parent records the pending cells' traces once before the pool
-    forks, so no worker re-runs the functional VM."""
+    pending cells' traces are recorded once each, by recorders forked
+    before the simulation pool, which inherits them, so no process
+    that simulates runs the functional VM."""
+    import multiprocessing
+
+    from repro.engine.session import Cell
+
     expected = results(small_sweep(SimulationSession(
         TINY, cache_dir=copy_store(filled, tmp_path, "pristine")
     )))
@@ -545,13 +550,20 @@ def test_pooled_sweep_over_partly_warm_store_records_nothing(
 
     log = tmp_path / "recorded.txt"
     real = suite.record_trace
+    real_simulate = Cell.simulate
 
     def logging_record(program, cfg, max_instructions=5_000_000):
         with open(log, "a") as f:
-            f.write(program.name + "\n")
+            f.write(f"record {os.getpid()} {program.name}\n")
         return real(program, cfg, max_instructions)
 
+    def logging_simulate(cell, *a, **k):
+        with open(log, "a") as f:
+            f.write(f"simulate {os.getpid()} -\n")
+        return real_simulate(cell, *a, **k)
+
     monkeypatch.setattr(suite, "record_trace", logging_record)
+    monkeypatch.setattr(Cell, "simulate", logging_simulate)
     session = SimulationSession(TINY, cache_dir=root, jobs=2)
     memo_at_fork: list[set] = []
     real_pool = concurrent.futures.ProcessPoolExecutor
@@ -562,13 +574,18 @@ def test_pooled_sweep_over_partly_warm_store_records_nothing(
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     assert results(small_sweep(session)) == expected
+    assert multiprocessing.active_children() == []
     info = session.cache_stats()
     names = sorted(
         {n for spec in pending for n in session.cell(*spec).members}
     )
-    # the log also collects what workers record: each name once, all
-    # in the parent
-    assert sorted(log.read_text().split()) == names
+    calls = [line.split() for line in log.read_text().splitlines()]
+    # the log also collects what recorders and workers record: each
+    # name once, never in a process that simulates
+    assert sorted(n for e, _, n in calls if e == "record") == names
+    simulating = [pid for e, pid, _ in calls if e == "simulate"]
+    assert len(simulating) == len(pending)
+    assert not set(simulating) & {pid for e, pid, _ in calls if e == "record"}
     assert info["traces_recorded"] == len(names)
     assert info["simulations"] == len(pending)
     assert info["traces_indexed"] == len(members())
@@ -576,7 +593,9 @@ def test_pooled_sweep_over_partly_warm_store_records_nothing(
         suite._memo_key(n, TINY.kernel_scale, session.cfg, 5_000_000)
         for n in names
     }
-    assert memo_at_fork and needed <= memo_at_fork[0]
+    # the recorders' pool, then the simulation pool
+    assert len(memo_at_fork) == 2
+    assert needed <= memo_at_fork[-1]
 
 
 def test_warm_cli_claims_never_imports_numpy(tmp_path):
