@@ -11,9 +11,10 @@ worker inherits the trace memo, the verified loop sources and the
 plan.  The traces a sweep lacks are recorded on a short-lived pool of
 recorders, forked before the lookups (and again before the
 simulation pool, for bundles whose identity the store's fingerprint
-index served), while the parent verifies the loops; each recorder
-returns a finished bundle as plain fields, which the parent rebuilds
-and installs in the trace memo (:func:`_record_traces`).  A task is
+index served), while the parent verifies the loops of the cells that
+lack them; each finished bundle comes back by pickle, which rebuilds
+it through its constructors, and the parent installs it in the trace
+memo (:func:`_record_traces`).  A task is
 the cell the parent resolved — a small picklable
 :class:`~repro.engine.session.Cell` carrying policy, benchmark names,
 machine config and simulation parameters — and its attempt number;
@@ -366,39 +367,46 @@ def _verify_loop(cell) -> None:
     )
 
 
-def _record_fields(key: tuple) -> tuple:
+def _record_bundle(key: tuple):
     """Recorder task: compile and record the kernel of one trace-memo
-    key, returning the bundle as plain fields
-    (:meth:`TraceBundle.fields`), never a pickled bundle or program."""
+    key.  The bundle is returned by pickle, which rebuilds it through
+    its constructors; it keeps no compiled program."""
     from ..kernels import suite
 
-    return suite._record(key).fields()
+    return suite._record(key)
 
 
 def _record_traces(session, cells: list, jobs: int, bundles: bool) -> None:
     """Record the traces ``cells`` lack on a short-lived fork pool of
-    recorders while this process verifies the cells' loops.
+    recorders while this process verifies the loops of the cells that
+    lack one.
 
     A trace is lacking when the trace memo holds no bundle for it and,
     unless ``bundles`` (the cells simulate and need every bundle),
     neither the identity memo nor the store's fingerprint index serves
     its identity.  With fewer than two lacking this does nothing and
     the caller records on demand, as it also does for the traces a
-    dead recorder left.  Each finished bundle is rebuilt from its
-    fields and installed as :func:`~repro.kernels.suite.get_trace`
-    installs what it records (memo, ``traces_recorded``, index
-    entry)."""
+    dead recorder left.  Each finished bundle is installed as
+    :func:`~repro.kernels.suite.get_trace` installs what it records
+    (memo, ``traces_recorded``, index entry)."""
     from ..kernels import suite
 
     store = session.cache
-    lacking: list = []  # trace-memo keys, in the cells' order
+    lacking: dict = {}  # trace-memo keys, in the cells' order
+    verify = []  # the cells that lack a trace
     for cell in cells:
+        found = False
         for name in cell.members:
             key = suite._memo_key(name, cell.kernel_scale, cell.cfg)
-            if key in suite._trace_cache or key in lacking:
+            if key in suite._trace_cache:
                 continue
-            if bundles or suite._served_identity(key, store) is None:
-                lacking.append(key)
+            if (
+                key in lacking or bundles
+                or suite._served_identity(key, store) is None
+            ):
+                lacking[key] = found = True
+        if found:
+            verify.append(cell)
     if len(lacking) < 2:
         return
     import multiprocessing
@@ -406,27 +414,24 @@ def _record_traces(session, cells: list, jobs: int, bundles: bool) -> None:
     from concurrent.futures.process import BrokenProcessPool
 
     # imported before the fork, so each recorder inherits the compiler
-    # and (through the trace module) the VM instead of importing them
+    # and the VM instead of importing them
     from ..compiler import pipeline  # noqa: F401
-    from ..pipeline.trace import TraceBundle
+    from ..pipeline import trace  # noqa: F401
 
     pool = ProcessPoolExecutor(
         min(jobs, len(lacking)),
         mp_context=multiprocessing.get_context("fork"),
     )
     try:
-        todo = {pool.submit(_record_fields, key): key for key in lacking}
-        for cell in cells:
+        todo = {pool.submit(_record_bundle, key): key for key in lacking}
+        for cell in verify:
             _verify_loop(cell)
         while todo:
             done, _ = wait(todo, return_when=FIRST_COMPLETED)
-            for fut in done:
-                key = todo.pop(fut)
-                # key[2] is the machine config the bundle was recorded on
-                suite._install(
-                    key, TraceBundle.from_fields(key[2], fut.result()),
-                    store,
-                )
+            # every bundle that finished is kept before a dead
+            # recorder's future raises
+            for fut in sorted(done, key=lambda f: f.exception() is not None):
+                suite._install(todo.pop(fut), fut.result(), store)
     except BrokenProcessPool:
         # the caller records what is still lacking on demand
         log.warning(

@@ -115,6 +115,9 @@ for _name, (_meta, _) in SUITE.items():
 
 _MemoKey = tuple[str, float, MachineConfig, int]
 
+#: default cap on a recording's functional-VM instructions
+_MAX_INSTRUCTIONS = 5_000_000
+
 _trace_cache: dict[_MemoKey, TraceBundle] = {}
 
 #: identities of the bundles this process built or its store's
@@ -154,7 +157,7 @@ def record_trace(
 
 def _memo_key(
     name: str, scale: float, cfg: MachineConfig,
-    max_instructions: int = 5_000_000,
+    max_instructions: int = _MAX_INSTRUCTIONS,
 ) -> _MemoKey:
     key_cfg = (
         cfg if cfg.memory == _FLAT_MEMORY
@@ -188,7 +191,7 @@ def get_trace(
     name: str,
     scale: float = 1.0,
     cfg: MachineConfig = PAPER_MACHINE,
-    max_instructions: int = 5_000_000,
+    max_instructions: int = _MAX_INSTRUCTIONS,
     store: ResultCache | None = None,
 ) -> TraceBundle:
     """Compile + functionally execute + memoise one benchmark trace.
@@ -249,7 +252,7 @@ def trace_identity(
     name: str,
     scale: float = 1.0,
     cfg: MachineConfig = PAPER_MACHINE,
-    max_instructions: int = 5_000_000,
+    max_instructions: int = _MAX_INSTRUCTIONS,
     store: ResultCache | None = None,
 ) -> TraceIdentity:
     """Fingerprint and length of one benchmark trace, without building
@@ -271,7 +274,7 @@ def get_fingerprint(
     name: str,
     scale: float = 1.0,
     cfg: MachineConfig = PAPER_MACHINE,
-    max_instructions: int = 5_000_000,
+    max_instructions: int = _MAX_INSTRUCTIONS,
     store: ResultCache | None = None,
 ) -> str:
     """:meth:`TraceBundle.fingerprint` of one benchmark trace, served

@@ -73,6 +73,12 @@ class StaticTable:
         self.bundle_sum = [sum(b) for b in self.bundle_packed]
         self.ops_use = _ops_use(self.ops_desc, self.n_clusters)
 
+    def __reduce__(self):
+        # unpickled through the constructor, which interns ops_use as a
+        # local build does (a table unpickled field by field simulates
+        # measurably slower)
+        return StaticTable, _static_fields(self)
+
 
 #: the :class:`StaticTable` constructor's fields, in order
 _STATIC_FIELDS = tuple(f.name for f in fields(StaticTable) if f.init)
@@ -201,8 +207,8 @@ def _rot_static(st: StaticTable, r: int) -> StaticTable:
 class TraceBundle:
     """Everything the timing model needs about one benchmark: its
     static table, dynamic trace and content fingerprint.  Built by
-    :func:`record_trace`, or by :meth:`from_fields` from what
-    :meth:`fields` returned in another process."""
+    :func:`record_trace`; a pickled bundle is rebuilt through the
+    constructors."""
 
     def __init__(
         self,
@@ -228,24 +234,10 @@ class TraceBundle:
         }
         self._fingerprint = fingerprint
 
-    def fields(self) -> tuple:
-        """The bundle as plain lists, tuples, ints and strings: what a
-        recording process returns to the one that simulates."""
-        return (
-            self.name, _static_fields(self.static), self.idx, self.taken,
+    def __reduce__(self):
+        return TraceBundle, (
+            self.name, self.cfg, self.static, self.idx, self.taken,
             self.addr_cols, self.total_ops, self._fingerprint,
-        )
-
-    @classmethod
-    def from_fields(cls, cfg: MachineConfig, fields: tuple) -> TraceBundle:
-        """Rebuild a bundle from :meth:`fields` through the
-        constructors, so derived tables are interned as
-        :func:`record_trace` interns them (a bundle unpickled whole
-        simulates measurably slower)."""
-        name, static, idx, taken, addr_cols, total_ops, fingerprint = fields
-        return cls(
-            name, cfg, StaticTable(*static), idx, taken, tuple(addr_cols),
-            total_ops, fingerprint,
         )
 
     def rotated(self, r: int) -> tuple[StaticTable, AddrCols]:

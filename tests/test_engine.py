@@ -231,8 +231,8 @@ def _trace_memo() -> dict:
 
 
 def test_recorded_bundles_equal_serial_ones():
-    """A pooled sweep's bundles, rebuilt from the plain fields its
-    recorders returned, equal the ones a serial sweep records: every
+    """A pooled sweep's bundles, unpickled from its recorders through
+    the constructors, equal the ones a serial sweep records: every
     static-table field (derived ones included), the dynamic trace,
     the address columns and the fingerprint."""
     import dataclasses
@@ -259,6 +259,12 @@ def test_recorded_bundles_equal_serial_ones():
             assert getattr(got.static, f.name) == getattr(
                 want.static, f.name
             ), f.name
+        # the constructor interned the (usage, mem bit) pairs
+        assert all(
+            g is w
+            for gs, ws in zip(got.static.ops_use, want.static.ops_use)
+            for g, w in zip(gs, ws)
+        )
         assert not hasattr(got, "program")
 
 

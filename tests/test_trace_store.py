@@ -598,6 +598,38 @@ def test_pooled_sweep_over_partly_warm_store_records_nothing(
     assert needed <= memo_at_fork[-1]
 
 
+def test_pooled_sweep_verifies_no_loop_of_a_served_cell(
+    tmp_path, monkeypatch
+):
+    """While its recorders record the traces whose identity the index
+    lacks, a pooled sweep verifies only the loops of the cells that
+    lack one: a cell whose result the store serves is never
+    verified."""
+    from repro.engine import runner
+
+    root = str(tmp_path / "store")
+    SimulationSession(TINY, cache_dir=root, jobs=2).sweep(
+        policies=POLICIES, workloads=["llll"], n_threads=THREADS
+    )
+    suite.clear_trace_cache()
+    verified = []
+    real = runner._verify_loop
+
+    def logged(cell):
+        verified.append(cell.workload)
+        real(cell)
+
+    monkeypatch.setattr(runner, "_verify_loop", logged)
+    session = SimulationSession(TINY, cache_dir=root, jobs=2)
+    session.sweep(
+        policies=POLICIES, workloads=["llll", "mmmm"], n_threads=THREADS
+    )
+    info = session.cache_stats()
+    assert info["simulations"] == len(POLICIES)
+    assert info["traces_recorded"] == 4
+    assert verified and set(verified) == {"mmmm"}
+
+
 def test_warm_cli_claims_never_imports_numpy(tmp_path):
     """A warm ``claims`` served from the index imports no numpy."""
     import repro
