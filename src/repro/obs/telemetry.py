@@ -98,9 +98,11 @@ def percentile(values: list[float], q: float) -> float:
 
 def summarize(records: list[dict], pool_phases=()) -> dict:
     """Aggregate a record list into the sweep-end digest.
-    ``pool_busy`` is the share of the pool phases' worker time
-    (``jobs`` × phase wall) spent in cells, or ``None`` without a
-    pooled phase."""
+    ``workers`` counts the distinct PIDs that simulated a cell (the
+    parent stamps its own PID on the disk and memo hits it resolves,
+    so those name no worker).  ``pool_busy`` is the share of the pool
+    phases' worker time (``jobs`` × phase wall) spent in cells, or
+    ``None`` without a pooled phase."""
     capacity = sum(jobs * wall for jobs, wall, _ in pool_phases)
     sources = {"memo": 0, "disk": 0, "simulated": 0, "failed": 0}
     failure_categories: dict[str, int] = {}
@@ -113,8 +115,8 @@ def summarize(records: list[dict], pool_phases=()) -> dict:
         src = r.get("source", "simulated")
         sources[src] = sources.get(src, 0) + 1
         total_wall += r.get("wall_s", 0.0)
-        workers.add(r.get("worker"))
         if src == "simulated":
+            workers.add(r.get("worker"))
             walls.append(r.get("wall_s", 0.0))
             spec_s += r.get("spec_s", 0.0)
         elif src == "failed":

@@ -55,6 +55,22 @@ Four fast paths exist only here, not in the oracle:
   count hits in locals (flushed into ``l1i.hits``/``l1d.hits`` before
   ``stats_dict()``); ``Cache.access`` runs only on a miss.
 
+It also keeps less per-cycle bookkeeping than the oracle:
+
+* **run totals at flush** — the loop keeps no run-level operation or
+  instruction count: a processor runs once, from cycle 0, so the flush
+  sets ``stats.operations`` and ``stats.instructions`` to the sums of
+  the benchmarks' ``BenchStats``, which every issue and retire already
+  updates (``tests/test_processor.py`` pins these identities on the
+  oracle for every quick cell);
+* **no per-cycle op count** — every issuing path counts its thread in
+  ``threads_contributing`` exactly when it issues at least one op, so
+  a cycle issued nothing iff that count is 0;
+* **one unpack per fetch** — the fetch path loads ``pc``, the op
+  count and the cluster, memory and store masks with one subscript of
+  ``StaticTable.fetch`` and one tuple unpack; the retry and pending
+  paths load the fields they need one by one.
+
 They, like the rest of the loop, are gated by the bit-identity tests,
 not by a line-for-line correspondence with the oracle:
 ``tests/test_specialize.py`` checks every generated loop against
@@ -264,21 +280,22 @@ def generate_loop_source(shape: LoopShape) -> str:
     # Retire bookkeeping, assuming ``bstats`` is already in a local
     # (the issue path loads it once for the operations counter and the
     # retire shares it).  Callers that retire without issuing prepend
-    # the load; callers with live pending state prepend the clear.
+    # the load; callers with live pending state prepend the clear.  A
+    # taken branch refetches its target line, and so does a respawn.
     retire_tail = _dd("""
         pos = bench.pos
-        taken = th.taken[pos]
-        th.fetch_at = cycle + (taken_delay if taken else 1)
+        if th.taken[pos]:
+            th.fetch_at = cycle + taken_delay
+            th.last_iline = -1
+        else:
+            th.fetch_at = cycle + 1
         bench.pos = pos = pos + 1
         bstats.instructions += 1
-        instructions += 1
         if bstats.instructions >= target:
             target_hit = True
         if pos >= bench.bundle.length:
             bench.pos = 0
             bstats.respawns += 1
-            th.last_iline = -1
-        if taken:
             th.last_iline = -1
     """)
     retire_full = "bstats = bench.stats\n" + retire_tail
@@ -362,16 +379,14 @@ def generate_loop_source(shape: LoopShape) -> str:
 {_block(miss, 20)}
             """)
         )
-    head = [
-        "cols = th.addr_cols",
-        "pos = bench.pos",
-        "store_mask = table.store_cmask[i]",
-    ]
+    # ``dprobe_fetched`` follows the fetch path, whose row unpack
+    # already bound ``store_mask``; ``dprobe`` loads it
+    head = ["cols = th.addr_cols", "pos = bench.pos"]
     if perfect:
         # a perfect cache never misses: its probes charge no stall
-        dprobe = "\n".join(head + probe_blocks)
+        dprobe_fetched = "\n".join(head + probe_blocks)
     else:
-        dprobe = "\n".join([
+        dprobe_fetched = "\n".join([
             *head,
             "penalty = 0",
             *probe_blocks,
@@ -382,6 +397,8 @@ def generate_loop_source(shape: LoopShape) -> str:
                     th.stall_until = su
             """),
         ])
+    dprobe = "store_mask = table.store_cmask[i]\n" + dprobe_fetched
+    fetch_row = "pc, n, cm, mem, store_mask = table.fetch[i]"
 
     fetch_guard = (
         "if switching or cycle < th.fetch_at:"
@@ -392,8 +409,9 @@ def generate_loop_source(shape: LoopShape) -> str:
     # ---- per-thread issue pass (three structural variants) ------------
     if split == "none":
 
-        def merge_whole(fail: str) -> str:
-            """Whole-instruction merge; ``fail`` runs on a conflict."""
+        def merge_whole(fail: str, fetched: bool) -> str:
+            """Whole-instruction merge; ``fail`` runs on a conflict.
+            ``fetched``: the fetch row's ``cm`` is bound."""
             if op_merge:
                 return _dd(f"""
                 left = (e_remaining | guards) - table.packed[i]
@@ -401,24 +419,26 @@ def generate_loop_source(shape: LoopShape) -> str:
 {_block(fail, 20)}
                 e_remaining = left ^ guards
                 """)
-            return _dd(f"""
-            cm = table.cmask[i]
+            return ("" if fetched else "cm = table.cmask[i]\n") + _dd(f"""
             if cm & e_used:
 {_block(fail, 16)}
             e_used |= cm
             """)
 
-        def issue_retire(clear_pend: bool) -> str:
-            clear = "th.pend = None\n" if clear_pend else ""
+        def issue_retire(fetched: bool) -> str:
+            """Issue and retire the whole instruction; off the fetch
+            path it was parked in ``th.pend``."""
+            load = "" if fetched else (
+                "mem = table.mem_cmask[i]\nth.pend = None\n"
+            )
             return _dd(f"""
-            ops_this_cycle += n
             threads_contributing += 1
             bstats = bench.stats
             bstats.operations += n
-            mem = table.mem_cmask[i]
+            """) + "\n" + load + _dd(f"""
             if mem:
-{_block(dprobe, 16)}
-            """) + "\n" + clear + retire_tail
+{_block(dprobe_fetched if fetched else dprobe, 16)}
+            """) + "\n" + retire_tail
 
         park_pend = "th.pend = i\ncontinue"
 
@@ -440,22 +460,21 @@ def generate_loop_source(shape: LoopShape) -> str:
             {fetch_guard}
                 continue
             i = th.idx[bench.pos]
-            pc = table.pc[i]
+            {fetch_row}
             line = pc >> iline_shift
             if line != th.last_iline:
                 th.last_iline = line
                 icache_accesses += 1
 {_block(ifetch, 16)}
-            n = table.nops[i]
             if n:
-{_block(merge_whole(park_pend), 16)}
-{_block(issue_retire(False), 16)}
+{_block(merge_whole(park_pend, True), 16)}
+{_block(issue_retire(True), 16)}
             else:
 {_block(retire_full, 16)}
         else:
             n = table.nops[i]
-{_block(merge_whole("continue"), 12)}
-{_block(issue_retire(True), 12)}
+{_block(merge_whole("continue", False), 12)}
+{_block(issue_retire(False), 12)}
         """
     else:
         # split policies share one pending-list layout:
@@ -474,7 +493,7 @@ def generate_loop_source(shape: LoopShape) -> str:
             """)
 
         if split == "cluster":
-            make_pend = "pend = th.pend = [i, n, False, 0, table.cmask[i]]"
+            make_pend = "pend = th.pend = [i, n, False, 0, cm]"
             if op_merge:
                 # every bundle fits iff their sum does (the SWAR test
                 # is field-wise and the lanes cannot overflow)
@@ -602,14 +621,12 @@ def generate_loop_source(shape: LoopShape) -> str:
         # test_op_split_whole_issue_in_one_cycle_is_not_split), so the
         # whole path counts it too.
         whole_tail = _dd(f"""
-        ops_this_cycle += n
         threads_contributing += 1
         bstats = bench.stats
         bstats.operations += n
-        mem = table.mem_cmask[i]
         if mem:
             e_mem_used |= mem
-{_block(dprobe, 12)}
+{_block(dprobe_fetched, 12)}
         """) + "\n" + retire_tail + "\ncontinue"
         if split == "op":
             counted = "n > 1" if comm_split else "n > 1 and not table.icc[i]"
@@ -620,7 +637,6 @@ def generate_loop_source(shape: LoopShape) -> str:
             whole_issue = swar_take(whole_usage, whole_tail)
         else:
             whole_issue = _dd(f"""
-            cm = table.cmask[i]
             if not cm & e_used:
                 e_used |= cm
 {_block(whole_tail, 16)}
@@ -636,13 +652,12 @@ def generate_loop_source(shape: LoopShape) -> str:
             {fetch_guard}
                 continue
             i = th.idx[bench.pos]
-            pc = table.pc[i]
+            {fetch_row}
             line = pc >> iline_shift
             if line != th.last_iline:
                 th.last_iline = line
                 icache_accesses += 1
 {_block(ifetch, 16)}
-            n = table.nops[i]
             if not n:
 {_block(retire_full, 16)}
                 continue
@@ -651,7 +666,6 @@ def generate_loop_source(shape: LoopShape) -> str:
         else:
             i = pend[0]
 {_block(merge, 8)}
-        ops_this_cycle += n
         threads_contributing += 1
         bstats = bench.stats
         bstats.operations += n
@@ -776,9 +790,17 @@ def generate_loop_source(shape: LoopShape) -> str:
             "            )[0]"
         )
 
+    # The run totals are the benchmarks' sums (a processor runs once,
+    # from cycle 0), so the loop keeps no run-level copy of them.
     flush = [
-        "stats.operations += operations",
-        "stats.instructions += instructions",
+        "operations = 0",
+        "instructions = 0",
+        "for bench in proc.benches:",
+        "    bstats = bench.stats",
+        "    operations += bstats.operations",
+        "    instructions += bstats.instructions",
+        "stats.operations = operations",
+        "stats.instructions = instructions",
         "stats.vertical_waste += vertical_waste",
         "stats.icache_accesses += icache_accesses",
         "stats.icache_misses += icache_misses",
@@ -818,6 +840,8 @@ def generate_loop_source(shape: LoopShape) -> str:
         )
     )
 
+    # A cycle with no contributing thread issued nothing: every issuing
+    # path counts its thread exactly when it issues at least one op.
     header = (
         f"# generated by repro.pipeline.specialize for "
         f"{shape.merge}-merge/{split}-split"
@@ -831,8 +855,6 @@ def generate_loop_source(shape: LoopShape) -> str:
 def {LOOP_NAME}(proc):
 {setup_src}
     target_hit = False
-    operations = 0
-    instructions = 0
     vertical_waste = 0
 {split_locals}    icache_accesses = 0
     icache_misses = 0
@@ -841,13 +863,11 @@ def {LOOP_NAME}(proc):
 {switch_init}    cycle = 0
     end_cycle = proc.params.max_cycles
     while cycle < end_cycle:
-        ops_this_cycle = 0
         threads_contributing = 0
 {cycle_resets}
         for th in {order_expr}:
 {_block(thread_body, 12)}
-        operations += ops_this_cycle
-        if ops_this_cycle == 0:
+        if not threads_contributing:
             vertical_waste += 1
         else:
             packet_threads[threads_contributing] = (
@@ -858,7 +878,7 @@ def {LOOP_NAME}(proc):
 {sched_src}
         if target_hit:
             break
-        if ops_this_cycle == 0 and cycle < end_cycle:
+        if not threads_contributing and cycle < end_cycle:
             {ff_call}
 {flush_src}
 """

@@ -20,7 +20,10 @@ hoist work out of hot loops):
 * ``ops_use``       — the same ops as ``(packed usage, mem cluster
   bit)`` pairs, the form the generated op-split loop consumes; only
   n_clusters x FU-class distinct pairs exist, so they are interned;
-* ``pc``            — byte address for the ICache model.
+* ``pc``            — byte address for the ICache model;
+* ``fetch``         — ``(pc, nops, cmask, mem_cmask, store_cmask)``
+  per instruction: the fields the generated loop's fetch path reads,
+  loaded with one subscript and one tuple unpack.
 
 The dynamic trace keeps its memory addresses as ``n_clusters``
 per-cluster columns (``addr_cols[c][pos]`` is cluster ``c``'s address
@@ -52,8 +55,8 @@ AddrCols = tuple[list[int], ...]
 
 @dataclass
 class StaticTable:
-    """Per-static-instruction properties (one rotation).  ``bundle_sum``
-    and ``ops_use`` are derived from the other fields."""
+    """Per-static-instruction properties (one rotation).  ``bundle_sum``,
+    ``ops_use`` and ``fetch`` are derived from the other fields."""
 
     n_clusters: int
     packed: list[int]
@@ -68,10 +71,14 @@ class StaticTable:
     pc: list[int]
     bundle_sum: list[int] = field(init=False)
     ops_use: list[tuple[tuple[int, int], ...]] = field(init=False)
+    fetch: list[tuple[int, int, int, int, int]] = field(init=False)
 
     def __post_init__(self) -> None:
         self.bundle_sum = [sum(b) for b in self.bundle_packed]
         self.ops_use = _ops_use(self.ops_desc, self.n_clusters)
+        self.fetch = list(zip(
+            self.pc, self.nops, self.cmask, self.mem_cmask, self.store_cmask
+        ))
 
     def __reduce__(self):
         # unpickled through the constructor, which interns ops_use as a

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import logging
 from dataclasses import replace
 
 import pytest
@@ -12,6 +14,31 @@ from repro.engine import QUICK_SCALE, SimulationSession
 from repro.pipeline.trace import record_trace
 
 from _kernels import make_axpy, make_wide
+
+
+@contextlib.contextmanager
+def repro_logger_restored():
+    """Put the ``repro`` logger's handlers, level and ``propagate`` back
+    as they were on entry.  An in-process ``cli.main()`` runs
+    ``setup_logging``, which turns ``propagate`` off and binds a
+    handler to the ``sys.stderr`` pytest captured for that test."""
+    logger = logging.getLogger("repro")
+    handlers, level, propagate = (
+        list(logger.handlers), logger.level, logger.propagate
+    )
+    try:
+        yield logger
+    finally:
+        logger.handlers[:] = handlers
+        logger.setLevel(level)  # also clears the loggers' level caches
+        logger.propagate = propagate
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logger():
+    """No test inherits the logging state a CLI call left behind."""
+    with repro_logger_restored():
+        yield
 
 
 @pytest.fixture(scope="session")

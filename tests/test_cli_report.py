@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import logging
 import shutil
 
 import pytest
@@ -82,6 +83,20 @@ def test_cli_run_quick(capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["ipc"] > 0
+
+
+def test_caplog_sees_runner_warning_after_cli_call(caplog, capsys):
+    """Once the logging state an in-process CLI call leaves is restored
+    (as the autouse fixture does after every test), ``repro`` records
+    propagate to pytest's capture again instead of a closed stream."""
+    from conftest import repro_logger_restored
+
+    with repro_logger_restored() as logger:
+        assert main(["scenarios"]) == 0
+        assert logger.propagate is False
+    logging.getLogger("repro.engine.runner").warning("cell llll retried")
+    assert [r.name for r in caplog.records] == ["repro.engine.runner"]
+    assert "cell llll retried" in caplog.text
 
 
 def test_parser_measures_the_terminal_once(monkeypatch):

@@ -275,9 +275,18 @@ def test_digest_reports_pool_busy_only_for_pooled_sweeps():
     summary = pooled.telemetry.summary()
     assert summary["pool_busy"] == pytest.approx(busy / (2 * wall))
     assert 0 < summary["pool_busy"] <= 1
+    # the first forked worker may take both cells before the second
+    # starts, so the digest names the PIDs that really simulated
+    pids = {
+        r["worker"] for r in pooled.telemetry.records
+        if r["source"] == "simulated"
+    }
+    assert len(pids) in (1, 2)
+    assert summary["workers"] == len(pids)
     head = render_summary(summary).splitlines()[0]
     assert head.endswith(
-        f"(2 workers, pool busy {100 * summary['pool_busy']:.0f}%)"
+        f"({len(pids)} worker{'s' if len(pids) != 1 else ''}, "
+        f"pool busy {100 * summary['pool_busy']:.0f}%)"
     )
 
     serial = SimulationSession(TINY)
@@ -285,6 +294,30 @@ def test_digest_reports_pool_busy_only_for_pooled_sweeps():
     summary = serial.telemetry.summary()
     assert summary["pool_busy"] is None
     assert "pool busy" not in render_summary(summary)
+
+
+def test_digest_counts_only_simulating_workers(tmp_path):
+    """A pooled sweep over a partly filled store: the parent resolves
+    the disk hits under its own PID, and the digest counts only the
+    PIDs that simulated, so it names at most the pool's 2 workers."""
+    import os
+
+    cache = str(tmp_path / "c")
+    kw = dict(workloads=["llll"], n_threads=(2,))
+    SimulationSession(TINY, cache_dir=cache).sweep(policies=["SMT"], **kw)
+    pooled = SimulationSession(TINY, jobs=2, cache_dir=cache)
+    pooled.sweep(policies=["SMT", "CSMT", "CCSI AS", "OOSI AS"], **kw)
+    records = pooled.telemetry.records
+    assert [r["worker"] for r in records if r["source"] == "disk"] == [
+        os.getpid()
+    ]
+    pids = {r["worker"] for r in records if r["source"] == "simulated"}
+    assert os.getpid() not in pids
+    summary = pooled.telemetry.summary()
+    assert summary["sources"]["simulated"] == 3
+    assert summary["workers"] == len(pids) <= 2
+    head = render_summary(summary).splitlines()[0]
+    assert f"({len(pids)} worker" in head
 
 
 def test_cache_stats_counters(tmp_path):

@@ -109,6 +109,37 @@ def test_vertical_plus_active_cycles(axpy_trace):
     assert active + s.vertical_waste == s.cycles
 
 
+def test_reference_run_totals_are_benchmark_sums(quick_session):
+    """Every quick cell, on the reference loop: the run's operation and
+    instruction totals equal the sums of its benchmarks' counters, and
+    each cycle is either vertical waste or counted once in
+    ``packet_threads``.  The generated loop's flush derives those run
+    counters from these identities."""
+    from repro.harness.workloads import WORKLOAD_ORDER
+
+    for policy in ALL_POLICIES:
+        for workload in WORKLOAD_ORDER:
+            for nt in (2, 4):
+                cell = quick_session.cell(policy.name, workload, nt)
+                proc = Processor(
+                    cell.policy, cell.bundles(), nt, cell.cfg, cell.params,
+                    force_reference=True,
+                )
+                s = proc.run()
+                benches = [b.stats for b in proc.benches]
+                label = (policy.name, workload, nt)
+                assert s.operations == sum(
+                    b.operations for b in benches
+                ), label
+                assert s.instructions == sum(
+                    b.instructions for b in benches
+                ), label
+                assert (
+                    s.vertical_waste + sum(s.packet_threads.values())
+                    == s.cycles
+                ), label
+
+
 def test_horizontal_waste_nonnegative(axpy_trace):
     s = run_single_thread(axpy_trace)
     assert s.horizontal_waste >= 0
